@@ -25,7 +25,7 @@ import numpy as np
 
 from . import comms, oracle, sensing
 from .config import ConfigError, ExperimentConfig, load_config, trial_rng
-from .constellation import orthogonal_interleaved_grid, random_reference_grid
+from .constellation import SubcarrierMask, orthogonal_interleaved_grid, random_reference_grid
 from .optimizer import optimize
 from .spectrum import LagWeights, SymbolGrid, cyclic_correlations, psl_db
 
@@ -255,7 +255,7 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
     if not 0.5e-2 <= rate <= 2e-2:
         failures.append(f"empirical false-alarm rate {rate:.2e} outside [0.5, 2] x 1e-2")
 
-    report = optimize(grid, spec, _full_mask(n, m), w, cfg.optimizer())
+    report = optimize(grid, spec, SubcarrierMask.all_used(n, m), w, cfg.optimizer())
     if any(b > a for a, b in zip(report.eta_trace, report.eta_trace[1:])):
         failures.append("accepted objective trace is not non-increasing")
 
@@ -265,12 +265,6 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
         return 2
     print("all verification checks passed")
     return 0
-
-
-def _full_mask(n: int, m: int):
-    from .constellation import SubcarrierMask
-
-    return SubcarrierMask.all_used(n, m)
 
 
 if __name__ == "__main__":

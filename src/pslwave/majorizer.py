@@ -41,20 +41,11 @@ __all__ = [
     "v_fields",
     "hermitian_blocks",
     "mu_bar",
-    "symmetric_max_eigenvalue",
-    "jacobi_max_eigenvalues",
     "majorize_direction",
 ]
 
 # relative distance below which the 0/0 limit of the quadratic coefficient is used
 _LIMIT_TOL = 1e-6
-
-# The diagonal blocks Lambda_mk = Diag(v_mk + conj(v_km)) require v_mk to
-# carry a factor N on top of the DFT of (w * c * r): expanding the diagonal
-# of sum_i w c (conj(r) Diag(N conj(F_i)) + h.c.) entrywise gives
-# N * [DFT(w c r_mk)]_n + conj(N * [DFT(w c r_km)]_n).  The dense-matrix
-# oracle pins this constant; test_majorizer asserts it as a regression.
-_V_FIELD_SCALE_IS_N = True
 
 
 class ZeroSidelobeError(ValueError):
@@ -111,9 +102,9 @@ def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoe
     """Surrogate coefficients for every weighted lag, in r_bar-factored form."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    r_abs = np.abs(corr.values)
     wmask = w.mask
-    r_bar = float(np.max(r_abs[:, :, wmask])) if np.any(wmask) else 0.0
+    r_abs = np.abs(corr.values[:, :, wmask])
+    r_bar = float(np.max(r_abs)) if r_abs.size else 0.0
     if r_bar == 0.0:
         raise ZeroSidelobeError("all weighted correlations are zero")
 
@@ -121,16 +112,17 @@ def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoe
     one_minus = 1.0 - rho
     near = one_minus < _LIMIT_TOL
     denom = np.where(near, 1.0, one_minus)
-    a_hat = (1.0 - rho**p - p * rho ** (p - 1) * one_minus) / denom**2
-    a_hat = np.where(near, 0.5 * p * (p - 1), a_hat)
-    b_hat = p * rho ** (p - 1) - 2.0 * a_hat * rho
+    a_win = (1.0 - rho**p - p * rho ** (p - 1) * one_minus) / denom**2
+    a_win = np.where(near, 0.5 * p * (p - 1), a_win)
+    b_win = p * rho ** (p - 1) - 2.0 * a_win * rho
     # c = a + b / (2|r|); the quotient is defined as 0 on |r| = 0 lags
     # (those terms vanish downstream since c always multiplies r)
-    c_hat = a_hat + np.where(rho > 0.0, 0.5 * p * rho ** (p - 2) - a_hat, 0.0)
+    c_win = a_win + np.where(rho > 0.0, 0.5 * p * rho ** (p - 2) - a_win, 0.0)
 
-    a_hat[:, :, ~wmask] = 0.0
-    b_hat[:, :, ~wmask] = 0.0
-    c_hat[:, :, ~wmask] = 0.0
+    a_hat, b_hat, c_hat = (np.zeros(corr.values.shape) for _ in range(3))
+    a_hat[:, :, wmask] = a_win
+    b_hat[:, :, wmask] = b_win
+    c_hat[:, :, wmask] = c_win
     return MajorizerCoeffs(p=p, r_bar=r_bar, a_hat=a_hat, b_hat=b_hat, c_hat=c_hat)
 
 
@@ -143,8 +135,12 @@ def lambda_bar(coeffs: MajorizerCoeffs, w: LagWeights) -> float:
 def v_fields(corr: CorrelationTensor, coeffs: MajorizerCoeffs, w: LagWeights) -> np.ndarray:
     """Diagonal-block generators: v[m, k] = N * DFT(w * c_hat * r) over lags."""
     seq = w.weights * coeffs.c_hat * corr.values
-    scale = corr.n_lags if _V_FIELD_SCALE_IS_N else 1
-    return scale * np.fft.fft(seq, axis=2)
+    # The diagonal blocks Lambda_mk = Diag(v_mk + conj(v_km)) require v_mk to
+    # carry a factor N on top of the DFT of (w * c * r): expanding the diagonal
+    # of sum_i w c (conj(r) Diag(N conj(F_i)) + h.c.) entrywise gives
+    # N * [DFT(w c r_mk)]_n + conj(N * [DFT(w c r_km)]_n).  The dense-matrix
+    # oracle pins this constant; test_majorizer asserts it as a regression.
+    return corr.n_lags * np.fft.fft(seq, axis=2)
 
 
 def hermitian_blocks(v: np.ndarray) -> np.ndarray:
@@ -156,90 +152,29 @@ def hermitian_blocks(v: np.ndarray) -> np.ndarray:
 def mu_bar(v: np.ndarray) -> float:
     """max_n lambda_max(Q_n) over the Hermitian per-subcarrier blocks.
 
-    Each M x M Hermitian block is embedded as the real symmetric 2M x 2M
-    matrix [[Re Q, -Im Q], [Im Q, Re Q]], which has the same spectrum
-    (doubled multiplicity), so the real Jacobi sweep applies unchanged.
+    One batched LAPACK Hermitian eigensolve (``eigvalsh``, ascending
+    eigenvalues) over the (N, M, M) block stack; the blocks are checked to be
+    Hermitian first, since eigvalsh reads only one triangle.
     """
     q = hermitian_blocks(v)
     herm_err = np.max(np.abs(q - np.conj(np.transpose(q, (0, 2, 1)))))
     if herm_err > 1e-9 * (np.max(np.abs(q)) or 1.0):
         raise ValueError(f"Q_n blocks non-Hermitian beyond tolerance: {herm_err:.3e}")
-    n, m, _ = q.shape
-    emb = np.empty((n, 2 * m, 2 * m))
-    emb[:, :m, :m] = q.real
-    emb[:, m:, m:] = q.real
-    emb[:, :m, m:] = -q.imag
-    emb[:, m:, :m] = q.imag
-    return float(np.max(jacobi_max_eigenvalues(emb)))
+    return float(np.max(np.linalg.eigvalsh(q)[:, -1]))
 
 
-def jacobi_max_eigenvalues(
-    mats: np.ndarray, tol: float = 1e-12, max_sweeps: int = 50
-) -> np.ndarray:
-    """Largest eigenvalue of each symmetric matrix in a (B, M, M) batch.
-
-    Cyclic Jacobi rotations, applied in lockstep across the batch; sweeps
-    stop when every matrix has off-diagonal norm <= tol * its Frobenius norm.
-    """
-    a = np.array(mats, dtype=float)
-    if a.ndim == 2:
-        a = a[None]
-    b, m, m2 = a.shape
-    if m != m2:
-        raise ValueError("matrices must be square")
-    if m == 1:
-        return a[:, 0, 0]
-    norms = np.maximum(np.linalg.norm(a, axis=(1, 2)), np.finfo(float).tiny)
-    for _ in range(max_sweeps):
-        off2 = np.sum(a**2, axis=(1, 2)) - np.sum(np.diagonal(a, axis1=1, axis2=2) ** 2, axis=1)
-        off = np.sqrt(np.clip(off2, 0.0, None))
-        if np.all(off <= tol * norms):
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[:, p, q]
-                active = np.abs(apq) > 0.0
-                if not np.any(active):
-                    continue
-                tau = np.zeros(b)
-                # huge tau (tiny pivot) overflows harmlessly to t = 0
-                with np.errstate(over="ignore", divide="ignore"):
-                    tau[active] = (a[active, q, q] - a[active, p, p]) / (2.0 * apq[active])
-                    t = np.where(
-                        active,
-                        np.sign(tau + (tau == 0)) / (np.abs(tau) + np.sqrt(1.0 + tau**2)),
-                        0.0,
-                    )
-                c = 1.0 / np.sqrt(1.0 + t**2)
-                s = t * c
-                rp = a[:, p, :].copy()
-                rq = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * rp - s[:, None] * rq
-                a[:, q, :] = s[:, None] * rp + c[:, None] * rq
-                cp = a[:, :, p].copy()
-                cq = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * cp - s[:, None] * cq
-                a[:, :, q] = s[:, None] * cp + c[:, None] * cq
-    return np.max(np.diagonal(a, axis1=1, axis2=2), axis=1)
-
-
-def symmetric_max_eigenvalue(s: np.ndarray, sym_tol: float = 1e-9) -> float:
-    """Largest eigenvalue of one real symmetric matrix via cyclic Jacobi."""
-    s = np.asarray(s, dtype=float)
-    scale = np.max(np.abs(s)) or 1.0
-    if np.max(np.abs(s - s.T)) > sym_tol * scale:
-        raise ValueError("matrix is not symmetric")
-    return float(jacobi_max_eigenvalues(0.5 * (s + s.T)[None])[0])
-
-
-def majorize_direction(grid: SymbolGrid, w: LagWeights, p: int) -> MajorizerOutput:
+def majorize_direction(
+    grid: SymbolGrid, w: LagWeights, p: int, corr: CorrelationTensor | None = None
+) -> MajorizerOutput:
     """Full majorization pass at the current iterate.
 
     Returns the direction vector y = (Q - 2*lambda_bar*x x^H - mu_bar*I) x in
     the common r_bar**(p-2) scale, or y = None when the weighted sidelobes
-    already vanish.  Cost O(M^2 N log N) plus N small eigenproblems.
+    already vanish.  ``corr`` may carry the already computed correlations of
+    ``grid``.  Cost O(M^2 N log N) plus N small eigenproblems.
     """
-    corr = cyclic_correlations(grid)
+    if corr is None:
+        corr = cyclic_correlations(grid)
     eta, amax = peak_sidelobe(corr, w)
     if eta == 0.0:
         return MajorizerOutput(

@@ -21,7 +21,9 @@ import numpy as np
 from .constellation import ConstellationSpec, SubcarrierMask
 from .majorizer import majorize_direction
 from .projector import project_grid
-from .spectrum import LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db
+from .spectrum import (
+    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db,
+)
 
 __all__ = ["OptimizerConfig", "OptimizationReport", "mm_step", "run_mm", "run_squarem", "optimize"]
 
@@ -55,8 +57,11 @@ class OptimizationReport:
         self.iterations = max(len(self.eta_trace) - 1, 0)
 
 
-def _eta(grid: SymbolGrid, w: LagWeights) -> float:
-    return peak_sidelobe(cyclic_correlations(grid), w)[0]
+def _eta(grid: SymbolGrid, w: LagWeights) -> tuple[float, CorrelationTensor]:
+    """Peak sidelobe of ``grid`` and the correlations it came from, which the
+    next majorization pass at an accepted iterate reuses."""
+    corr = cyclic_correlations(grid)
+    return peak_sidelobe(corr, w)[0], corr
 
 
 def mm_step(
@@ -66,9 +71,13 @@ def mm_step(
     mask: SubcarrierMask,
     w: LagWeights,
     p: int,
+    corr: CorrelationTensor | None = None,
 ) -> SymbolGrid | None:
-    """One majorize-minimize-project step; None if the sidelobes already vanish."""
-    out = majorize_direction(grid, w, p)
+    """One majorize-minimize-project step; None if the sidelobes already vanish.
+
+    ``corr`` may carry the already computed correlations of ``grid``.
+    """
+    out = majorize_direction(grid, w, p, corr=corr)
     if out.y is None:
         return None
     norm = float(np.linalg.norm(out.y))
@@ -89,20 +98,21 @@ def run_mm(
 ) -> OptimizationReport:
     """Plain monotone MM: iterate until eta increases or l_max steps elapse."""
     current = reference.copy()
-    trace = [_eta(current, w)]
+    eta, corr = _eta(current, w)
+    corr_ref, trace = corr, [eta]
     reason = "max_iterations"
     for _ in range(config.l_max):
-        nxt = mm_step(current, reference, spec, mask, w, config.p)
+        nxt = mm_step(current, reference, spec, mask, w, config.p, corr=corr)
         if nxt is None:
             reason = "zero_sidelobe"
             break
-        eta_next = _eta(nxt, w)
+        eta_next, corr_next = _eta(nxt, w)
         if eta_next > trace[-1]:
             reason = "objective_increased"
             break
-        current = nxt
+        current, corr = nxt, corr_next
         trace.append(eta_next)
-    return _report(reference, current, trace, w, reason)
+    return _report(corr_ref, current, corr, trace, w, reason)
 
 
 def run_squarem(
@@ -114,17 +124,19 @@ def run_squarem(
 ) -> OptimizationReport:
     """Squared-extrapolation acceleration of the MM iteration."""
     current = reference.copy()
-    trace = [_eta(current, w)]
+    eta, corr = _eta(current, w)
+    corr_ref, trace = corr, [eta]
     reason = "max_iterations"
     for _ in range(config.l_max):
-        x1 = mm_step(current, reference, spec, mask, w, config.p)
+        x1 = mm_step(current, reference, spec, mask, w, config.p, corr=corr)
         if x1 is None:
             reason = "zero_sidelobe"
             break
         x2 = mm_step(x1, reference, spec, mask, w, config.p)
         if x2 is None:
             current = x1
-            trace.append(_eta(x1, w))
+            eta_x1, corr = _eta(x1, w)
+            trace.append(eta_x1)
             reason = "zero_sidelobe"
             break
 
@@ -134,30 +146,30 @@ def run_squarem(
         v_norm = float(np.linalg.norm(v))
         if v_norm == 0.0:
             candidate = x2
-            eta_cand = _eta(candidate, w)
+            eta_cand, corr_cand = _eta(candidate, w)
         else:
             alpha = -float(np.linalg.norm(r)) / v_norm
-            candidate, eta_cand = _extrapolate(
+            candidate, eta_cand, corr_cand = _extrapolate(
                 x0v, r, v, alpha, current.n_subcarriers, reference, spec, mask, w
             )
             backtracks = 0
             while eta_cand > trace[-1] and alpha < -1.0 and backtracks < config.backtrack_cap:
                 alpha = (alpha - 1.0) / 2.0
-                candidate, eta_cand = _extrapolate(
+                candidate, eta_cand, corr_cand = _extrapolate(
                     x0v, r, v, alpha, current.n_subcarriers, reference, spec, mask, w
                 )
                 backtracks += 1
             if eta_cand > trace[-1]:
                 # alpha = -1 reduces the scheme to the plain double MM step
                 candidate = x2
-                eta_cand = _eta(x2, w)
+                eta_cand, corr_cand = _eta(x2, w)
 
         if eta_cand > trace[-1]:
             reason = "objective_increased"
             break
-        current = candidate
+        current, corr = candidate, corr_cand
         trace.append(eta_cand)
-    return _report(reference, current, trace, w, reason)
+    return _report(corr_ref, current, corr, trace, w, reason)
 
 
 def _extrapolate(
@@ -170,17 +182,18 @@ def _extrapolate(
     spec: ConstellationSpec,
     mask: SubcarrierMask,
     w: LagWeights,
-) -> tuple[SymbolGrid, float]:
+) -> tuple[SymbolGrid, float, CorrelationTensor]:
     x = x0 - 2.0 * alpha * r + alpha**2 * v
     grid = project_grid(
         SymbolGrid.from_stacked(x, n_subcarriers), reference, spec, mask
     )
-    return grid, _eta(grid, w)
+    return (grid, *_eta(grid, w))
 
 
 def _report(
-    reference: SymbolGrid,
+    corr_reference: CorrelationTensor,
     final: SymbolGrid,
+    corr_final: CorrelationTensor,
     trace: list[float],
     w: LagWeights,
     reason: str,
@@ -188,8 +201,8 @@ def _report(
     return OptimizationReport(
         grid=final,
         eta_trace=trace,
-        psl_db_before=psl_db(cyclic_correlations(reference), w),
-        psl_db_after=psl_db(cyclic_correlations(final), w),
+        psl_db_before=psl_db(corr_reference, w),
+        psl_db_after=psl_db(corr_final, w),
         stop_reason=reason,
     )
 

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 MAX_N = 16
-MAX_M = 3
+MAX_M = 8
 
 
 def _guard(n: int, m: int) -> None:

@@ -2,10 +2,14 @@
 
 import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pslwave
 from pslwave.cli import main
 from pslwave.config import ConfigError, ExperimentConfig, load_config, trial_rng
 
@@ -24,6 +28,10 @@ class TestConfig:
             ExperimentConfig(n_cp=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(trials=0)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(n_cp=1)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(workers=0)
 
     def test_ini_round_trip(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -145,6 +153,23 @@ class TestCliCommands:
     def test_bad_config_exit_code(self, tmp_path):
         code = main(["optimize", "--config", "/missing.ini", "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "section,key,value", [("waveform", "n_cp", "1"), ("campaign", "workers", "0")]
+    )
+    def test_bad_value_in_ini_exits_with_message(self, tmp_path, section, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        paths = [str(Path(pslwave.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pslwave.cli", "optimize", "--config", str(path),
+             "--trials", "1", "--out", str(tmp_path / "res")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "config error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_timestamp_comment(self, tmp_path):
         out = tmp_path / "res"

@@ -1,7 +1,8 @@
 """Majorization pass: coefficients, eigenvalue bounds, and the direction vector.
 
 Every fast-path quantity is checked against the dense-matrix references in
-pslwave.oracle, which share no arithmetic with the FFT/Jacobi code paths.
+pslwave.oracle, which share no arithmetic with the FFT / per-block eigenvalue
+code paths.
 """
 
 import numpy as np
@@ -89,8 +90,8 @@ class TestCoefficients:
         grid = random_grid(8, 2, 13)
         w = LagWeights(8, 3)
         coeffs = majorizer.coefficients(cyclic_correlations(grid), w, 50)
-        assert np.all(coeffs.a_hat[:, :, [0, 3, 4, 5, 6, 7]] == 0)
-        assert np.all(coeffs.c_hat[:, :, [0, 3, 4, 5, 6, 7]] == 0)
+        for arr in (coeffs.a_hat, coeffs.b_hat, coeffs.c_hat):
+            assert np.all(arr[:, :, [0, 3, 4, 5, 6, 7]] == 0)
 
     def test_p50_stays_finite(self):
         grid = noisy_grid(16, 3, 14)
@@ -158,6 +159,19 @@ class TestEigenvalueBounds:
         mu_dense = oracle.mu_bar_raw(oracle.dense_Q(corr, c_raw, w))
         assert mu_fast == pytest.approx(mu_dense, rel=1e-8)
 
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_mu_bar_matches_dense_oracle_across_antenna_counts(self, m):
+        # M = 1 gives real 1 x 1 blocks; M = 8 is the largest antenna count criterion 11 times
+        grid = noisy_grid(8, m, 24 + m)
+        corr = cyclic_correlations(grid)
+        w = LagWeights(8, 4)
+        p = 4
+        coeffs = majorizer.coefficients(corr, w, p)
+        mu_fast = coeffs.r_bar ** (p - 2) * majorizer.mu_bar(majorizer.v_fields(corr, coeffs, w))
+        _, _, _, c_raw = oracle.coefficients_raw(corr, w, p)
+        mu_dense = oracle.mu_bar_raw(oracle.dense_Q(corr, c_raw, w))
+        assert mu_fast == pytest.approx(mu_dense, rel=1e-8)
+
     def test_mu_bar_diagonal_shift(self):
         grid = noisy_grid(8, 2, 19)
         corr = cyclic_correlations(grid)
@@ -170,34 +184,6 @@ class TestEigenvalueBounds:
         for m in range(2):
             shifted[m, m, :] += delta / 2.0
         assert majorizer.mu_bar(shifted) == pytest.approx(mu + delta, rel=1e-9)
-
-
-class TestJacobi:
-    def test_matches_library_eigensolver(self):
-        rng = np.random.default_rng(20)
-        mats = rng.standard_normal((10, 6, 6))
-        mats = mats + np.transpose(mats, (0, 2, 1))
-        got = majorizer.jacobi_max_eigenvalues(mats)
-        want = np.max(np.linalg.eigvalsh(mats), axis=1)
-        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
-
-    def test_single_symmetric_matrix(self):
-        rng = np.random.default_rng(21)
-        s = rng.standard_normal((8, 8))
-        s = s + s.T
-        got = majorizer.symmetric_max_eigenvalue(s)
-        assert got == pytest.approx(float(np.max(np.linalg.eigvalsh(s))), rel=1e-10)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            majorizer.symmetric_max_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_diagonal_batch(self):
-        d = np.zeros((3, 4, 4))
-        for b in range(3):
-            d[b] = np.diag([b, -1.0, 2.0 + b, 0.5])
-        got = majorizer.jacobi_max_eigenvalues(d)
-        assert np.allclose(got, [2.0, 3.0, 4.0])
 
 
 class TestDirection:
@@ -219,6 +205,15 @@ class TestDirection:
         m, k, i = out.argmax
         r = cyclic_correlations(grid).values
         assert abs(r[m, k, i]) == pytest.approx(out.eta)
+
+    def test_precomputed_correlations_give_identical_output(self):
+        grid = noisy_grid(16, 3, 26)
+        w = LagWeights(16, 8)
+        plain = majorizer.majorize_direction(grid, w, 50)
+        reused = majorizer.majorize_direction(grid, w, 50, corr=cyclic_correlations(grid))
+        assert np.array_equal(plain.y, reused.y)
+        assert plain.eta == reused.eta
+        assert plain.argmax == reused.argmax
 
     def test_zero_sidelobe_short_circuit(self):
         grid = SymbolGrid(np.ones((8, 1)))
