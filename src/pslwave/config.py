@@ -9,7 +9,7 @@ import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask
 from .optimizer import OptimizerConfig
-from .sensing import CfarConfig
+from .sensing import CfarConfig, cfar_threshold_factor
 from .spectrum import LagWeights
 
 __all__ = ["ExperimentConfig", "load_config", "trial_rng", "ConfigError"]
@@ -61,6 +61,14 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        try:
+            self.constellation()
+            self.optimizer()
+            cfar = self.cfar()
+            cfar_threshold_factor(cfar.p_fa, cfar.n_ref)
+            cfar.check_profile_length(self.n_subcarriers)  # the range profile has N cells
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def constellation(self) -> ConstellationSpec:
         return ConstellationSpec(

@@ -60,8 +60,9 @@ class ConstellationSpec:
                 raise ValueError("QAM order must be a perfect square")
         if not 0.0 < self.rho < 0.5:
             raise ValueError("rho must lie in (0, 0.5)")
-        if self.eps_a < 0:
-            raise ValueError("eps_a must be nonnegative")
+        # eps_a > 1 would put the inner radius 1 - eps_a below zero
+        if not 0.0 <= self.eps_a <= 1.0:
+            raise ValueError("eps_a must lie in [0, 1]")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -134,24 +135,6 @@ class SubcarrierMask:
         for m in range(n_antennas):
             idx = rng.choice(n_subcarriers, size=n_un, replace=False)
             used[idx, m] = False
-        return cls(used)
-
-    @classmethod
-    def edge_guard(
-        cls,
-        n_subcarriers: int,
-        n_antennas: int,
-        unused_fraction: float = 0.05,
-    ) -> "SubcarrierMask":
-        """Fixed alternative placement: unused carriers split between the band edges."""
-        n_un = int(round(unused_fraction * n_subcarriers))
-        used = np.ones((n_subcarriers, n_antennas), dtype=bool)
-        lo = n_un // 2
-        hi = n_un - lo
-        if lo:
-            used[:lo, :] = False
-        if hi:
-            used[-hi:, :] = False
         return cls(used)
 
 

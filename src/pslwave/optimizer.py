@@ -1,15 +1,17 @@
-"""Peak-sidelobe minimization loop: projected MM steps with squared-extrapolation acceleration.
+"""Peak-sidelobe minimization: one loop of projected MM steps, optionally extrapolated.
 
 One MM step minimizes the linear surrogate over the energy sphere of the
 reference grid (the minimizer is -sqrt(E) * y / ||y||), then projects the
-result entrywise onto the constellation similarity region.  The outer loop
-accepts iterates only while the peak sidelobe eta decreases; the first
-increase terminates and returns the previous iterate.
+result entrywise onto the constellation similarity region.  ``optimize`` runs
+one loop that accepts iterates only while the peak sidelobe eta does not
+increase; the first increase terminates and returns the previous iterate.
 
-Acceleration follows the squared-extrapolation scheme: two MM steps give a
-step r and curvature v, the extrapolated point x - 2*alpha*r + alpha**2 * v
-is projected, and alpha is backtracked toward -1 (which recovers the plain
-double step) until the objective does not exceed the current one.
+With ``OptimizerConfig.accelerated`` each iteration takes the squared
+extrapolation of two MM steps: they give a step r and curvature v, the
+extrapolated point x - 2*alpha*r + alpha**2 * v is projected, and alpha is
+backtracked toward -1 (which recovers the plain double step) until the
+objective does not exceed the current one.  Without it each iteration is one
+plain MM step.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .spectrum import (
     CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db,
 )
 
-__all__ = ["OptimizerConfig", "OptimizationReport", "mm_step", "run_mm", "run_squarem", "optimize"]
+__all__ = ["OptimizerConfig", "OptimizationReport", "mm_step", "optimize"]
 
 
 @dataclass
@@ -89,40 +91,19 @@ def mm_step(
     return project_grid(candidate, reference, spec, mask)
 
 
-def run_mm(
+def optimize(
     reference: SymbolGrid,
     spec: ConstellationSpec,
     mask: SubcarrierMask,
     w: LagWeights,
-    config: OptimizerConfig,
+    config: OptimizerConfig | None = None,
 ) -> OptimizationReport:
-    """Plain monotone MM: iterate until eta increases or l_max steps elapse."""
-    current = reference.copy()
-    eta, corr = _eta(current, w)
-    corr_ref, trace = corr, [eta]
-    reason = "max_iterations"
-    for _ in range(config.l_max):
-        nxt = mm_step(current, reference, spec, mask, w, config.p, corr=corr)
-        if nxt is None:
-            reason = "zero_sidelobe"
-            break
-        eta_next, corr_next = _eta(nxt, w)
-        if eta_next > trace[-1]:
-            reason = "objective_increased"
-            break
-        current, corr = nxt, corr_next
-        trace.append(eta_next)
-    return _report(corr_ref, current, corr, trace, w, reason)
+    """Monotone projected MM from the reference grid, accelerated unless disabled.
 
-
-def run_squarem(
-    reference: SymbolGrid,
-    spec: ConstellationSpec,
-    mask: SubcarrierMask,
-    w: LagWeights,
-    config: OptimizerConfig,
-) -> OptimizationReport:
-    """Squared-extrapolation acceleration of the MM iteration."""
+    Stops when a step would increase eta, when the sidelobes vanish, or after
+    ``config.l_max`` iterations.
+    """
+    config = config or OptimizerConfig()
     current = reference.copy()
     eta, corr = _eta(current, w)
     corr_ref, trace = corr, [eta]
@@ -132,89 +113,61 @@ def run_squarem(
         if x1 is None:
             reason = "zero_sidelobe"
             break
-        x2 = mm_step(x1, reference, spec, mask, w, config.p)
+        x2 = mm_step(x1, reference, spec, mask, w, config.p) if config.accelerated else None
         if x2 is None:
-            current = x1
-            eta_x1, corr = _eta(x1, w)
-            trace.append(eta_x1)
-            reason = "zero_sidelobe"
-            break
-
-        x0v = current.stacked()
-        r = x1.stacked() - x0v
-        v = x2.stacked() - x1.stacked() - r
-        v_norm = float(np.linalg.norm(v))
-        if v_norm == 0.0:
-            candidate = x2
-            eta_cand, corr_cand = _eta(candidate, w)
+            # plain step, or x1 already without sidelobes (the next step stops)
+            candidate, (eta_next, corr_next) = x1, _eta(x1, w)
         else:
-            alpha = -float(np.linalg.norm(r)) / v_norm
-            candidate, eta_cand, corr_cand = _extrapolate(
-                x0v, r, v, alpha, current.n_subcarriers, reference, spec, mask, w
+            candidate, eta_next, corr_next = _squarem(
+                current, x1, x2, trace[-1], reference, spec, mask, w, config.backtrack_cap
             )
-            backtracks = 0
-            while eta_cand > trace[-1] and alpha < -1.0 and backtracks < config.backtrack_cap:
-                alpha = (alpha - 1.0) / 2.0
-                candidate, eta_cand, corr_cand = _extrapolate(
-                    x0v, r, v, alpha, current.n_subcarriers, reference, spec, mask, w
-                )
-                backtracks += 1
-            if eta_cand > trace[-1]:
-                # alpha = -1 reduces the scheme to the plain double MM step
-                candidate = x2
-                eta_cand, corr_cand = _eta(x2, w)
-
-        if eta_cand > trace[-1]:
+        if eta_next > trace[-1]:
             reason = "objective_increased"
             break
-        current, corr = candidate, corr_cand
-        trace.append(eta_cand)
-    return _report(corr_ref, current, corr, trace, w, reason)
-
-
-def _extrapolate(
-    x0: np.ndarray,
-    r: np.ndarray,
-    v: np.ndarray,
-    alpha: float,
-    n_subcarriers: int,
-    reference: SymbolGrid,
-    spec: ConstellationSpec,
-    mask: SubcarrierMask,
-    w: LagWeights,
-) -> tuple[SymbolGrid, float, CorrelationTensor]:
-    x = x0 - 2.0 * alpha * r + alpha**2 * v
-    grid = project_grid(
-        SymbolGrid.from_stacked(x, n_subcarriers), reference, spec, mask
-    )
-    return (grid, *_eta(grid, w))
-
-
-def _report(
-    corr_reference: CorrelationTensor,
-    final: SymbolGrid,
-    corr_final: CorrelationTensor,
-    trace: list[float],
-    w: LagWeights,
-    reason: str,
-) -> OptimizationReport:
+        current, corr = candidate, corr_next
+        trace.append(eta_next)
     return OptimizationReport(
-        grid=final,
+        grid=current,
         eta_trace=trace,
-        psl_db_before=psl_db(corr_reference, w),
-        psl_db_after=psl_db(corr_final, w),
+        psl_db_before=psl_db(corr_ref, w),
+        psl_db_after=psl_db(corr, w),
         stop_reason=reason,
     )
 
 
-def optimize(
+def _squarem(
+    x0: SymbolGrid,
+    x1: SymbolGrid,
+    x2: SymbolGrid,
+    eta0: float,
     reference: SymbolGrid,
     spec: ConstellationSpec,
     mask: SubcarrierMask,
     w: LagWeights,
-    config: OptimizerConfig | None = None,
-) -> OptimizationReport:
-    """Entry point: accelerated loop by default, plain MM when disabled."""
-    config = config or OptimizerConfig()
-    runner = run_squarem if config.accelerated else run_mm
-    return runner(reference, spec, mask, w, config)
+    backtrack_cap: int,
+) -> tuple[SymbolGrid, float, CorrelationTensor]:
+    """Projected extrapolation of the double step x0 -> x1 -> x2, backtracked
+    until eta does not exceed eta0; falls back to x2 when no alpha does."""
+    x0v = x0.stacked()
+    r = x1.stacked() - x0v
+    v = x2.stacked() - x1.stacked() - r
+    v_norm = float(np.linalg.norm(v))
+    if v_norm == 0.0:
+        return (x2, *_eta(x2, w))
+
+    def extrapolate(alpha: float) -> tuple[SymbolGrid, float, CorrelationTensor]:
+        x = SymbolGrid.from_stacked(x0v - 2.0 * alpha * r + alpha**2 * v, x0.n_subcarriers)
+        grid = project_grid(x, reference, spec, mask)
+        return (grid, *_eta(grid, w))
+
+    alpha = -float(np.linalg.norm(r)) / v_norm
+    candidate = extrapolate(alpha)
+    backtracks = 0
+    while candidate[1] > eta0 and alpha < -1.0 and backtracks < backtrack_cap:
+        alpha = (alpha - 1.0) / 2.0
+        candidate = extrapolate(alpha)
+        backtracks += 1
+    if candidate[1] > eta0:
+        # alpha = -1 reduces the scheme to the plain double MM step
+        candidate = (x2, *_eta(x2, w))
+    return candidate

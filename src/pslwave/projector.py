@@ -3,23 +3,16 @@
 Each used sub-carrier must stay close to its reference constellation point
 ``xr``:
 
-* PSK: inside the circular sector |angle(z) - angle(xr)| <= eps_p with radius
-  in [1 - eps_a, 1].  The exact projection onto the curved sector is replaced
-  by the standard chord approximation: the arc boundary is treated as the
-  straight segment between the two sector corners at radius scale
-  1/cos(eps_p), which keeps every case closed-form.  Feasibility holds for
-  every output (phase within eps_p, amplitude in [1 - eps_a, 1/cos(eps_p)]);
-  the case rules are nearest-point heuristics, measured within a factor 1.08
-  of the grid optimum over the sector (worst case: points below the inner
-  chord but outside the wedge go to the chord corner, not the arc corner).
+* PSK: the annular sector |angle(z) - angle(xr)| <= eps_p, 1 - eps_a <= |z| <= 1,
+  projected exactly.  Inside the wedge the phase is kept and the radius
+  clamped; outside it the nearest point lies on the nearer straight edge.
 * QAM: the Euclidean disc |z - xr| <= eps_r, projected exactly.
 
 Unused sub-carriers are only power-limited: PSK entries are clamped to the
 unit disc, QAM entries to the square of half-side sqrt(Q) - 1 (the outermost
 constellation ring).
 
-All projectors are written as vectorized array operations; scalar wrappers
-are provided for the per-entry geometry tests.
+All projectors are written as vectorized array operations.
 """
 
 from __future__ import annotations
@@ -29,15 +22,7 @@ import numpy as np
 from .constellation import ConstellationSpec, SubcarrierMask
 from .spectrum import SymbolGrid
 
-__all__ = [
-    "psk_project",
-    "qam_project",
-    "clamp_unused",
-    "psk_project_entry",
-    "qam_project_entry",
-    "clamp_unused_entry",
-    "project_grid",
-]
+__all__ = ["psk_project", "qam_project", "clamp_unused", "project_grid"]
 
 
 def psk_project(z: np.ndarray, xr: np.ndarray, eps_p: float, eps_a: float) -> np.ndarray:
@@ -51,58 +36,16 @@ def psk_project(z: np.ndarray, xr: np.ndarray, eps_p: float, eps_a: float) -> np
 
 
 def _psk_project_canonical(u: np.ndarray, eps_p: float, eps_a: float) -> np.ndarray:
-    """Sector projection with the reference at 1 + 0j."""
-    out = np.empty_like(u, dtype=complex)
-    p = u.real
+    """Exact projection onto the annular sector with the reference at 1 + 0j."""
     r = np.abs(u)
-    d = np.abs(u - p)  # distance to the real axis == |Im u|
-    tan_e = np.tan(eps_p)
-    cos_e = np.cos(eps_p)
-    corner_r = (1.0 - eps_a) / cos_e  # radius of the inner chord corners
-    ang = np.where(u.imag >= 0.0, eps_p, -eps_p)  # side of the nearer sector edge
-    edge = np.exp(1j * ang)
-
-    inside_wedge = d <= p * tan_e  # |angle| <= eps_p (valid for p >= 0)
-
-    # p > 1: outside the unit arc
-    case1 = p > 1.0
-    out[case1] = np.where(
-        inside_wedge[case1],
-        u[case1] / r[case1],  # radial pull-in onto the arc
-        edge[case1],  # nearest outer corner
-    )
-
-    # 1 - eps_a <= p <= 1: between the chord and the arc, feasible unless angled out
-    case2 = (p <= 1.0) & (p >= 1.0 - eps_a)
-    out[case2] = np.where(
-        inside_wedge[case2],
-        u[case2],
-        (p[case2] / cos_e) * edge[case2],  # foot on the nearer sector edge
-    )
-
-    # 0 <= p < 1 - eps_a: below the chord.  Amplitudes already >= 1 - eps_a
-    # are feasible and kept; pushing them onto the inner circle would move
-    # the sector corners themselves and break idempotence at the wedge edge.
-    case3 = (p < 1.0 - eps_a) & (p >= 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        radial = np.where(r > 0.0, (1.0 - eps_a) * u / np.where(r > 0.0, r, 1.0), 1.0 - eps_a)
-    radial = np.where(r >= 1.0 - eps_a, u, radial)
-    out[case3] = np.where(
-        inside_wedge[case3],
-        radial[case3],  # radial push-out onto the inner circle
-        corner_r * edge[case3],  # nearest inner corner
-    )
-
-    # p < 0: behind the sector; project onto the chord segment between the
-    # inner corners G (upper) and H (lower)
-    case4 = p < 0.0
-    if np.any(case4):
-        g = corner_r * np.exp(1j * eps_p)
-        seg_dir = -1j  # unit vector from G toward H
-        seg_len = 2.0 * (1.0 - eps_a) * tan_e
-        t = np.clip((u[case4] - g).real * seg_dir.real + (u[case4] - g).imag * seg_dir.imag, 0.0, seg_len)
-        out[case4] = g + t * seg_dir
-    return out
+    inner = 1.0 - eps_a
+    # inside the wedge: keep the phase, clamp the radius (the origin goes to 1 - eps_a)
+    radial = np.where(r > 0.0, u * (np.clip(r, inner, 1.0) / np.where(r > 0.0, r, 1.0)), inner)
+    # outside it: the nearer edge in angle is the one on the side of Im u; the
+    # foot of the perpendicular on that edge is clipped to the segment [inner, 1]
+    edge = np.exp(1j * np.where(u.imag >= 0.0, eps_p, -eps_p))
+    along = np.clip((u * np.conj(edge)).real, inner, 1.0) * edge
+    return np.where(np.abs(np.angle(u)) <= eps_p, radial, along)
 
 
 def qam_project(z: np.ndarray, xr: np.ndarray, eps_r: float) -> np.ndarray:
@@ -127,18 +70,6 @@ def clamp_unused(z: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     d = np.maximum(np.abs(z.real), np.abs(z.imag))
     over = d > limit
     return np.where(over, z * (limit / np.where(over, d, 1.0)), z)
-
-
-def psk_project_entry(z: complex, xr: complex, eps_p: float, eps_a: float) -> complex:
-    return complex(psk_project(np.array([z]), np.array([xr]), eps_p, eps_a)[0])
-
-
-def qam_project_entry(z: complex, xr: complex, eps_r: float) -> complex:
-    return complex(qam_project(np.array([z]), np.array([xr]), eps_r)[0])
-
-
-def clamp_unused_entry(z: complex, spec: ConstellationSpec) -> complex:
-    return complex(clamp_unused(np.array([z]), spec)[0])
 
 
 def project_grid(

@@ -68,6 +68,11 @@ class CfarConfig:
     n_ref: int = 7  # one-sided reference window length
     n_guard: int = 1  # one-sided guard cells
 
+    def check_profile_length(self, n: int) -> None:
+        """Raise unless an n-cell profile holds both one-sided windows around a cell."""
+        if n <= 2 * (self.n_ref + self.n_guard):
+            raise ValueError("profile too short for the reference window")
+
 
 def steering(n_antennas: int, angle: float) -> np.ndarray:
     """Half-wavelength ULA steering vector a_m = exp(-1j*pi*m*sin(angle))."""
@@ -135,8 +140,7 @@ def cfar_detect(power: np.ndarray, config: CfarConfig) -> np.ndarray:
     """
     power = np.asarray(power, dtype=float)
     n = power.size
-    if n <= 2 * (config.n_ref + config.n_guard):
-        raise ValueError("profile too short for the reference window")
+    config.check_profile_length(n)
     beta = cfar_threshold_factor(config.p_fa, config.n_ref)
     ref_sum = np.zeros(n)
     for k in range(config.n_guard + 1, config.n_guard + config.n_ref + 1):

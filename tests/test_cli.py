@@ -32,6 +32,14 @@ class TestConfig:
             ExperimentConfig(n_cp=1)
         with pytest.raises(ConfigError):
             ExperimentConfig(workers=0)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(order=3)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(l_max=0)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(cfar_p_fa=1.5)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(n_subcarriers=16, n_cp=8)
 
     def test_ini_round_trip(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -155,15 +163,35 @@ class TestCliCommands:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "section,key,value", [("waveform", "n_cp", "1"), ("campaign", "workers", "0")]
+        "command,section,body",
+        [
+            pytest.param("optimize", "waveform", "n_cp = 1", id="waveform-n_cp-1"),
+            pytest.param("optimize", "campaign", "workers = 0", id="campaign-workers-0"),
+            *(
+                pytest.param(cmd, "constellation", "order = 3", id=f"psk-order-3-{cmd}")
+                for cmd in ("optimize", "sense", "ber", "verify")
+            ),
+            *(
+                pytest.param(
+                    cmd, "constellation", "family = qam\norder = 8", id=f"qam-order-8-{cmd}"
+                )
+                for cmd in ("optimize", "sense", "ber", "verify")
+            ),
+            pytest.param("optimize", "optimizer", "p = 1", id="optimizer-p-1"),
+            pytest.param("optimize", "constellation", "eps_a = 1.5", id="constellation-eps_a-1.5"),
+            pytest.param("sense", "sensing", "cfar_p_fa = 1.5", id="sensing-cfar_p_fa-1.5"),
+            pytest.param(
+                "sense", "waveform", "n_subcarriers = 16\nn_cp = 8", id="waveform-n_subcarriers-16"
+            ),
+        ],
     )
-    def test_bad_value_in_ini_exits_with_message(self, tmp_path, section, key, value):
+    def test_bad_value_in_ini_exits_with_message(self, tmp_path, command, section, body):
         path = tmp_path / "bad.ini"
-        path.write_text(f"[{section}]\n{key} = {value}\n")
+        path.write_text(f"[{section}]\n{body}\n")
         paths = [str(Path(pslwave.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         proc = subprocess.run(
-            [sys.executable, "-m", "pslwave.cli", "optimize", "--config", str(path),
+            [sys.executable, "-m", "pslwave.cli", command, "--config", str(path),
              "--trials", "1", "--out", str(tmp_path / "res")],
             capture_output=True, text=True, env=env, timeout=120,
         )

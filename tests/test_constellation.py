@@ -61,6 +61,8 @@ class TestConstellationSpec:
             ConstellationSpec("qam", 8)
         with pytest.raises(ValueError):
             ConstellationSpec("psk", 4, rho=0.6)
+        with pytest.raises(ValueError):
+            ConstellationSpec("psk", 4, eps_a=1.5)
 
 
 class TestModulation:
@@ -104,12 +106,6 @@ class TestSubcarrierMask:
         mask = SubcarrierMask.random(rng, 128, 4, 0.05)
         unused = np.count_nonzero(~mask.used, axis=0)
         assert np.all(unused == 6)
-
-    def test_edge_guard_placement(self):
-        mask = SubcarrierMask.edge_guard(128, 2, 0.05)
-        assert not mask.used[0, 0] and not mask.used[127, 1]
-        assert mask.used[64, 0]
-        assert mask.n_used == 2 * 122
 
 
 class TestBaseline:

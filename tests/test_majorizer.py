@@ -185,6 +185,15 @@ class TestEigenvalueBounds:
             shifted[m, m, :] += delta / 2.0
         assert majorizer.mu_bar(shifted) == pytest.approx(mu + delta, rel=1e-9)
 
+    def test_mu_bar_rejects_nan(self):
+        grid = noisy_grid(8, 2, 20)
+        corr = cyclic_correlations(grid)
+        w = LagWeights(8, 4)
+        v = majorizer.v_fields(corr, majorizer.coefficients(corr, w, 4), w)
+        v[0, 1, 3] = np.nan
+        with pytest.raises(ValueError):
+            majorizer.mu_bar(v)
+
 
 class TestDirection:
     @pytest.mark.parametrize("p", [2, 4])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pslwave.constellation import ConstellationSpec, SubcarrierMask, random_reference_grid
-from pslwave.optimizer import OptimizerConfig, mm_step, optimize, run_mm, run_squarem
+from pslwave.optimizer import OptimizerConfig, mm_step, optimize
 from pslwave.projector import project_grid
 from pslwave.spectrum import LagWeights, SymbolGrid
 
@@ -45,37 +45,46 @@ class TestMmStep:
 class TestRunMm:
     def test_trace_non_increasing(self):
         spec, mask, ref, w = setup_problem(seed=62)
-        report = run_mm(ref, spec, mask, w, OptimizerConfig(accelerated=False))
+        report = optimize(ref, spec, mask, w, OptimizerConfig(accelerated=False))
         diffs = np.diff(report.eta_trace)
         assert np.all(diffs <= 1e-12 * report.eta_trace[0])
 
     def test_iteration_cap(self):
         spec, mask, ref, w = setup_problem(seed=63)
-        report = run_mm(ref, spec, mask, w, OptimizerConfig(l_max=2, accelerated=False))
+        report = optimize(ref, spec, mask, w, OptimizerConfig(l_max=2, accelerated=False))
         assert report.iterations <= 2
 
     def test_stop_reason_values(self):
         spec, mask, ref, w = setup_problem(seed=64)
-        report = run_mm(ref, spec, mask, w, OptimizerConfig(l_max=3, accelerated=False))
+        report = optimize(ref, spec, mask, w, OptimizerConfig(l_max=3, accelerated=False))
         assert report.stop_reason in ("objective_increased", "max_iterations", "zero_sidelobe")
+
+    def test_matches_repeated_mm_steps(self):
+        spec, mask, ref, w = setup_problem(seed=62)
+        report = optimize(ref, spec, mask, w, OptimizerConfig(l_max=3, accelerated=False))
+        grid = ref
+        for _ in range(report.iterations):
+            grid = mm_step(grid, ref, spec, mask, w, 50)
+        assert report.iterations > 0
+        assert np.array_equal(grid.symbols, report.grid.symbols)
 
 
 class TestRunSquarem:
     def test_trace_non_increasing(self):
         spec, mask, ref, w = setup_problem(seed=65)
-        report = run_squarem(ref, spec, mask, w, OptimizerConfig())
+        report = optimize(ref, spec, mask, w, OptimizerConfig(accelerated=True))
         diffs = np.diff(report.eta_trace)
         assert np.all(diffs <= 1e-12 * report.eta_trace[0])
 
     def test_final_grid_feasible(self):
         spec, mask, ref, w = setup_problem(seed=66, unused=0.1)
-        report = run_squarem(ref, spec, mask, w, OptimizerConfig())
+        report = optimize(ref, spec, mask, w, OptimizerConfig(accelerated=True))
         reproj = project_grid(report.grid, ref, spec, mask)
         assert np.allclose(reproj.symbols, report.grid.symbols, atol=1e-9)
 
     def test_never_worse_than_reference(self):
         spec, mask, ref, w = setup_problem(seed=67)
-        report = run_squarem(ref, spec, mask, w, OptimizerConfig())
+        report = optimize(ref, spec, mask, w, OptimizerConfig(accelerated=True))
         assert report.eta_trace[-1] <= report.eta_trace[0] + 1e-12 * report.eta_trace[0]
         assert report.psl_db_after <= report.psl_db_before + 1e-9
 

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from pslwave.constellation import ConstellationSpec, SubcarrierMask
-from pslwave.projector import (
-    clamp_unused,
-    clamp_unused_entry,
-    project_grid,
-    psk_project,
-    psk_project_entry,
-    qam_project,
-    qam_project_entry,
-)
+from pslwave.projector import clamp_unused, project_grid, psk_project, qam_project
 from pslwave.spectrum import SymbolGrid
 
 EPS_P = 2 * np.pi * 0.15 / 4  # QPSK, rho = 0.15
@@ -24,12 +16,17 @@ def random_points(rng, n, scale=3.0):
 
 
 def psk_feasible(out, xr, eps_p, eps_a, tol=1e-9):
-    """Region invariant: phase within eps_p, amplitude in [1-eps_a, 1/cos(eps_p)]."""
+    """Region invariant: phase within eps_p, amplitude in [1-eps_a, 1]."""
     u = out * np.conj(xr)
     phase_ok = np.abs(np.angle(u)) <= eps_p + tol
     r = np.abs(u)
-    amp_ok = (r >= 1.0 - eps_a - tol) & (r <= 1.0 / np.cos(eps_p) + tol)
+    amp_ok = (r >= 1.0 - eps_a - tol) & (r <= 1.0 + tol)
     return phase_ok & amp_ok
+
+
+def psk_project_one(z, eps_p=EPS_P, eps_a=EPS_A):
+    """Projection of one point with the reference at 1 + 0j."""
+    return complex(psk_project(np.array([z]), np.array([1.0 + 0.0j]), eps_p, eps_a)[0])
 
 
 class TestPskProjector:
@@ -46,8 +43,6 @@ class TestPskProjector:
         phases = rng.uniform(-0.9 * EPS_P, 0.9 * EPS_P, 500)
         radii = rng.uniform(1.0 - 0.9 * EPS_A, 0.999, 500)
         u = radii * np.exp(1j * phases)
-        keep = u.real >= 1.0 - EPS_A + 1e-6  # stay above the inner chord
-        u = u[keep]
         out = psk_project(u, np.ones_like(u), EPS_P, EPS_A)
         assert np.allclose(out, u, atol=1e-12)
 
@@ -60,48 +55,47 @@ class TestPskProjector:
         assert np.allclose(twice, once, atol=1e-9)
 
     def test_origin_maps_to_inner_radius(self):
-        out = psk_project_entry(0.0 + 0.0j, 1.0 + 0.0j, EPS_P, EPS_A)
+        out = psk_project_one(0.0 + 0.0j)
         assert abs(out) == pytest.approx(1.0 - EPS_A)
         assert np.angle(out) == pytest.approx(0.0, abs=1e-12)
 
     def test_far_radial_point_hits_unit_arc(self):
-        out = psk_project_entry(5.0 + 0.0j, 1.0 + 0.0j, EPS_P, EPS_A)
+        out = psk_project_one(5.0 + 0.0j)
         assert out == pytest.approx(1.0 + 0.0j)
 
     def test_large_angle_outside_hits_nearest_corner(self):
-        # real part below 1 - eps_a selects the inner-corner rule even when
-        # the amplitude is large; the case split keys on Re(u), not |u|
+        # outside the wedge the foot on the upper edge lies beyond radius 1
+        # (1.5 * cos(0.8) > 1), so the nearest point is the unit corner
         z = 1.5 * np.exp(1j * (EPS_P + 0.8))
-        out = psk_project_entry(z, 1.0 + 0.0j, EPS_P, EPS_A)
-        assert abs(out) == pytest.approx((1.0 - EPS_A) / np.cos(EPS_P))
-        assert np.angle(out) == pytest.approx(EPS_P)
+        out = psk_project_one(z)
+        assert out == pytest.approx(np.exp(1j * EPS_P), abs=1e-12)
 
     def test_far_point_above_wedge_hits_unit_corner(self):
         z = 1.5 * np.exp(1j * (EPS_P + 0.05))  # Re still above 1
-        out = psk_project_entry(z, 1.0 + 0.0j, EPS_P, EPS_A)
+        out = psk_project_one(z)
         assert abs(out) == pytest.approx(1.0)
         assert np.angle(out) == pytest.approx(EPS_P)
 
-    def test_behind_sector_projects_onto_inner_chord(self):
-        out = psk_project_entry(-2.0 + 0.05j, 1.0 + 0.0j, EPS_P, EPS_A)
-        assert out.real == pytest.approx(1.0 - EPS_A, abs=1e-12)
-        assert abs(out.imag) <= (1.0 - EPS_A) * np.tan(EPS_P) + 1e-12
+    def test_behind_sector_projects_onto_inner_corner(self):
+        out = psk_project_one(-2.0 + 0.05j)
+        assert out == pytest.approx((1.0 - EPS_A) * np.exp(1j * EPS_P), abs=1e-12)
 
     def test_within_factor_of_grid_optimum(self):
         # nearest-point distance against a dense grid over the sector
-        # {|phase| <= eps_p, 1 - eps_a <= |u| <= 1}.  The case rules are
-        # closed-form heuristics; points below the inner chord but outside
-        # the wedge go to the chord corner rather than the arc corner, which
-        # costs up to ~8% extra distance.  This pins the measured bound.
-        phases = np.linspace(-EPS_P, EPS_P, 401)
-        radii = np.linspace(1.0 - EPS_A, 1.0, 201)
-        sector = (radii[:, None] * np.exp(1j * phases[None, :])).ravel()
+        # {|phase| <= eps_p, 1 - eps_a <= |u| <= 1}; the projection is exact,
+        # so only the grid resolution separates the two
         rng = np.random.default_rng(33)
         z = random_points(rng, 400)
-        out = psk_project(z, np.ones_like(z), EPS_P, EPS_A)
-        d_out = np.abs(out - z)
-        d_grid = np.min(np.abs(z[:, None] - sector[None, :]), axis=1)
-        assert np.all(d_out <= 1.08 * d_grid + 1e-3)
+        for rho, order in [(0.15, 4), (0.3, 4), (0.45, 2), (0.1, 8)]:
+            eps_p = ConstellationSpec("psk", order, rho=rho).eps_p
+            phases = np.linspace(-eps_p, eps_p, 401)
+            radii = np.linspace(1.0 - EPS_A, 1.0, 201)
+            sector = (radii[:, None] * np.exp(1j * phases[None, :])).ravel()
+            out = psk_project(z, np.ones_like(z), eps_p, EPS_A)
+            assert np.all(psk_feasible(out, np.ones_like(z), eps_p, EPS_A)), (rho, order)
+            d_out = np.abs(out - z)
+            d_grid = np.min(np.abs(z[:, None] - sector[None, :]), axis=1)
+            assert np.all(d_out <= 1.0 * d_grid + 1e-3), (rho, order)
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(34)
@@ -142,8 +136,9 @@ class TestQamProjector:
         once = qam_project(z, xr, 0.3)
         assert np.allclose(qam_project(once, xr, 0.3), once, atol=1e-12)
 
-    def test_entry_wrapper(self):
-        assert qam_project_entry(3 + 4j, 0j, 1.0) == pytest.approx(0.6 + 0.8j)
+    def test_single_point(self):
+        out = qam_project(np.array([3 + 4j]), np.array([0j]), 1.0)
+        assert out[0] == pytest.approx(0.6 + 0.8j)
 
 
 class TestClampUnused:
@@ -156,9 +151,8 @@ class TestClampUnused:
 
     def test_qam_square(self):
         spec = ConstellationSpec("qam", 16)
-        assert clamp_unused_entry(6.0 + 1.0j, spec) == pytest.approx(3.0 + 0.5j)
-        assert clamp_unused_entry(1.0 - 2.0j, spec) == pytest.approx(1.0 - 2.0j)
-        assert clamp_unused_entry(2.0 - 6.0j, spec) == pytest.approx(1.0 - 3.0j)
+        out = clamp_unused(np.array([6.0 + 1.0j, 1.0 - 2.0j, 2.0 - 6.0j]), spec)
+        assert out == pytest.approx(np.array([3.0 + 0.5j, 1.0 - 2.0j, 1.0 - 3.0j]))
 
 
 class TestProjectGrid:
