@@ -9,7 +9,7 @@ import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask
 from .optimizer import OptimizerConfig
-from .sensing import CfarConfig, cfar_threshold_factor
+from .sensing import MIN_SEPARATION, CfarConfig, cfar_threshold_factor
 from .spectrum import LagWeights
 
 __all__ = ["ExperimentConfig", "load_config", "trial_rng", "ConfigError"]
@@ -61,6 +61,15 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        n = self.n_subcarriers
+        # SubcarrierMask.random leaves round(f * N) carriers of each antenna unused
+        if not (0.0 <= self.unused_fraction < 1.0 and round(self.unused_fraction * n) < n):
+            raise ConfigError("need unused_fraction >= 0 with round(unused_fraction * N) < N")
+        # each placed target blocks 2 * MIN_SEPARATION - 1 cells; the last one needs a free cell
+        if self.n_targets < 1 or (self.n_targets - 1) * (2 * MIN_SEPARATION - 1) >= n:
+            raise ConfigError(
+                f"need 1 <= n_targets with (n_targets - 1) * {2 * MIN_SEPARATION - 1} < N = {n}"
+            )
         try:
             self.constellation()
             self.optimizer()

@@ -149,8 +149,10 @@ def _bits_to_labels(bits: np.ndarray, bps: int) -> np.ndarray:
 
 
 def _labels_to_bits(labels: np.ndarray, bps: int) -> np.ndarray:
+    """Bits of (..., L) labels, MSB-first per label: shape (..., L * bps)."""
     shifts = np.arange(bps - 1, -1, -1)
-    return ((labels[:, None] >> shifts) & 1).astype(np.int8).ravel()
+    bits = ((labels[..., None] >> shifts) & 1).astype(np.int8)
+    return bits.reshape(*labels.shape[:-1], -1)
 
 
 def modulate(
@@ -179,11 +181,15 @@ def demodulate(
     spec: ConstellationSpec,
     mask: SubcarrierMask,
 ) -> np.ndarray:
-    """Hard-decision (minimum distance) demodulation of the used entries."""
+    """Hard-decision (minimum distance) demodulation of the used entries.
+
+    A (..., N, M) stack of grids gives (..., n_bits) bits, one row per grid,
+    each in the stacked (antenna-by-antenna) order that ``modulate`` reads.
+    """
     symbols = grid.symbols if isinstance(grid, SymbolGrid) else np.asarray(grid)
-    z = symbols.reshape(-1, order="F")[mask.used.reshape(-1, order="F")]
-    dist = np.abs(z[:, None] - spec.points[None, :])
-    labels = np.argmin(dist, axis=1)
+    z = np.swapaxes(symbols, -1, -2)[..., mask.used.T]
+    dist = np.abs(z[..., None] - spec.points)
+    labels = np.argmin(dist, axis=-1)
     return _labels_to_bits(labels, spec.bits_per_symbol)
 
 

@@ -12,8 +12,9 @@ Geometry and conventions:
 * Sensing SNR is defined as M * Es_avg / sigma^2 with unit-modulus scatterer
   gains: the coherent array collects the energy of all M antennas.
 
-Detection uses cell-averaging CFAR on the zero-angle range profile with
-cyclic reference windows.
+Detection averages the M per-antenna matched-filter power profiles
+noncoherently, mean_m |z[:, m]|^2, and runs cell-averaging CFAR with cyclic
+reference windows on that N-cell delay profile.
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ __all__ = [
     "cfar_threshold_factor",
     "cfar_detect",
     "detection_campaign",
+    "MIN_SEPARATION",
 ]
+
+# Minimum cyclic distance, in range bins, between the targets of one trial
+MIN_SEPARATION = 3
 
 
 @dataclass
@@ -136,15 +141,18 @@ def cfar_detect(power: np.ndarray, config: CfarConfig) -> np.ndarray:
 
     Returns a boolean detection mask.  Each cell is compared against
     beta * mean of 2*n_ref reference cells taken symmetrically outside
-    n_guard guard cells on each side.
+    n_guard guard cells on each side.  The reference sums come from one
+    convolution of the cyclically padded profile with a 0/1 window kernel.
     """
     power = np.asarray(power, dtype=float)
     n = power.size
     config.check_profile_length(n)
     beta = cfar_threshold_factor(config.p_fa, config.n_ref)
-    ref_sum = np.zeros(n)
-    for k in range(config.n_guard + 1, config.n_guard + config.n_ref + 1):
-        ref_sum += np.roll(power, k) + np.roll(power, -k)
+    half = config.n_guard + config.n_ref
+    kernel = np.ones(2 * half + 1)
+    kernel[config.n_ref : config.n_ref + 2 * config.n_guard + 1] = 0.0
+    padded = np.concatenate((power[n - half :], power, power[:half]))
+    ref_sum = np.convolve(padded, kernel, mode="valid")
     threshold = beta * ref_sum / (2.0 * config.n_ref)
     return power > threshold
 
@@ -155,7 +163,7 @@ def detection_campaign(
     cfar: CfarConfig,
     rng: np.random.Generator,
     n_targets: int = 1,
-    min_separation: int = 3,
+    min_separation: int = MIN_SEPARATION,
 ) -> float:
     """Empirical detection probability over one trial per supplied grid.
 

@@ -40,6 +40,16 @@ class TestConfig:
             ExperimentConfig(cfar_p_fa=1.5)
         with pytest.raises(ConfigError):
             ExperimentConfig(n_subcarriers=16, n_cp=8)
+        # at N = 128: round(0.996 * 128) = 127 carriers unused still leaves one
+        ExperimentConfig(unused_fraction=0.996)
+        for bad in (-0.01, 0.997, 1.0, 1.5, float("nan")):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(unused_fraction=bad)
+        # at N = 128 with separation 3: 25 * 5 = 125 < 128 cells, 26 * 5 = 130 do not fit
+        ExperimentConfig(n_targets=26)
+        for bad in (0, 27, 60):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(n_targets=bad)
 
     def test_ini_round_trip(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -183,6 +193,20 @@ class TestCliCommands:
             pytest.param(
                 "sense", "waveform", "n_subcarriers = 16\nn_cp = 8", id="waveform-n_subcarriers-16"
             ),
+            *(
+                pytest.param(
+                    cmd, "constellation", "unused_fraction = 1.5", id=f"unused_fraction-1.5-{cmd}"
+                )
+                for cmd in ("optimize", "sense", "ber")
+            ),
+            pytest.param(
+                "optimize", "constellation", "unused_fraction = -0.1", id="unused_fraction--0.1"
+            ),
+            pytest.param(
+                "ber", "constellation", "unused_fraction = 0.997", id="unused_fraction-0.997"
+            ),
+            pytest.param("sense", "sensing", "n_targets = 60", id="sensing-n_targets-60"),
+            pytest.param("sense", "sensing", "n_targets = 0", id="sensing-n_targets-0"),
         ],
     )
     def test_bad_value_in_ini_exits_with_message(self, tmp_path, command, section, body):

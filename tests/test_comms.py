@@ -111,6 +111,39 @@ class TestBerStatistics:
         ber = out["original"]
         assert ber[0] > ber[1] > ber[2]
 
+    @pytest.mark.parametrize("family,order,n,m", [("psk", 4, 128, 4), ("qam", 16, 64, 2)])
+    def test_campaign_matches_per_snr_loop(self, family, order, n, m):
+        # reference: one 2-D channel_apply / zf_equalize / bit_errors call per SNR point
+        spec = ConstellationSpec(family, order)
+        mask = SubcarrierMask.random(np.random.default_rng(99), n, m, 0.05)
+        grid_rng = np.random.default_rng(100)
+        pairs = []
+        for _ in range(3):
+            ref, bits = random_reference_grid(grid_rng, spec, mask)
+            opt = SymbolGrid(ref.symbols * np.exp(0.1j * grid_rng.standard_normal((n, m))))
+            pairs.append((ref, opt, bits))
+        snr_db = [0.0, 6.0, 12.0, 18.0]
+        out = ber_campaign(pairs, snr_db, spec, mask, np.random.default_rng(101), n_rx=m)
+
+        rng = np.random.default_rng(101)
+        errors = {"original": np.zeros(len(snr_db)), "optimized": np.zeros(len(snr_db))}
+        for ref, opt, bits in pairs:
+            es_avg = ref.energy() / mask.n_used
+            ch = draw_channel(rng, m, m)
+            for si, snr in enumerate(snr_db):
+                sigma = float(np.sqrt(es_avg / 10.0 ** (snr / 10.0)))
+                noise = (
+                    rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+                ) / np.sqrt(2.0)
+                for key, grid in (("original", ref), ("optimized", opt)):
+                    est = zf_equalize(channel_apply(grid, ch, sigma, rng, noise=noise), ch)
+                    count = bit_errors(est, bits, spec, mask)
+                    assert isinstance(count, int)
+                    errors[key][si] += count
+        n_bits = sum(b.size for _, _, b in pairs)
+        for key in errors:
+            assert np.array_equal(out[key], errors[key] / n_bits)
+
     def test_campaign_returns_rates(self):
         rng = np.random.default_rng(98)
         spec = ConstellationSpec("psk", 4)

@@ -74,6 +74,20 @@ class TestModulation:
         grid, bits = random_reference_grid(rng, spec, mask)
         assert np.array_equal(demodulate(grid, spec, mask), bits)
 
+    @pytest.mark.parametrize("family,order", [("psk", 4), ("qam", 16)])
+    def test_stack_matches_single_calls(self, family, order):
+        rng = np.random.default_rng(6)
+        spec = ConstellationSpec(family, order)
+        mask = SubcarrierMask.random(rng, 32, 3, 0.1)
+        grid, _ = random_reference_grid(rng, spec, mask)
+        noisy = grid.symbols + 0.8 * (
+            rng.standard_normal((5, 32, 3)) + 1j * rng.standard_normal((5, 32, 3))
+        )
+        stacked = demodulate(noisy, spec, mask)
+        assert stacked.shape == (5, spec.bits_per_symbol * mask.n_used)
+        for s in range(5):
+            assert np.array_equal(stacked[s], demodulate(noisy[s], spec, mask))
+
     def test_unused_entries_are_zero(self):
         rng = np.random.default_rng(5)
         spec = ConstellationSpec("psk", 4)

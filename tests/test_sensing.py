@@ -126,6 +126,26 @@ class TestCfar:
         with pytest.raises(ValueError):
             cfar_detect(np.ones(10), CfarConfig(n_ref=7, n_guard=1))
 
+    @pytest.mark.parametrize("n_ref,n_guard", [(7, 1), (3, 0), (4, 2)])
+    def test_matches_rolled_window_sum(self, n_ref, n_guard):
+        # reference: the cyclic window sum built from explicit shifts of the profile
+        config = CfarConfig(p_fa=1e-2, n_ref=n_ref, n_guard=n_guard)
+        beta = cfar_threshold_factor(config.p_fa, n_ref)
+
+        def rolled(power):
+            ref_sum = np.zeros(power.size)
+            for k in range(n_guard + 1, n_guard + n_ref + 1):
+                ref_sum += np.roll(power, k) + np.roll(power, -k)
+            return power > beta * ref_sum / (2.0 * n_ref)
+
+        rng = np.random.default_rng(89)
+        for n in (2 * (n_ref + n_guard) + 1, 128):
+            for _ in range(50):
+                cells = rng.exponential(size=n)
+                assert np.array_equal(cfar_detect(cells, config), rolled(cells))
+                cells[rng.integers(n)] *= 1e3  # a 30 dB spike
+                assert np.array_equal(cfar_detect(cells, config), rolled(cells))
+
 
 class TestDetectionCampaign:
     def _grid(self, seed, n=64, m=2):
