@@ -23,11 +23,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import comms, oracle, sensing
+from . import comms, majorizer, oracle, sensing
 from .config import ConfigError, ExperimentConfig, load_config, trial_rng
 from .constellation import SubcarrierMask, orthogonal_interleaved_grid, random_reference_grid
 from .optimizer import optimize
-from .spectrum import LagWeights, SymbolGrid, cyclic_correlations, psl_db
+from .spectrum import LagWeights, SymbolGrid, cyclic_correlations
 
 VARIANTS = ("original", "optimized", "orthogonal")
 
@@ -169,14 +169,14 @@ def _sense_trial(payload) -> dict:
     grids, _, _, _ = _trial_grids(cfg, trial, variants)
     hits = {}
     for si, snr_db in enumerate(cfg.sense_snr_db):
-        noise_rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(trial, si))
-        )
         for variant in variants:
-            dp = sensing.detection_campaign(
+            # identical target and noise stream for every variant of one SNR point
+            noise_rng = np.random.default_rng(
+                np.random.SeedSequence(cfg.seed, spawn_key=(trial, si))
+            )
+            hits[(si, variant)] = sensing.detection_campaign(
                 [grids[variant]], snr_db, cfg.cfar(), noise_rng, n_targets=cfg.n_targets
             )
-            hits[(si, variant)] = dp
     return hits
 
 
@@ -211,6 +211,8 @@ def _ber_trial(payload) -> dict:
 
 
 def _cmd_ber(cfg: ExperimentConfig, args) -> int:
+    if cfg.n_rx < cfg.n_antennas:
+        raise ConfigError("zero forcing needs n_rx >= n_antennas")
     results = _map_trials(cfg, _ber_trial, [(cfg, t) for t in range(cfg.trials)])
     total_bits = sum(r["n_bits"] for r in results)
     rows = []
@@ -227,41 +229,62 @@ def _cmd_ber(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_verify(cfg: ExperimentConfig, args) -> int:
-    failures = []
-    rng = trial_rng(cfg.seed, 0)
+    failed = False
 
+    def check(name: str, value: float, limit: str, ok: bool) -> None:
+        nonlocal failed
+        failed |= not ok
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (limit {limit})")
+
+    rng = trial_rng(cfg.seed, 0)
     n, m = 8, 2
     spec = cfg.constellation()
     grid = SymbolGrid(spec.points[rng.integers(0, spec.order, size=(n, m))])
     w = LagWeights(n, 4)
-    fast = cyclic_correlations(grid).values
-    slow = oracle.brute_correlations(grid).values
-    if not np.allclose(fast, slow, rtol=1e-9, atol=1e-7):
-        failures.append("fast correlations disagree with the brute-force sum")
+    corr = cyclic_correlations(grid)
+    slow = oracle.brute_correlations(grid)
+    err = np.max(np.abs(corr.values - slow.values)) / np.max(np.abs(slow.values))
+    check("correlations vs brute-force sum, rel. err", err, "1e-09", err <= 1e-9)
 
     for p in (2, 4):
         try:
-            oracle.majorization_chain_check(grid, w, p, rng, n_trials=25)
+            worst = oracle.majorization_chain_check(grid, w, p, rng, n_trials=25)
         except AssertionError as exc:
-            failures.append(f"majorization chain (p={p}): {exc}")
+            print(f"FAIL majorization chain (p={p}): {exc}")
+            failed = True
+        else:
+            slack = min(worst.values())
+            check(f"majorization chain (p={p}), min rel. slack", slack, ">= -1e-09",
+                  slack >= -1e-9)
+
+        # fast majorizer against the dense references, in raw (unscaled) units
+        x_l = grid.stacked()
+        dense = oracle.chain_values(x_l, x_l, slow, w, p)
+        coeffs = majorizer.coefficients(corr, w, p)
+        unscale = coeffs.r_bar ** (p - 2)
+        fast = {
+            "lambda_bar": unscale * majorizer.lambda_bar(coeffs, w),
+            "mu_bar": unscale * majorizer.mu_bar(majorizer.v_fields(corr, coeffs, w)),
+            "y": unscale * majorizer.majorize_direction(grid, w, p, corr=corr).y,
+        }
+        for key, value in fast.items():
+            ref = dense[key]
+            err = np.max(np.abs(value - ref)) / max(np.max(np.abs(ref)), 1.0)
+            check(f"fast {key} vs dense oracle (p={p}), rel. err", err, "1e-08", err <= 1e-8)
 
     beta = sensing.cfar_threshold_factor(1e-4, 7)
-    if abs(beta - 13.03) > 0.01:
-        failures.append(f"CFAR threshold factor off: {beta:.4f}")
+    check("CFAR threshold factor - 13.03", abs(beta - 13.03), "0.01", abs(beta - 13.03) <= 0.01)
 
     cells = rng.exponential(size=200_000)
     det = sensing.cfar_detect(cells, sensing.CfarConfig(p_fa=1e-2, n_ref=7, n_guard=1))
     rate = det.mean()
-    if not 0.5e-2 <= rate <= 2e-2:
-        failures.append(f"empirical false-alarm rate {rate:.2e} outside [0.5, 2] x 1e-2")
+    check("empirical false-alarm rate at p_fa = 1e-2", rate, "[5e-3, 2e-2]", 0.5e-2 <= rate <= 2e-2)
 
     report = optimize(grid, spec, SubcarrierMask.all_used(n, m), w, cfg.optimizer())
-    if any(b > a for a, b in zip(report.eta_trace, report.eta_trace[1:])):
-        failures.append("accepted objective trace is not non-increasing")
+    rise = float(np.max(np.diff(report.eta_trace), initial=0.0))
+    check("largest rise of the accepted objective", rise, "<= 0", rise <= 0.0)
 
-    if failures:
-        for f in failures:
-            print(f"FAIL {f}")
+    if failed:
         return 2
     print("all verification checks passed")
     return 0

@@ -116,6 +116,8 @@ def ber_campaign(
     for ref, opt, bits in pairs:
         n, m = ref.symbols.shape
         k = n_rx if n_rx is not None else m
+        if k < m:
+            raise ValueError("zero forcing needs n_rx >= the number of transmit antennas")
         es_avg = ref.energy() / mask.n_used
         channel = draw_channel(rng, k, m)
         # scalar powers: numpy's array power can differ from them in the last bit

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,6 +61,15 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        # n_rx >= n_antennas, which zero forcing needs, is checked by the ber command
+        if self.n_rx < 1:
+            raise ConfigError("n_rx must be >= 1")
+        for name in ("sense_snr_db", "ber_snr_db"):
+            snr = getattr(self, name)
+            if len(snr) == 0 or not np.all(np.isfinite(snr)):
+                raise ConfigError(f"{name} must be a non-empty list of finite values")
         n = self.n_subcarriers
         # SubcarrierMask.random leaves round(f * N) carriers of each antenna unused
         if not (0.0 <= self.unused_fraction < 1.0 and round(self.unused_fraction * n) < n):
@@ -129,7 +138,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
             for key, raw in parser.items(section):
                 if known.get(key) != section:
                     raise ConfigError(f"unknown key '{key}' in section [{section}]")
-                values[key] = _parse(key, raw)
+                try:
+                    values[key] = _parse(key, raw)
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     try:

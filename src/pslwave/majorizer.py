@@ -3,9 +3,14 @@
 The peak-sidelobe objective sum_i w_i |r_i|^p is majorized in three stages:
 
 1. each |r|^p by a quadratic a*|r|^2 + b*|r| touching at the current iterate
-   (coefficients from the scalar p-norm majorizer on [0, r_bar]);
+   and at r_bar, the largest weighted |r| (Song, Babu & Palomar, IEEE TSP
+   2016).  The fast path reads two closed forms of it.  By tangency the
+   linearized weight is c = a + b/(2|r|) = (p/2) * |r|^(p-2).  And a is a
+   divided difference of the convex x^p on [|r|, r_bar], so it is at most
+   p(p-1)/2 * r_bar^(p-2), with equality at the peak lag;
 2. the resulting quadratic form in x* (x) Kronecker x by a linear term using
-   the closed-form top eigenvalue N^3 * max(a*w) of the stacked Gram matrix;
+   the closed-form top eigenvalue N^3 * max(a*w) = N^3 * p(p-1)/2 *
+   r_bar^(p-2) of the stacked Gram matrix;
 3. the remaining quadratic x^H Q x by mu_bar * ||x||^2 + linear, where Q is
    block-diagonal per sub-carrier, so mu_bar is the max over N decoupled
    M x M Hermitian eigenproblems.
@@ -35,7 +40,6 @@ __all__ = [
     "MajorizerCoeffs",
     "MajorizerOutput",
     "ZeroSidelobeError",
-    "scalar_pnorm_majorizer",
     "coefficients",
     "lambda_bar",
     "v_fields",
@@ -44,9 +48,6 @@ __all__ = [
     "majorize_direction",
 ]
 
-# relative distance below which the 0/0 limit of the quadratic coefficient is used
-_LIMIT_TOL = 1e-6
-
 
 class ZeroSidelobeError(ValueError):
     """All weighted correlations vanish; the objective is already zero."""
@@ -54,14 +55,12 @@ class ZeroSidelobeError(ValueError):
 
 @dataclass
 class MajorizerCoeffs:
-    """r_bar-factored surrogate coefficients; multiply a/c by r_bar**(p-2)
-    (and b by r_bar**(p-1)) to recover the raw values."""
+    """r_bar-factored surrogate coefficients; multiply c_hat by r_bar**(p-2)
+    to recover the raw values."""
 
     p: int
     r_bar: float
-    a_hat: np.ndarray  # (M, M, N), zero on unweighted lags
-    b_hat: np.ndarray
-    c_hat: np.ndarray
+    c_hat: np.ndarray  # (M, M, N), zero on unweighted lags
 
 
 @dataclass
@@ -69,34 +68,11 @@ class MajorizerOutput:
     y: np.ndarray | None  # length-MN direction, common r_bar**(p-2) scale dropped
     eta: float
     argmax: tuple[int, int, int]
-    lambda_bar_scaled: float
-    mu_bar_scaled: float
-    v_fields: np.ndarray | None  # (M, M, N)
     r_bar: float
 
 
-def scalar_pnorm_majorizer(p: int, x0: float, x_bar: float) -> tuple[float, float]:
-    """Quadratic majorizer of x**p on [0, x_bar] touching tangentially at x0.
-
-    Returns (a, b) with g(x) = a*x**2 + b*x + C >= x**p on the interval,
-    g(x0) = x0**p, g(x_bar) = x_bar**p.
-    """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if x0 < 0 or x0 > x_bar:
-        raise ValueError("need 0 <= x0 <= x_bar")
-    if x_bar == 0.0:
-        return 0.0, 0.0
-    if (x_bar - x0) < _LIMIT_TOL * x_bar:
-        a = 0.5 * p * (p - 1) * x_bar ** (p - 2)
-    else:
-        a = (x_bar**p - x0**p - p * x0 ** (p - 1) * (x_bar - x0)) / (x_bar - x0) ** 2
-    b = p * x0 ** (p - 1) - 2 * a * x0
-    return a, b
-
-
 def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoeffs:
-    """Surrogate coefficients for every weighted lag, in r_bar-factored form."""
+    """Linearized weights c = (p/2) * |r|^(p-2) on the weighted lags, in r_bar-factored form."""
     if p < 2:
         raise ValueError("p must be >= 2")
     wmask = w.mask
@@ -104,29 +80,18 @@ def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoe
     r_bar = float(np.max(r_abs)) if r_abs.size else 0.0
     if r_bar == 0.0:
         raise ZeroSidelobeError("all weighted correlations are zero")
-
-    rho = np.clip(r_abs / r_bar, 0.0, 1.0)
-    one_minus = 1.0 - rho
-    near = one_minus < _LIMIT_TOL
-    denom = np.where(near, 1.0, one_minus)
-    a_win = (1.0 - rho**p - p * rho ** (p - 1) * one_minus) / denom**2
-    a_win = np.where(near, 0.5 * p * (p - 1), a_win)
-    b_win = p * rho ** (p - 1) - 2.0 * a_win * rho
-    # c = a + b / (2|r|); the quotient is defined as 0 on |r| = 0 lags
-    # (those terms vanish downstream since c always multiplies r)
-    c_win = a_win + np.where(rho > 0.0, 0.5 * p * rho ** (p - 2) - a_win, 0.0)
-
-    a_hat, b_hat, c_hat = (np.zeros(corr.values.shape) for _ in range(3))
-    a_hat[:, :, wmask] = a_win
-    b_hat[:, :, wmask] = b_win
-    c_hat[:, :, wmask] = c_win
-    return MajorizerCoeffs(p=p, r_bar=r_bar, a_hat=a_hat, b_hat=b_hat, c_hat=c_hat)
+    c_hat = np.zeros(corr.values.shape)
+    c_hat[:, :, wmask] = 0.5 * p * (r_abs / r_bar) ** (p - 2)
+    return MajorizerCoeffs(p=p, r_bar=r_bar, c_hat=c_hat)
 
 
 def lambda_bar(coeffs: MajorizerCoeffs, w: LagWeights) -> float:
-    """Scaled top eigenvalue of the stacked Gram matrix: N^3 * max(a_hat * w)."""
-    n = w.n_lags
-    return float(n**3 * np.max(coeffs.a_hat * w.weights))
+    """Scaled top eigenvalue of the stacked Gram matrix: N^3 * max(a * w) = N^3 * p(p-1)/2.
+
+    The largest quadratic coefficient a sits at the peak lag, where it equals
+    its limit p(p-1)/2 * r_bar^(p-2) (module docstring, stage 1).
+    """
+    return w.n_lags**3 * 0.5 * coeffs.p * (coeffs.p - 1)
 
 
 def v_fields(corr: CorrelationTensor, coeffs: MajorizerCoeffs, w: LagWeights) -> np.ndarray:
@@ -173,10 +138,7 @@ def majorize_direction(
         corr = cyclic_correlations(grid)
     eta, amax = peak_sidelobe(corr, w)
     if eta == 0.0:
-        return MajorizerOutput(
-            y=None, eta=0.0, argmax=amax, lambda_bar_scaled=0.0,
-            mu_bar_scaled=0.0, v_fields=None, r_bar=0.0,
-        )
+        return MajorizerOutput(y=None, eta=0.0, argmax=amax, r_bar=0.0)
     coeffs = coefficients(corr, w, p)
     lam = lambda_bar(coeffs, w)
     v = v_fields(corr, coeffs, w)
@@ -187,12 +149,4 @@ def majorize_direction(
     qx = np.einsum("mkn,nk->nm", gain, x)
     energy = float(np.sum(np.abs(x) ** 2))
     y = qx - (2.0 * lam * energy + mu) * x
-    return MajorizerOutput(
-        y=y.reshape(-1, order="F"),
-        eta=eta,
-        argmax=amax,
-        lambda_bar_scaled=lam,
-        mu_bar_scaled=mu,
-        v_fields=v,
-        r_bar=coeffs.r_bar,
-    )
+    return MajorizerOutput(y=y.reshape(-1, order="F"), eta=eta, argmax=amax, r_bar=coeffs.r_bar)

@@ -4,23 +4,25 @@ Everything here is deliberately slow and explicit: correlations as raw
 double sums, the correlation quadratic forms as dense (MN x MN) matrices,
 the quartic Gram operator as a dense (MN)^2 x (MN)^2 matrix, and the
 majorization chain evaluated function-by-function.  Size guards keep these
-constructions to toy problems (N <= 16, M <= 3).
+constructions to toy problems (N <= 16, M <= 8).
 
-The fast modules must agree with these references to near machine precision;
-none of the code here shares arithmetic with the fast paths (matrix products
-and eigvalsh instead of FFTs and Jacobi sweeps).
+The fast modules must agree with these references to near machine precision.
+Nothing here is imported from them: the per-lag surrogate comes from the
+scalar majorizer below instead of the closed forms, correlations from double
+sums instead of FFTs, and the eigenvalue bounds from dense matrices instead
+of the per-sub-carrier blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .majorizer import scalar_pnorm_majorizer
 from .spectrum import CorrelationTensor, LagWeights, SymbolGrid
 
 __all__ = [
     "MAX_N",
     "MAX_M",
+    "scalar_pnorm_majorizer",
     "dft_matrix",
     "selection_matrix",
     "shift_matrix",
@@ -38,10 +40,33 @@ __all__ = [
 MAX_N = 16
 MAX_M = 8
 
+# relative distance below which the 0/0 limit of the quadratic coefficient is used
+_LIMIT_TOL = 1e-6
+
 
 def _guard(n: int, m: int) -> None:
     if n > MAX_N or m > MAX_M:
         raise ValueError(f"oracle limited to N <= {MAX_N}, M <= {MAX_M}")
+
+
+def scalar_pnorm_majorizer(p: int, x0: float, x_bar: float) -> tuple[float, float]:
+    """Quadratic majorizer of x**p on [0, x_bar] touching tangentially at x0.
+
+    Returns (a, b) with g(x) = a*x**2 + b*x + C >= x**p on the interval,
+    g(x0) = x0**p, g(x_bar) = x_bar**p.
+    """
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    if x0 < 0 or x0 > x_bar:
+        raise ValueError("need 0 <= x0 <= x_bar")
+    if x_bar == 0.0:
+        return 0.0, 0.0
+    if (x_bar - x0) < _LIMIT_TOL * x_bar:
+        a = 0.5 * p * (p - 1) * x_bar ** (p - 2)
+    else:
+        a = (x_bar**p - x0**p - p * x0 ** (p - 1) * (x_bar - x0)) / (x_bar - x0) ** 2
+    b = p * x0 ** (p - 1) - 2 * a * x0
+    return a, b
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -119,7 +144,8 @@ def coefficients_raw(
                 if r_abs[m, k, i] > 0:
                     c[m, k, i] = ai + bi / (2.0 * r_abs[m, k, i])
                 else:
-                    c[m, k, i] = ai
+                    # the |r| -> 0 limit of a + b / (2|r|)
+                    c[m, k, i] = ai if p == 2 else 0.0
     return r_bar, a, b, c
 
 

@@ -1,4 +1,4 @@
-"""Monostatic sensing chain: echo synthesis, matched filtering, range-angle maps, CFAR detection.
+"""Monostatic sensing chain: echo synthesis, matched filtering, CFAR detection.
 
 Geometry and conventions:
 
@@ -19,7 +19,7 @@ reference windows on that N-cell delay profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +28,11 @@ from .spectrum import SymbolGrid
 __all__ = [
     "Target",
     "SensingScene",
-    "RangeAngleMap",
     "CfarConfig",
     "steering",
     "range_steer",
     "synthesize_echo",
     "matched_filter",
-    "range_angle_map",
     "cfar_threshold_factor",
     "cfar_detect",
     "detection_campaign",
@@ -59,19 +57,14 @@ class SensingScene:
 
 
 @dataclass
-class RangeAngleMap:
-    """Magnitude map, oversampled in range (axis 0) and angle (axis 1)."""
-
-    values: np.ndarray
-    os_range: int
-    os_angle: int
-
-
-@dataclass
 class CfarConfig:
     p_fa: float = 1e-4
     n_ref: int = 7  # one-sided reference window length
     n_guard: int = 1  # one-sided guard cells
+
+    def __post_init__(self):
+        if self.n_guard < 0:
+            raise ValueError("n_guard must be >= 0")
 
     def check_profile_length(self, n: int) -> None:
         """Raise unless an n-cell profile holds both one-sided windows around a cell."""
@@ -112,19 +105,6 @@ def matched_filter(y: np.ndarray, grid: SymbolGrid) -> np.ndarray:
     """Per-antenna delay profiles: z[:, m] = idft(y * conj(x_m)), shape (N, M)."""
     prod = y[:, None] * np.conj(grid.symbols)
     return np.fft.ifft(prod, axis=0)
-
-
-def range_angle_map(z: np.ndarray, os_range: int = 4, os_angle: int = 16) -> RangeAngleMap:
-    """Oversampled range-angle magnitude map from the matched-filter output.
-
-    The angle transform is a zero-padded DFT over antennas; the range axis is
-    refined by a zero-padded inverse DFT of the per-antenna delay spectra.
-    """
-    n, m = z.shape
-    spectra = np.fft.fft(z, axis=0)  # back to the subcarrier domain
-    fine_range = np.fft.ifft(spectra, n=os_range * n, axis=0) * os_range
-    beam = np.fft.ifft(fine_range, n=os_angle * m, axis=1) * (os_angle * m)
-    return RangeAngleMap(np.abs(beam), os_range=os_range, os_angle=os_angle)
 
 
 def cfar_threshold_factor(p_fa: float, n_ref: int) -> float:

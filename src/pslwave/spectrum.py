@@ -3,7 +3,8 @@
 Conventions, fixed here once and relied on by every other module:
 
 * ``dft(v)[q] = sum_n v[n] exp(-2j pi n q / N)`` -- unnormalized forward
-  transform; ``idft`` carries the ``1/N`` factor (numpy's default).
+  transform (``np.fft.fft``); ``idft`` carries the ``1/N`` factor
+  (``np.fft.ifft``).
 * ``r[m, k, i] = N * sum_n exp(+2j pi n i / N) * x_m[n] * conj(x_k[n])
   = N**2 * idft(x_m * conj(x_k))[i]``.
 
@@ -25,8 +26,6 @@ __all__ = [
     "SymbolGrid",
     "CorrelationTensor",
     "LagWeights",
-    "dft",
-    "idft",
     "cyclic_correlations",
     "peak_sidelobe",
     "psl_db",
@@ -106,16 +105,6 @@ class LagWeights:
     @property
     def mask(self) -> np.ndarray:
         return self.weights.astype(bool)
-
-
-def dft(v: np.ndarray) -> np.ndarray:
-    """Unnormalized DFT, output[q] = sum_n v[n] exp(-2j pi n q / N)."""
-    return np.fft.fft(np.asarray(v, dtype=complex))
-
-
-def idft(v: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`dft` (carries the 1/N factor)."""
-    return np.fft.ifft(np.asarray(v, dtype=complex))
 
 
 def cyclic_correlations(grid: SymbolGrid) -> CorrelationTensor:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pslwave
+from pslwave import majorizer
 from pslwave.cli import main
 from pslwave.config import ConfigError, ExperimentConfig, load_config, trial_rng
 
@@ -50,6 +51,21 @@ class TestConfig:
         for bad in (0, 27, 60):
             with pytest.raises(ConfigError):
                 ExperimentConfig(n_targets=bad)
+        for bad in (
+            {"seed": -1},
+            {"n_rx": -1},
+            {"n_rx": 0},
+            {"ber_snr_db": ()},
+            {"sense_snr_db": ()},
+            {"sense_snr_db": (0.0, float("nan"))},
+            {"ber_snr_db": (float("inf"),)},
+            {"cfar_n_guard": -1},
+        ):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**bad)
+        # n_rx below n_antennas is refused by the ber command only
+        ExperimentConfig(n_rx=2)
+        ExperimentConfig(cfar_n_guard=0)
 
     def test_ini_round_trip(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -153,6 +169,23 @@ class TestCliCommands:
         for r in rows:
             assert 0.0 <= float(r[2]) <= 1.0
 
+    def test_sense_variant_rows_do_not_depend_on_the_selection(self, tmp_path):
+        # each (SNR point, variant) draws its own target and noise stream
+        cfgp = tmp_path / "sense.ini"
+        cfgp.write_text(
+            "[waveform]\nn_subcarriers = 32\nn_antennas = 2\nn_cp = 8\n"
+            "[optimizer]\nl_max = 1\n"
+            "[sensing]\nsense_snr_db = 0 2 4 6\n"
+        )
+        rows = {}
+        for name, extra in (("all", []), ("one", ["--variant", "optimized"])):
+            out = tmp_path / name
+            main(["sense", "--config", str(cfgp), "--out", str(out), "--seed", "0",
+                  "--trials", "8", "--no-timestamp"] + extra)
+            rows[name] = [r for r in read_csv(out / "sense.csv")[1] if r[1] == "optimized"]
+        assert len(rows["one"]) == 4
+        assert rows["one"] == rows["all"]
+
     def test_ber_schema(self, tmp_path):
         out = tmp_path / "res"
         code = main(
@@ -167,6 +200,23 @@ class TestCliCommands:
         out = tmp_path / "res"
         code = main(["verify", "--out", str(out), "--seed", "0", "--no-timestamp"])
         assert code == 0
+
+    def test_verify_prints_each_margin(self, tmp_path, capsys):
+        main(["verify", "--out", str(tmp_path / "res"), "--seed", "0", "--no-timestamp"])
+        lines = capsys.readouterr().out.splitlines()
+        checks = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+        assert len(checks) == 12
+        assert all("(limit " in line for line in checks)
+        assert sum("vs dense oracle" in line for line in checks) == 6
+
+    def test_verify_fails_on_a_wrong_fast_majorizer(self, tmp_path, capsys, monkeypatch):
+        exact = majorizer.lambda_bar
+        monkeypatch.setattr(majorizer, "lambda_bar", lambda c, w: 1.01 * exact(c, w))
+        code = main(["verify", "--out", str(tmp_path / "res"), "--seed", "0", "--no-timestamp"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "FAIL fast lambda_bar vs dense oracle (p=2)" in out
+        assert "FAIL fast y vs dense oracle (p=4)" in out
 
     def test_bad_config_exit_code(self, tmp_path):
         code = main(["optimize", "--config", "/missing.ini", "--out", str(tmp_path)])
@@ -207,6 +257,18 @@ class TestCliCommands:
             ),
             pytest.param("sense", "sensing", "n_targets = 60", id="sensing-n_targets-60"),
             pytest.param("sense", "sensing", "n_targets = 0", id="sensing-n_targets-0"),
+            *(
+                pytest.param(cmd, "campaign", "seed = -1", id=f"campaign-seed--1-{cmd}")
+                for cmd in ("optimize", "sense", "ber", "verify")
+            ),
+            pytest.param("ber", "comms", "n_rx = -1", id="comms-n_rx--1"),
+            pytest.param("ber", "comms", "n_rx = 2", id="comms-n_rx-below-n_antennas"),
+            pytest.param("ber", "comms", "ber_snr_db =", id="comms-ber_snr_db-empty"),
+            pytest.param("sense", "sensing", "sense_snr_db = 0 nan", id="sensing-sense_snr_db-nan"),
+            pytest.param("ber", "comms", "ber_snr_db = 10 inf", id="comms-ber_snr_db-inf"),
+            pytest.param("sense", "sensing", "cfar_n_guard = -1", id="sensing-cfar_n_guard--1"),
+            pytest.param("optimize", "optimizer", "p = 2.5", id="optimizer-p-not-int"),
+            pytest.param("optimize", "constellation", "rho = abc", id="constellation-rho-not-float"),
         ],
     )
     def test_bad_value_in_ini_exits_with_message(self, tmp_path, command, section, body):

@@ -151,3 +151,11 @@ class TestBerStatistics:
         grid, bits = random_reference_grid(rng, spec, mask)
         out = ber_campaign([(grid, grid.copy(), bits)], [0.0], spec, mask, rng)
         assert 0.0 <= out["original"][0] <= 1.0
+
+    def test_campaign_rejects_fewer_receive_than_transmit_antennas(self):
+        rng = np.random.default_rng(102)
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.all_used(32, 4)
+        grid, bits = random_reference_grid(rng, spec, mask)
+        with pytest.raises(ValueError):
+            ber_campaign([(grid, grid.copy(), bits)], [0.0], spec, mask, rng, n_rx=2)

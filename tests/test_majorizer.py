@@ -29,7 +29,7 @@ def noisy_grid(n, m, seed):
 
 class TestScalarMajorizer:
     def test_p2_is_exact(self):
-        a, b = majorizer.scalar_pnorm_majorizer(2, 0.4, 1.0)
+        a, b = oracle.scalar_pnorm_majorizer(2, 0.4, 1.0)
         assert a == pytest.approx(1.0)
         assert b == pytest.approx(0.0, abs=1e-12)
 
@@ -39,7 +39,7 @@ class TestScalarMajorizer:
         # natural magnitude of the cancellations in the surrogate
         rng = np.random.default_rng(p)
         for x0 in rng.uniform(0, x_bar, size=20):
-            a, b = majorizer.scalar_pnorm_majorizer(p, x0, x_bar)
+            a, b = oracle.scalar_pnorm_majorizer(p, x0, x_bar)
             const = x0**p - a * x0**2 - b * x0
             g = lambda x: a * x**2 + b * x + const
             tol = 1e-9 * max(a * x_bar**2, 1.0)
@@ -52,16 +52,16 @@ class TestScalarMajorizer:
         rng = np.random.default_rng(9)
         for p in (2, 4, 50):
             for x0 in rng.uniform(0, 1, size=50):
-                _, b = majorizer.scalar_pnorm_majorizer(p, x0, 1.0)
+                _, b = oracle.scalar_pnorm_majorizer(p, x0, 1.0)
                 assert b <= 1e-12
 
     def test_limit_at_the_peak(self):
-        a, _ = majorizer.scalar_pnorm_majorizer(6, 1.0, 1.0)
+        a, _ = oracle.scalar_pnorm_majorizer(6, 1.0, 1.0)
         assert a == pytest.approx(0.5 * 6 * 5)
 
     def test_limit_is_continuous(self):
-        a_lim, _ = majorizer.scalar_pnorm_majorizer(8, 1.0, 1.0)
-        a_near, _ = majorizer.scalar_pnorm_majorizer(8, 1.0 - 1e-5, 1.0)
+        a_lim, _ = oracle.scalar_pnorm_majorizer(8, 1.0, 1.0)
+        a_near, _ = oracle.scalar_pnorm_majorizer(8, 1.0 - 1e-5, 1.0)
         assert a_near == pytest.approx(a_lim, rel=1e-3)
 
 
@@ -72,32 +72,32 @@ class TestCoefficients:
         w = LagWeights(8, 4)
         p = 4
         coeffs = majorizer.coefficients(corr, w, p)
-        r_bar, a_raw, b_raw, c_raw = oracle.coefficients_raw(corr, w, p)
+        r_bar, _, _, c_raw = oracle.coefficients_raw(corr, w, p)
         assert coeffs.r_bar == pytest.approx(r_bar)
-        scale = r_bar ** (p - 2)
-        assert np.allclose(scale * coeffs.a_hat, a_raw, rtol=1e-9, atol=1e-9)
-        assert np.allclose(r_bar * scale * coeffs.b_hat, b_raw, rtol=1e-9, atol=1e-9)
-        assert np.allclose(scale * coeffs.c_hat, c_raw, rtol=1e-9, atol=1e-9)
+        assert np.allclose(r_bar ** (p - 2) * coeffs.c_hat, c_raw, rtol=1e-9, atol=1e-9)
 
     def test_peak_lag_uses_limit(self):
+        # lambda_bar = N^3 * max(a_raw) / r_bar^(p-2): the largest quadratic
+        # coefficient of the scalar route is the peak lag's limit p(p-1)/2
         grid = random_grid(8, 2, 12)
+        corr = cyclic_correlations(grid)
         w = LagWeights(8, 4)
-        p = 50
-        coeffs = majorizer.coefficients(cyclic_correlations(grid), w, p)
-        assert np.max(coeffs.a_hat) == pytest.approx(0.5 * p * (p - 1))
+        for p in (2, 4, 50):
+            coeffs = majorizer.coefficients(corr, w, p)
+            r_bar, a_raw, _, _ = oracle.coefficients_raw(corr, w, p)
+            expect = 8**3 * np.max(a_raw) / r_bar ** (p - 2)
+            assert majorizer.lambda_bar(coeffs, w) == pytest.approx(expect, rel=1e-12)
 
     def test_zero_off_window(self):
         grid = random_grid(8, 2, 13)
         w = LagWeights(8, 3)
         coeffs = majorizer.coefficients(cyclic_correlations(grid), w, 50)
-        for arr in (coeffs.a_hat, coeffs.b_hat, coeffs.c_hat):
-            assert np.all(arr[:, :, [0, 3, 4, 5, 6, 7]] == 0)
+        assert np.all(coeffs.c_hat[:, :, [0, 3, 4, 5, 6, 7]] == 0)
 
     def test_p50_stays_finite(self):
         grid = noisy_grid(16, 3, 14)
         coeffs = majorizer.coefficients(cyclic_correlations(grid), LagWeights(16, 8), 50)
-        for arr in (coeffs.a_hat, coeffs.b_hat, coeffs.c_hat):
-            assert np.all(np.isfinite(arr))
+        assert np.all(np.isfinite(coeffs.c_hat))
 
     def test_zero_sidelobe_raises(self):
         grid = SymbolGrid(np.ones((8, 1)))
@@ -108,7 +108,7 @@ class TestCoefficients:
 
 
 class TestEigenvalueBounds:
-    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("p", [2, 4, 50])
     def test_lambda_bar_equals_dense_gram_top_eigenvalue(self, p):
         grid = noisy_grid(8, 2, 15)
         corr = cyclic_correlations(grid)

@@ -11,37 +11,7 @@ from pslwave.constellation import (
     modulate,
 )
 from pslwave.projector import psk_project, qam_project
-from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations, dft, idft
-
-complex_arrays = st.integers(min_value=2, max_value=32).flatmap(
-    lambda n: st.lists(
-        st.tuples(
-            st.floats(-10, 10, allow_nan=False), st.floats(-10, 10, allow_nan=False)
-        ),
-        min_size=n,
-        max_size=n,
-    )
-)
-
-
-def to_complex(pairs):
-    return np.array([re + 1j * im for re, im in pairs])
-
-
-class TestTransformProperties:
-    @given(complex_arrays)
-    @settings(max_examples=50, deadline=None)
-    def test_dft_round_trip(self, pairs):
-        v = to_complex(pairs)
-        assert np.allclose(idft(dft(v)), v, atol=1e-9)
-
-    @given(complex_arrays)
-    @settings(max_examples=50, deadline=None)
-    def test_dft_parseval(self, pairs):
-        v = to_complex(pairs)
-        assert np.isclose(
-            np.sum(np.abs(dft(v)) ** 2), v.size * np.sum(np.abs(v) ** 2), atol=1e-6
-        )
+from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations
 
 
 class TestCorrelationProperties:

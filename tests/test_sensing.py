@@ -12,12 +12,10 @@ from pslwave.sensing import (
     cfar_threshold_factor,
     detection_campaign,
     matched_filter,
-    range_angle_map,
     range_steer,
     steering,
     synthesize_echo,
 )
-from pslwave.spectrum import SymbolGrid
 
 
 class TestSteering:
@@ -73,26 +71,6 @@ class TestMatchedFilter:
         profile = np.mean(np.abs(matched_filter(y, grid)) ** 2, axis=1)
         top2 = set(np.argsort(profile)[-2:])
         assert top2 == {10, 40}
-
-
-class TestRangeAngleMap:
-    def test_peak_location(self):
-        rng = np.random.default_rng(83)
-        spec = ConstellationSpec("psk", 4)
-        mask = SubcarrierMask.all_used(32, 4)
-        grid, _ = random_reference_grid(rng, spec, mask)
-        scene = SensingScene(targets=[Target(delay=8, angle=0.0)], noise_std=0.0)
-        y = synthesize_echo(grid, scene, rng)
-        z = matched_filter(y, grid)
-        ram = range_angle_map(z, os_range=4, os_angle=8)
-        r_idx, a_idx = np.unravel_index(np.argmax(ram.values), ram.values.shape)
-        assert r_idx == 8 * 4  # oversampled range bin
-        assert a_idx == 0  # broadside
-
-    def test_shape(self):
-        z = np.zeros((16, 4), dtype=complex)
-        ram = range_angle_map(z, os_range=2, os_angle=4)
-        assert ram.values.shape == (32, 16)
 
 
 class TestCfar:

@@ -8,8 +8,6 @@ from pslwave.spectrum import (
     LagWeights,
     SymbolGrid,
     cyclic_correlations,
-    dft,
-    idft,
     peak_sidelobe,
     psl_db,
 )
@@ -44,19 +42,6 @@ class TestSymbolGrid:
     def test_energy(self):
         g = SymbolGrid(np.full((4, 2), 1 + 1j))
         assert g.energy() == pytest.approx(16.0)
-
-
-class TestDft:
-    def test_forward_is_unnormalized(self):
-        v = np.zeros(8)
-        v[0] = 1.0
-        assert np.allclose(dft(v), np.ones(8))
-        assert np.allclose(dft(np.ones(8))[0], 8.0)
-
-    def test_idft_inverts(self):
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.allclose(idft(dft(v)), v)
 
 
 class TestCyclicCorrelations:
