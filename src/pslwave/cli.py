@@ -35,6 +35,8 @@ VARIANTS = ("original", "optimized", "orthogonal")
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.variant:
+        args.variant = list(dict.fromkeys(args.variant))  # drop repeats, keep the order
     try:
         cfg = load_config(args.config, _overrides(args))
     except ConfigError as exc:
@@ -124,19 +126,23 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
 
 
 def _optimize_trial(payload) -> dict:
-    cfg, trial = payload
-    _, _, _, report = _trial_grids(cfg, trial, ("optimized",))
+    cfg, trial, variants = payload
+    grids, _, _, report = _trial_grids(cfg, trial, ("optimized", *variants))
     return {
         "trial": trial,
         "psl_db_before": report.psl_db_before,
         "psl_db_after": report.psl_db_after,
         "iterations": report.iterations,
         "stop_reason": report.stop_reason,
+        "grids": {v: grids[v] for v in variants},
     }
 
 
 def _cmd_optimize(cfg: ExperimentConfig, args) -> int:
-    rows = _map_trials(cfg, _optimize_trial, [(cfg, t) for t in range(cfg.trials)])
+    # trial 0 also returns the grids written below
+    variants = tuple(args.variant) if args.variant else ("optimized",)
+    payloads = [(cfg, t, variants if t == 0 else ()) for t in range(cfg.trials)]
+    rows = _map_trials(cfg, _optimize_trial, payloads)
     path = _write_csv(
         cfg,
         "optimize_summary.csv",
@@ -148,17 +154,14 @@ def _cmd_optimize(cfg: ExperimentConfig, args) -> int:
     print(f"wrote {path}")
     print(f"median PSL gain over {cfg.trials} trials: {np.median(gains):.2f} dB")
 
-    variants = tuple(args.variant) if args.variant else ("optimized",)
-    grids, _, _, _ = _trial_grids(cfg, 0, variants)
-    for variant in variants:
-        grid = grids[variant]
-        rows = [
+    for variant, grid in rows[0]["grids"].items():
+        cells = [
             [m, n, f"{grid.symbols[n, m].real:.12g}", f"{grid.symbols[n, m].imag:.12g}"]
             for m in range(grid.n_antennas)
             for n in range(grid.n_subcarriers)
         ]
         path = _write_csv(
-            cfg, f"grid_{variant}.csv", ["antenna", "subcarrier", "re", "im"], rows
+            cfg, f"grid_{variant}.csv", ["antenna", "subcarrier", "re", "im"], cells
         )
         print(f"wrote {path}")
     return 0

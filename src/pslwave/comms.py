@@ -13,15 +13,12 @@ measured SNR penalty reflects only the symbol perturbation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask, demodulate
 from .spectrum import SymbolGrid
 
 __all__ = [
-    "ChannelRealization",
     "draw_channel",
     "channel_apply",
     "zf_equalize",
@@ -30,28 +27,14 @@ __all__ = [
 ]
 
 
-@dataclass
-class ChannelRealization:
-    h: np.ndarray  # (K, M)
-
-    @property
-    def n_rx(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.h.shape[1]
-
-
-def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> ChannelRealization:
-    """iid CN(0, 1) frequency-flat channel matrix."""
-    h = (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))) / np.sqrt(2.0)
-    return ChannelRealization(h)
+def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:
+    """iid CN(0, 1) frequency-flat (n_rx, n_tx) channel matrix H."""
+    return (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))) / np.sqrt(2.0)
 
 
 def channel_apply(
     grid: SymbolGrid,
-    channel: ChannelRealization,
+    h: np.ndarray,
     noise_std: float | np.ndarray,
     rng: np.random.Generator,
     noise: np.ndarray | None = None,
@@ -63,16 +46,16 @@ def channel_apply(
     noisy copies.  A pre-drawn noise array may be supplied to pair arms of a
     comparison; otherwise noise of the broadcast shape is drawn.
     """
-    received = grid.symbols @ channel.h.T
+    received = grid.symbols @ h.T
     if noise is None:
         shape = np.broadcast_shapes(np.shape(noise_std), received.shape)
         noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     return received + noise_std * noise
 
 
-def zf_equalize(received: np.ndarray, channel: ChannelRealization) -> np.ndarray:
+def zf_equalize(received: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Zero-forcing estimate of the transmitted grid: (..., N, K) -> (..., N, M)."""
-    return received @ np.linalg.pinv(channel.h).T
+    return received @ np.linalg.pinv(h).T
 
 
 def bit_errors(
@@ -119,12 +102,12 @@ def ber_campaign(
         if k < m:
             raise ValueError("zero forcing needs n_rx >= the number of transmit antennas")
         es_avg = ref.energy() / mask.n_used
-        channel = draw_channel(rng, k, m)
+        h = draw_channel(rng, k, m)
         # scalar powers: numpy's array power can differ from them in the last bit
         sigma = np.array([np.sqrt(es_avg / 10.0 ** (s / 10.0)) for s in snr_db_list])
         gauss = rng.standard_normal((n_snr, 2, n, k))
         noise = (gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0)
         for key, grid in (("original", ref), ("optimized", opt)):
-            rx = channel_apply(grid, channel, sigma[:, None, None], rng, noise=noise)
-            errors[key] += bit_errors(zf_equalize(rx, channel), bits, spec, mask)
+            rx = channel_apply(grid, h, sigma[:, None, None], rng, noise=noise)
+            errors[key] += bit_errors(zf_equalize(rx, h), bits, spec, mask)
     return {key: e / n_bits_total for key, e in errors.items()}

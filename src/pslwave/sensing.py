@@ -2,15 +2,15 @@
 
 Geometry and conventions:
 
-* A uniform linear array with half-wavelength spacing transmits antenna m's
-  OFDM symbol; the angle steering entry is a_m(theta) = exp(-1j*pi*m*sin(theta)).
+* Every target sits at broadside, so the M antennas' OFDM symbols add
+  coherently into one beam, sum_m x_m[n].
 * A point scatterer at integer delay tau multiplies the received spectrum by
   b_n(tau) = exp(-2j*pi*n*tau/N).
 * The receiver matched-filters per transmit antenna in the frequency domain,
   giving a delay profile whose sidelobes are exactly the cyclic correlations
   the optimizer suppresses.
 * Sensing SNR is defined as M * Es_avg / sigma^2 with unit-modulus scatterer
-  gains: the coherent array collects the energy of all M antennas.
+  gains: the coherent beam collects the energy of all M antennas.
 
 Detection averages the M per-antenna matched-filter power profiles
 noncoherently, mean_m |z[:, m]|^2, and runs cell-averaging CFAR with cyclic
@@ -26,10 +26,7 @@ import numpy as np
 from .spectrum import SymbolGrid
 
 __all__ = [
-    "Target",
-    "SensingScene",
     "CfarConfig",
-    "steering",
     "range_steer",
     "synthesize_echo",
     "matched_filter",
@@ -41,19 +38,6 @@ __all__ = [
 
 # Minimum cyclic distance, in range bins, between the targets of one trial
 MIN_SEPARATION = 3
-
-
-@dataclass
-class Target:
-    delay: int  # integer range bin in [0, N)
-    angle: float = 0.0  # radians
-    gain: complex = 1.0 + 0.0j
-
-
-@dataclass
-class SensingScene:
-    targets: list[Target]
-    noise_std: float  # per-sample complex noise standard deviation
 
 
 @dataclass
@@ -72,12 +56,6 @@ class CfarConfig:
             raise ValueError("profile too short for the reference window")
 
 
-def steering(n_antennas: int, angle: float) -> np.ndarray:
-    """Half-wavelength ULA steering vector a_m = exp(-1j*pi*m*sin(angle))."""
-    m = np.arange(n_antennas)
-    return np.exp(-1j * np.pi * m * np.sin(angle))
-
-
 def range_steer(n_subcarriers: int, delay: int) -> np.ndarray:
     """Per-subcarrier phase ramp of an integer delay, b_n = exp(-2j*pi*n*delay/N)."""
     n = np.arange(n_subcarriers)
@@ -86,16 +64,20 @@ def range_steer(n_subcarriers: int, delay: int) -> np.ndarray:
 
 def synthesize_echo(
     grid: SymbolGrid,
-    scene: SensingScene,
+    delays: np.ndarray,
+    gains: np.ndarray,
+    noise_std: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Frequency-domain receive vector: superposed delayed/steered echoes plus noise."""
+    """Frequency-domain receive vector: broadside echoes at integer delays plus noise."""
     n, m = grid.symbols.shape
+    # a product with ones, not a sum over axis 1: the two round differently
+    beam = grid.symbols @ np.ones(m)
     y = np.zeros(n, dtype=complex)
-    for t in scene.targets:
-        y += t.gain * (grid.symbols @ steering(m, t.angle)) * range_steer(n, t.delay)
-    if scene.noise_std > 0:
-        y += scene.noise_std * (
+    for delay, gain in zip(delays, gains):
+        y += gain * beam * range_steer(n, delay)
+    if noise_std > 0:
+        y += noise_std * (
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ) / np.sqrt(2.0)
     return y
@@ -143,53 +125,41 @@ def detection_campaign(
     cfar: CfarConfig,
     rng: np.random.Generator,
     n_targets: int = 1,
-    min_separation: int = MIN_SEPARATION,
 ) -> float:
     """Empirical detection probability over one trial per supplied grid.
 
     Each trial draws uniform target delays (pairwise separation at least
-    min_separation bins, cyclically), unit-modulus random-phase gains at
-    angle zero, synthesizes the echo at the given sensing SNR, matched
-    filters, noncoherently averages the per-antenna delay profiles, and runs
-    CFAR.  A target counts as detected when a detection falls within one bin
-    of its true delay.  Returns detections / (trials * n_targets).
+    MIN_SEPARATION bins, cyclically), then one unit-modulus random-phase gain
+    per target, synthesizes the broadside echo at the given sensing SNR,
+    matched filters, noncoherently averages the per-antenna delay profiles,
+    and runs CFAR.  A target counts as detected when a detection falls within
+    one bin of its true delay.  Returns detections / (trials * n_targets).
     """
     hits = 0
-    total = 0
     for grid in grids:
         n, m = grid.symbols.shape
         es_avg = grid.energy() / grid.symbols.size
         sigma2 = m * es_avg / (10.0 ** (snr_db / 10.0))
-        delays = _draw_delays(rng, n, n_targets, min_separation)
-        targets = [
-            Target(delay=d, angle=0.0, gain=np.exp(2j * np.pi * rng.random()))
-            for d in delays
-        ]
-        scene = SensingScene(targets=targets, noise_std=float(np.sqrt(sigma2)))
-        y = synthesize_echo(grid, scene, rng)
+        delays = _draw_delays(rng, n, n_targets)
+        gains = np.array([np.exp(2j * np.pi * rng.random()) for _ in delays])
+        y = synthesize_echo(grid, delays, gains, float(np.sqrt(sigma2)), rng)
         z = matched_filter(y, grid)
         profile = np.mean(np.abs(z) ** 2, axis=1)
         det = cfar_detect(profile, cfar)
-        for d in delays:
-            window = [(d - 1) % n, d, (d + 1) % n]
-            hits += bool(np.any(det[window]))
-            total += 1
+        near = det[(delays[:, None] + [-1, 0, 1]) % n]  # each delay bin and its two neighbours
+        hits += int(np.count_nonzero(near.any(axis=1)))
+    total = len(grids) * n_targets
     return hits / total if total else 0.0
 
 
-def _draw_delays(
-    rng: np.random.Generator, n: int, n_targets: int, min_separation: int
-) -> list[int]:
+def _draw_delays(rng: np.random.Generator, n: int, n_targets: int) -> np.ndarray:
     delays: list[int] = []
     attempts = 0
     while len(delays) < n_targets:
         cand = int(rng.integers(0, n))
-        ok = all(
-            min((cand - d) % n, (d - cand) % n) >= min_separation for d in delays
-        )
-        if ok:
+        if all(min((cand - d) % n, (d - cand) % n) >= MIN_SEPARATION for d in delays):
             delays.append(cand)
         attempts += 1
         if attempts > 1000 * n_targets:
             raise RuntimeError("cannot place targets with the requested separation")
-    return delays
+    return np.array(delays)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pslwave
-from pslwave import majorizer
+from pslwave import cli, majorizer
 from pslwave.cli import main
 from pslwave.config import ConfigError, ExperimentConfig, load_config, trial_rng
 
@@ -146,6 +146,33 @@ class TestCliCommands:
         assert gheader == ["antenna", "subcarrier", "re", "im"]
         assert len(grows) == 32 * 2
 
+    def test_optimize_runs_one_optimization_per_trial(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return optimize(*args, **kwargs)
+
+        optimize = cli.optimize
+        monkeypatch.setattr(cli, "optimize", counted)
+        code = main(["optimize", "--config", small_config(tmp_path), "--out", str(tmp_path / "res"),
+                     "--seed", "1", "--trials", "3", "--workers", "1", "--no-timestamp"])
+        assert code == 0
+        assert len(calls) == 3
+
+    def test_optimize_writes_the_grids_of_trial_zero(self, tmp_path):
+        cfgp = small_config(tmp_path)
+        out = tmp_path / "res"
+        args = [a for variant in cli.VARIANTS for a in ("--variant", variant)]
+        assert main(["optimize", "--config", cfgp, "--out", str(out)] + SMALL + args) == 0
+        grids, _, _, _ = cli._trial_grids(load_config(cfgp, {"seed": 1}), 0, cli.VARIANTS)
+        for variant, grid in grids.items():
+            _, rows = read_csv(out / f"grid_{variant}.csv")
+            written = np.zeros_like(grid.symbols)
+            for m, n, re, im in rows:
+                written[int(n), int(m)] = complex(float(re), float(im))
+            assert np.allclose(written, grid.symbols, rtol=1e-11, atol=0.0)
+
     def test_optimize_deterministic(self, tmp_path):
         cfgp = small_config(tmp_path)
         outs = []
@@ -185,6 +212,31 @@ class TestCliCommands:
             rows[name] = [r for r in read_csv(out / "sense.csv")[1] if r[1] == "optimized"]
         assert len(rows["one"]) == 4
         assert rows["one"] == rows["all"]
+
+    def test_repeated_variant_runs_once(self, tmp_path):
+        out = tmp_path / "res"
+        code = main(
+            ["sense", "--config", small_config(tmp_path), "--out", str(out),
+             "--variant", "optimized", "--variant", "optimized"] + SMALL
+        )
+        assert code == 0
+        _, rows = read_csv(out / "sense.csv")
+        assert [r[:2] for r in rows] == [["0.00", "optimized"]]
+
+    @pytest.mark.parametrize("command,output", [
+        ("optimize", "grid_optimized.csv"),
+        ("sense", "sense.csv"),
+        ("ber", "ber.csv"),
+        ("verify", None),
+    ])
+    def test_16qam_runs_through_every_subcommand(self, tmp_path, command, output):
+        path = Path(small_config(tmp_path))
+        path.write_text(path.read_text() + "[constellation]\nfamily = qam\norder = 16\n")
+        out = tmp_path / "res"
+        assert main([command, "--config", str(path), "--out", str(out)] + SMALL) == 0
+        if output is not None:
+            header, rows = read_csv(out / output)
+            assert header and rows
 
     def test_ber_schema(self, tmp_path):
         out = tmp_path / "res"

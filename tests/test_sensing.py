@@ -1,4 +1,4 @@
-"""Sensing chain: steering, echo synthesis, matched filter, CFAR calibration."""
+"""Sensing chain: range steering, echo synthesis, matched filter, CFAR calibration."""
 
 import numpy as np
 import pytest
@@ -6,33 +6,47 @@ import pytest
 from pslwave.constellation import ConstellationSpec, SubcarrierMask, random_reference_grid
 from pslwave.sensing import (
     CfarConfig,
-    SensingScene,
-    Target,
     cfar_detect,
     cfar_threshold_factor,
     detection_campaign,
     matched_filter,
     range_steer,
-    steering,
     synthesize_echo,
 )
+from pslwave.spectrum import SymbolGrid
 
 
 class TestSteering:
-    def test_broadside_is_all_ones(self):
-        assert np.allclose(steering(4, 0.0), np.ones(4))
-
-    def test_half_wavelength_phase(self):
-        theta = 0.3
-        a = steering(4, theta)
-        assert a[1] == pytest.approx(np.exp(-1j * np.pi * np.sin(theta)))
-        assert np.allclose(np.abs(a), 1.0)
-
     def test_range_steer_zero_delay(self):
         assert np.allclose(range_steer(16, 0), np.ones(16))
 
     def test_range_steer_periodicity(self):
         assert np.allclose(range_steer(16, 16), np.ones(16))
+
+
+class TestEcho:
+    def test_broadside_beam_sums_the_antennas(self):
+        rng = np.random.default_rng(79)
+        spec = ConstellationSpec("psk", 4)
+        grid, _ = random_reference_grid(rng, spec, SubcarrierMask.all_used(32, 4))
+        y = synthesize_echo(grid, [0], [1.0], 0.0, rng)
+        assert np.allclose(y, grid.symbols.sum(axis=1))
+
+    def test_targets_superpose_with_their_gains_and_delays(self):
+        rng = np.random.default_rng(78)
+        spec = ConstellationSpec("psk", 4)
+        grid, _ = random_reference_grid(rng, spec, SubcarrierMask.all_used(32, 2))
+        gains = np.exp(2j * np.pi * np.array([0.1, 0.7]))
+        y = synthesize_echo(grid, np.array([3, 20]), gains, 0.0, rng)
+        beam = grid.symbols.sum(axis=1)
+        expect = gains[0] * beam * range_steer(32, 3) + gains[1] * beam * range_steer(32, 20)
+        assert np.allclose(y, expect)
+
+    def test_noise_has_the_requested_power(self):
+        rng = np.random.default_rng(77)
+        grid = SymbolGrid(np.zeros((4096, 2), dtype=complex))
+        y = synthesize_echo(grid, [5], [1.0], 0.5, rng)
+        assert np.mean(np.abs(y) ** 2) == pytest.approx(0.25, rel=0.1)
 
 
 class TestMatchedFilter:
@@ -42,8 +56,7 @@ class TestMatchedFilter:
         mask = SubcarrierMask.all_used(64, 2)
         grid, _ = random_reference_grid(rng, spec, mask)
         delay = 17
-        scene = SensingScene(targets=[Target(delay=delay)], noise_std=0.0)
-        y = synthesize_echo(grid, scene, rng)
+        y = synthesize_echo(grid, [delay], [1.0], 0.0, rng)
         z = matched_filter(y, grid)
         profile = np.mean(np.abs(z) ** 2, axis=1)
         assert int(np.argmax(profile)) == delay
@@ -54,8 +67,7 @@ class TestMatchedFilter:
         spec = ConstellationSpec("psk", 4)
         mask = SubcarrierMask.all_used(32, 2)
         grid, _ = random_reference_grid(rng, spec, mask)
-        scene = SensingScene(targets=[Target(delay=5)], noise_std=0.0)
-        y = synthesize_echo(grid, scene, rng)
+        y = synthesize_echo(grid, [5], [1.0], 0.0, rng)
         z = matched_filter(y, grid)
         # the ifft carries 1/N, so the peak is the mean symbol energy (1 for
         # unit-modulus QPSK) plus a cross-stream leakage term
@@ -66,8 +78,7 @@ class TestMatchedFilter:
         spec = ConstellationSpec("psk", 4)
         mask = SubcarrierMask.all_used(64, 2)
         grid, _ = random_reference_grid(rng, spec, mask)
-        scene = SensingScene(targets=[Target(delay=10), Target(delay=40)], noise_std=0.0)
-        y = synthesize_echo(grid, scene, rng)
+        y = synthesize_echo(grid, [10, 40], [1.0, 1.0], 0.0, rng)
         profile = np.mean(np.abs(matched_filter(y, grid)) ** 2, axis=1)
         top2 = set(np.argsort(profile)[-2:])
         assert top2 == {10, 40}
