@@ -7,7 +7,8 @@ sense      CFAR detection probability vs sensing SNR for the selected variants
 ber        uncoded BER vs SNR, original grid vs its optimized counterpart
 verify     dense-matrix and statistical self-checks; exit code 2 on failure
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure.
+``--variant`` applies to ``optimize`` and ``sense`` only.
+Exit codes: 0 success, 1 configuration or usage error, 2 verification failure.
 All randomness is keyed by (seed, trial) so any single trial is reproducible
 in isolation and results do not depend on the worker count.
 """
@@ -35,23 +36,28 @@ VARIANTS = ("original", "optimized", "orthogonal")
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.variant:
-        args.variant = list(dict.fromkeys(args.variant))  # drop repeats, keep the order
     try:
         cfg = load_config(args.config, _overrides(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    try:
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {cfg.out_dir!r}: {exc}") from exc
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with code 1, like configuration errors (argparse uses 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pslwave")
+    parser = _Parser(prog="pslwave")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func in (
         ("optimize", _cmd_optimize),
@@ -69,12 +75,18 @@ def _build_parser() -> argparse.ArgumentParser:
             "--no-timestamp", action="store_true",
             help="omit the generation-time comment from CSV output",
         )
-        p.add_argument(
-            "--variant", choices=VARIANTS, action="append", default=None,
-            help="restrict to a variant (repeatable); default depends on the subcommand",
-        )
+        if name in ("optimize", "sense"):
+            p.add_argument(
+                "--variant", choices=VARIANTS, action="append", default=None,
+                help="restrict to a variant (repeatable); default depends on the subcommand",
+            )
         p.set_defaults(func=func)
     return parser
+
+
+def _variants(args, default: tuple[str, ...]) -> tuple[str, ...]:
+    """The requested --variant values without repeats, in order; ``default`` if none."""
+    return tuple(dict.fromkeys(args.variant)) if args.variant else default
 
 
 def _overrides(args) -> dict:
@@ -140,7 +152,7 @@ def _optimize_trial(payload) -> dict:
 
 def _cmd_optimize(cfg: ExperimentConfig, args) -> int:
     # trial 0 also returns the grids written below
-    variants = tuple(args.variant) if args.variant else ("optimized",)
+    variants = _variants(args, ("optimized",))
     payloads = [(cfg, t, variants if t == 0 else ()) for t in range(cfg.trials)]
     rows = _map_trials(cfg, _optimize_trial, payloads)
     path = _write_csv(
@@ -184,7 +196,7 @@ def _sense_trial(payload) -> dict:
 
 
 def _cmd_sense(cfg: ExperimentConfig, args) -> int:
-    variants = tuple(args.variant) if args.variant else VARIANTS
+    variants = _variants(args, VARIANTS)
     results = _map_trials(
         cfg, _sense_trial, [(cfg, t, variants) for t in range(cfg.trials)]
     )

@@ -54,9 +54,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_subcarriers < 2 or self.n_antennas < 1:
             raise ConfigError("need n_subcarriers >= 2 and n_antennas >= 1")
-        # n_cp = 1 would leave no weighted lag (the window is lags 1..n_cp-1)
-        if not 2 <= self.n_cp <= self.n_subcarriers:
-            raise ConfigError("need 2 <= n_cp <= n_subcarriers")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
@@ -82,6 +79,7 @@ class ExperimentConfig:
         try:
             self.constellation()
             self.optimizer()
+            self.lag_weights()
             cfar = self.cfar()
             cfar_threshold_factor(cfar.p_fa, cfar.n_ref)
             cfar.check_profile_length(self.n_subcarriers)  # the range profile has N cells

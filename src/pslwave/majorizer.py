@@ -1,25 +1,26 @@
 """One majorization pass: p-norm surrogate coefficients, eigenvalue bounds, descent direction.
 
-The peak-sidelobe objective sum_i w_i |r_i|^p is majorized in three stages:
+The peak-sidelobe objective, the sum of |r|^p over the lag window, is
+majorized in three stages:
 
 1. each |r|^p by a quadratic a*|r|^2 + b*|r| touching at the current iterate
-   and at r_bar, the largest weighted |r| (Song, Babu & Palomar, IEEE TSP
-   2016).  The fast path reads two closed forms of it.  By tangency the
+   and at r_bar, the largest |r| in the window (Song, Babu & Palomar, IEEE
+   TSP 2016).  The fast path reads two closed forms of it.  By tangency the
    linearized weight is c = a + b/(2|r|) = (p/2) * |r|^(p-2).  And a is a
    divided difference of the convex x^p on [|r|, r_bar], so it is at most
    p(p-1)/2 * r_bar^(p-2), with equality at the peak lag;
 2. the resulting quadratic form in x* (x) Kronecker x by a linear term using
-   the closed-form top eigenvalue N^3 * max(a*w) = N^3 * p(p-1)/2 *
+   the closed-form top eigenvalue N^3 * max(a) = N^3 * p(p-1)/2 *
    r_bar^(p-2) of the stacked Gram matrix;
 3. the remaining quadratic x^H Q x by mu_bar * ||x||^2 + linear, where Q is
    block-diagonal per sub-carrier, so mu_bar is the max over N decoupled
    M x M Hermitian eigenproblems.
 
 The per-subcarrier blocks are Q_n[m, k] = v_mk[n] + conj(v_km[n]) with
-v_mk = N * DFT(w * c * r_mk).  With the causal lag window (weights on lags
-1..N_cp-1 only) these blocks are genuinely complex Hermitian; they collapse
-to real symmetric 2*Re{v_mk} only when the weighted lag set is mirror
-symmetric.  The dense-matrix oracle pins this structure.
+v_mk = N * DFT(c * r_mk), where c is zero off the lag window.  With the
+causal window (lags 1..N_cp-1 only) these blocks are genuinely complex
+Hermitian; they collapse to real symmetric 2*Re{v_mk} only when the window is
+mirror symmetric.  The dense-matrix oracle pins this structure.
 
 Everything is computed in r_bar-factored form: with p = 50 the raw
 coefficients overflow double precision, so the common factor r_bar**(p-2) is
@@ -50,7 +51,7 @@ __all__ = [
 
 
 class ZeroSidelobeError(ValueError):
-    """All weighted correlations vanish; the objective is already zero."""
+    """All correlations in the lag window vanish; the objective is already zero."""
 
 
 @dataclass
@@ -60,7 +61,7 @@ class MajorizerCoeffs:
 
     p: int
     r_bar: float
-    c_hat: np.ndarray  # (M, M, N), zero on unweighted lags
+    c_hat: np.ndarray  # (M, M, N), zero off the lag window
 
 
 @dataclass
@@ -68,25 +69,23 @@ class MajorizerOutput:
     y: np.ndarray | None  # length-MN direction, common r_bar**(p-2) scale dropped
     eta: float
     argmax: tuple[int, int, int]
-    r_bar: float
 
 
 def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoeffs:
-    """Linearized weights c = (p/2) * |r|^(p-2) on the weighted lags, in r_bar-factored form."""
+    """Linearized weights c = (p/2) * |r|^(p-2) on the lag window, in r_bar-factored form."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    wmask = w.mask
-    r_abs = np.abs(corr.values[:, :, wmask])
-    r_bar = float(np.max(r_abs)) if r_abs.size else 0.0
+    r_abs = np.abs(corr.values[:, :, w.mask])
+    r_bar = float(np.max(r_abs))
     if r_bar == 0.0:
-        raise ZeroSidelobeError("all weighted correlations are zero")
+        raise ZeroSidelobeError("all correlations in the lag window are zero")
     c_hat = np.zeros(corr.values.shape)
-    c_hat[:, :, wmask] = 0.5 * p * (r_abs / r_bar) ** (p - 2)
+    c_hat[:, :, w.mask] = 0.5 * p * (r_abs / r_bar) ** (p - 2)
     return MajorizerCoeffs(p=p, r_bar=r_bar, c_hat=c_hat)
 
 
 def lambda_bar(coeffs: MajorizerCoeffs, w: LagWeights) -> float:
-    """Scaled top eigenvalue of the stacked Gram matrix: N^3 * max(a * w) = N^3 * p(p-1)/2.
+    """Scaled top eigenvalue of the stacked Gram matrix: N^3 * max(a) = N^3 * p(p-1)/2.
 
     The largest quadratic coefficient a sits at the peak lag, where it equals
     its limit p(p-1)/2 * r_bar^(p-2) (module docstring, stage 1).
@@ -95,14 +94,13 @@ def lambda_bar(coeffs: MajorizerCoeffs, w: LagWeights) -> float:
 
 
 def v_fields(corr: CorrelationTensor, coeffs: MajorizerCoeffs, w: LagWeights) -> np.ndarray:
-    """Diagonal-block generators: v[m, k] = N * DFT(w * c_hat * r) over lags."""
-    seq = w.weights * coeffs.c_hat * corr.values
+    """Diagonal-block generators: v[m, k] = N * DFT(c_hat * r), c_hat zero off the window."""
     # The diagonal blocks Lambda_mk = Diag(v_mk + conj(v_km)) require v_mk to
-    # carry a factor N on top of the DFT of (w * c * r): expanding the diagonal
-    # of sum_i w c (conj(r) Diag(N conj(F_i)) + h.c.) entrywise gives
-    # N * [DFT(w c r_mk)]_n + conj(N * [DFT(w c r_km)]_n).  The dense-matrix
+    # carry a factor N on top of the DFT of (c * r): expanding the diagonal
+    # of sum_i c (conj(r) Diag(N conj(F_i)) + h.c.) over window lags i entrywise
+    # gives N * [DFT(c r_mk)]_n + conj(N * [DFT(c r_km)]_n).  The dense-matrix
     # oracle pins this constant; test_majorizer asserts it as a regression.
-    return corr.n_lags * np.fft.fft(seq, axis=2)
+    return corr.n_lags * np.fft.fft(coeffs.c_hat * corr.values, axis=2)
 
 
 def hermitian_blocks(v: np.ndarray) -> np.ndarray:
@@ -130,23 +128,21 @@ def majorize_direction(
     """Full majorization pass at the current iterate.
 
     Returns the direction vector y = (Q - 2*lambda_bar*x x^H - mu_bar*I) x in
-    the common r_bar**(p-2) scale, or y = None when the weighted sidelobes
-    already vanish.  ``corr`` may carry the already computed correlations of
-    ``grid``.  Cost O(M^2 N log N) plus N small eigenproblems.
+    the common r_bar**(p-2) scale, or y = None when the sidelobes in the lag
+    window already vanish.  ``corr`` may carry the already computed
+    correlations of ``grid``.  Cost O(M^2 N log N) plus N small eigenproblems.
     """
     if corr is None:
         corr = cyclic_correlations(grid)
     eta, amax = peak_sidelobe(corr, w)
     if eta == 0.0:
-        return MajorizerOutput(y=None, eta=0.0, argmax=amax, r_bar=0.0)
+        return MajorizerOutput(y=None, eta=0.0, argmax=amax)
     coeffs = coefficients(corr, w, p)
     lam = lambda_bar(coeffs, w)
     v = v_fields(corr, coeffs, w)
     mu = mu_bar(v)
 
     x = grid.symbols  # (N, M)
-    gain = v + np.conj(np.swapaxes(v, 0, 1))  # (M, M, N): diagonal of block (m, k)
-    qx = np.einsum("mkn,nk->nm", gain, x)
-    energy = float(np.sum(np.abs(x) ** 2))
-    y = qx - (2.0 * lam * energy + mu) * x
-    return MajorizerOutput(y=y.reshape(-1, order="F"), eta=eta, argmax=amax, r_bar=coeffs.r_bar)
+    qx = np.einsum("nmk,nk->nm", hermitian_blocks(v), x)
+    y = qx - (2.0 * lam * grid.energy() + mu) * x
+    return MajorizerOutput(y=y.reshape(-1, order="F"), eta=eta, argmax=amax)

@@ -10,8 +10,8 @@ With ``OptimizerConfig.accelerated`` each iteration takes the squared
 extrapolation of two MM steps: they give a step r and curvature v, the
 extrapolated point x - 2*alpha*r + alpha**2 * v is projected, and alpha is
 backtracked toward -1 (which recovers the plain double step) until the
-objective does not exceed the current one.  Without it each iteration is one
-plain MM step.
+objective does not exceed the current one, at most ``BACKTRACK_CAP`` times.
+Without it each iteration is one plain MM step.
 """
 
 from __future__ import annotations
@@ -27,14 +27,16 @@ from .spectrum import (
     CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db,
 )
 
-__all__ = ["OptimizerConfig", "OptimizationReport", "mm_step", "optimize"]
+__all__ = ["BACKTRACK_CAP", "OptimizerConfig", "OptimizationReport", "mm_step", "optimize"]
+
+# backtracking moves of the SQUAREM alpha toward -1 before the plain double step is taken
+BACKTRACK_CAP = 20
 
 
 @dataclass
 class OptimizerConfig:
     p: int = 50
     l_max: int = 10
-    backtrack_cap: int = 20
     accelerated: bool = True
 
     def __post_init__(self):
@@ -42,8 +44,6 @@ class OptimizerConfig:
             raise ValueError("p must be >= 2")
         if self.l_max < 1:
             raise ValueError("l_max must be >= 1")
-        if self.backtrack_cap < 0:
-            raise ValueError("backtrack_cap must be >= 0")
 
 
 @dataclass
@@ -82,11 +82,9 @@ def mm_step(
     out = majorize_direction(grid, w, p, corr=corr)
     if out.y is None:
         return None
-    norm = float(np.linalg.norm(out.y))
-    if norm == 0.0:
-        return None
+    # y = (Q - sI)x is nonzero: s = 2*lambda_bar*E + mu_bar > mu_bar = lambda_max(Q), x != 0
     # sphere minimizer, scaled to the reference energy budget
-    x_new = -np.sqrt(reference.energy()) * out.y / norm
+    x_new = -np.sqrt(reference.energy()) * out.y / float(np.linalg.norm(out.y))
     candidate = SymbolGrid.from_stacked(x_new, grid.n_subcarriers)
     return project_grid(candidate, reference, spec, mask)
 
@@ -119,7 +117,7 @@ def optimize(
             candidate, (eta_next, corr_next) = x1, _eta(x1, w)
         else:
             candidate, eta_next, corr_next = _squarem(
-                current, x1, x2, trace[-1], reference, spec, mask, w, config.backtrack_cap
+                current, x1, x2, trace[-1], reference, spec, mask, w
             )
         if eta_next > trace[-1]:
             reason = "objective_increased"
@@ -144,7 +142,6 @@ def _squarem(
     spec: ConstellationSpec,
     mask: SubcarrierMask,
     w: LagWeights,
-    backtrack_cap: int,
 ) -> tuple[SymbolGrid, float, CorrelationTensor]:
     """Projected extrapolation of the double step x0 -> x1 -> x2, backtracked
     until eta does not exceed eta0; falls back to x2 when no alpha does."""
@@ -163,7 +160,7 @@ def _squarem(
     alpha = -float(np.linalg.norm(r)) / v_norm
     candidate = extrapolate(alpha)
     backtracks = 0
-    while candidate[1] > eta0 and alpha < -1.0 and backtracks < backtrack_cap:
+    while candidate[1] > eta0 and alpha < -1.0 and backtracks < BACKTRACK_CAP:
         alpha = (alpha - 1.0) / 2.0
         candidate = extrapolate(alpha)
         backtracks += 1

@@ -123,7 +123,7 @@ def brute_correlations(grid: SymbolGrid) -> CorrelationTensor:
 def coefficients_raw(
     corr: CorrelationTensor, w: LagWeights, p: int
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Unscaled (a, b, c) per lag from the scalar majorizer; zero off the weighted set."""
+    """Unscaled (a, b, c) per lag from the scalar majorizer; zero off the lag window."""
     m_ant = corr.n_antennas
     n = corr.n_lags
     _guard(n, m_ant)
@@ -163,7 +163,7 @@ def dense_sum_gram(
     for m in range(n_antennas):
         for k in range(n_antennas):
             for i in range(n):
-                coeff = w.weights[i] * a[m, k, i]
+                coeff = w.mask[i] * a[m, k, i]
                 if coeff == 0.0:
                     continue
                 u = np.conj(dense_A(m, k, i, n_antennas, n).T).reshape(-1, order="F")
@@ -172,7 +172,7 @@ def dense_sum_gram(
 
 
 def lambda_bar_raw(a: np.ndarray, w: LagWeights, n: int) -> float:
-    return float(n**3 * np.max(a * w.weights))
+    return float(n**3 * np.max(a * w.mask))
 
 
 def dense_Q(
@@ -190,7 +190,7 @@ def dense_Q(
     for m in range(m_ant):
         for k in range(m_ant):
             for i in range(n):
-                coeff = w.weights[i] * c[m, k, i]
+                coeff = w.mask[i] * c[m, k, i]
                 if coeff == 0.0:
                     continue
                 am = dense_A(m, k, i, m_ant, n)
@@ -213,12 +213,6 @@ def mu_bar_raw(q: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvalsh(q)))
 
 
-def _objective(x: np.ndarray, w: LagWeights, p: int, n: int) -> float:
-    grid = SymbolGrid.from_stacked(x, n)
-    r = brute_correlations(grid).values
-    return float(np.sum(w.weights * np.abs(r) ** p))
-
-
 def chain_values(
     x: np.ndarray,
     x_l: np.ndarray,
@@ -236,7 +230,7 @@ def chain_values(
     m_ant = corr_l.n_antennas
     n = corr_l.n_lags
     _guard(n, m_ant)
-    ww = w.weights
+    ww = w.mask
     r_bar, a, b, c = coefficients_raw(corr_l, w, p)
     lam = lambda_bar_raw(a, w, n)
     q = dense_Q(corr_l, c, w)

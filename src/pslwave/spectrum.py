@@ -89,22 +89,17 @@ class CorrelationTensor:
 
 @dataclass
 class LagWeights:
-    """Binary lag weights: 1 on lags [1, n_cp - 1], 0 elsewhere (zero lag excluded)."""
+    """The cyclic-prefix lag window: ``mask`` is True on lags [1, n_cp - 1], never the zero lag."""
 
     n_lags: int
     n_cp: int
-    weights: np.ndarray = field(init=False)
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.n_cp <= self.n_lags:
-            raise ValueError("need 1 <= n_cp <= n_lags")
-        w = np.zeros(self.n_lags)
-        w[1 : self.n_cp] = 1.0
-        self.weights = w
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.weights.astype(bool)
+        if not 2 <= self.n_cp <= self.n_lags:
+            raise ValueError(f"need 2 <= n_cp <= n_lags = {self.n_lags}, got n_cp = {self.n_cp}")
+        self.mask = np.zeros(self.n_lags, dtype=bool)
+        self.mask[1 : self.n_cp] = True
 
 
 def cyclic_correlations(grid: SymbolGrid) -> CorrelationTensor:
@@ -122,16 +117,13 @@ def cyclic_correlations(grid: SymbolGrid) -> CorrelationTensor:
 
 
 def peak_sidelobe(corr: CorrelationTensor, w: LagWeights) -> tuple[float, tuple[int, int, int]]:
-    """Largest weighted |r| and its first (m, k, i) triple in lexicographic order."""
+    """Largest |r| in the lag window and its first (m, k, i) triple in lexicographic order."""
     if corr.n_lags != w.n_lags:
         raise ValueError("correlation tensor and weights disagree on lag count")
-    if not np.any(w.mask):
-        raise ValueError("all lag weights are zero")
-    mag = np.abs(corr.values).copy()
-    mag[:, :, ~w.mask] = -1.0
-    flat = int(np.argmax(mag))  # first maximum in C order == lexicographic (m, k, i)
-    m, k, i = np.unravel_index(flat, mag.shape)
-    return float(mag[m, k, i]), (int(m), int(k), int(i))
+    mag = np.abs(corr.values[:, :, w.mask])
+    flat = int(np.argmax(mag))  # first maximum in C order == lexicographic (m, k, window lag)
+    m, k, j = np.unravel_index(flat, mag.shape)
+    return float(mag[m, k, j]), (int(m), int(k), int(np.flatnonzero(w.mask)[j]))
 
 
 def psl_db(corr: CorrelationTensor, w: LagWeights) -> float:

@@ -116,6 +116,14 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m pslwave.cli ARGS`` in a fresh interpreter, output captured."""
+    paths = [str(Path(pslwave.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run([sys.executable, "-m", "pslwave.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 SMALL = [
     "--seed", "1", "--trials", "2", "--no-timestamp",
 ]
@@ -326,16 +334,44 @@ class TestCliCommands:
     def test_bad_value_in_ini_exits_with_message(self, tmp_path, command, section, body):
         path = tmp_path / "bad.ini"
         path.write_text(f"[{section}]\n{body}\n")
-        paths = [str(Path(pslwave.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pslwave.cli", command, "--config", str(path),
-             "--trials", "1", "--out", str(tmp_path / "res")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_cli(command, "--config", str(path), "--trials", "1",
+                       "--out", str(tmp_path / "res"))
         assert proc.returncode == 1
         assert "config error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+    def test_out_naming_a_file_exits_with_message(self, tmp_path, sub):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = run_cli("optimize", "--trials", "1", "--out", str(taken / sub))
+        assert proc.returncode == 1
+        assert "config error: cannot create output directory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            pytest.param(["optimize", "--trials", "abc"], "invalid int value", id="trials-abc"),
+            pytest.param([], "required: command", id="no-subcommand"),
+            pytest.param(["ber", "--variant", "orthogonal"], "unrecognized arguments",
+                         id="ber-variant"),
+            pytest.param(["verify", "--variant", "optimized"], "unrecognized arguments",
+                         id="verify-variant"),
+        ],
+    )
+    def test_usage_error_exits_1(self, tmp_path, args, message):
+        proc = run_cli(*args, "--out", str(tmp_path / "res")) if args else run_cli()
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "res").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "-h"])
+        assert exc.value.code == 0
+        assert "--variant" in capsys.readouterr().out
 
     def test_timestamp_comment(self, tmp_path):
         out = tmp_path / "res"

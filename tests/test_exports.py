@@ -1,0 +1,39 @@
+"""Every benchmark trace site and every exported name resolves in the package.
+
+The span tracer in ``perfbench/tracer.py`` skips a site whose function is gone
+and only notes it in the run's output, so a rename or deletion here would
+silently drop a benchmark layer.  The tracer is loaded by path, unchanged.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import pslwave
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def trace_sites() -> tuple:
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SITES
+
+
+MODULES = ["pslwave"] + [f"pslwave.{info.name}" for info in pkgutil.iter_modules(pslwave.__path__)]
+
+
+@pytest.mark.parametrize("module_name,attr,span", trace_sites(), ids=lambda v: str(v))
+def test_trace_site_resolves(module_name, attr, span):
+    assert callable(getattr(importlib.import_module(module_name), attr, None)), span
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_exported_names_resolve(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

@@ -203,7 +203,7 @@ class TestDirection:
         out = majorizer.majorize_direction(grid, w, p)
         x_l = grid.stacked()
         vals = oracle.chain_values(x_l, x_l, oracle.brute_correlations(grid), w, p)
-        y_fast = out.r_bar ** (p - 2) * out.y
+        y_fast = out.eta ** (p - 2) * out.y
         scale = max(np.max(np.abs(vals["y"])), 1.0)
         assert np.allclose(y_fast, vals["y"], rtol=1e-8, atol=1e-8 * scale)
 

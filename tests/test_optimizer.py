@@ -128,5 +128,3 @@ class TestConfigValidation:
             OptimizerConfig(p=1)
         with pytest.raises(ValueError):
             OptimizerConfig(l_max=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(backtrack_cap=-1)

@@ -70,7 +70,7 @@ class TestDenseQ:
         rng = np.random.default_rng(530)
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         r_x = oracle.brute_correlations(SymbolGrid.from_stacked(x, 8)).values
-        expect = 2.0 * np.sum(w.weights * c * np.real(np.conj(corr.values) * r_x))
+        expect = 2.0 * np.sum(w.mask * c * np.real(np.conj(corr.values) * r_x))
         got = float(np.real(np.conj(x) @ q @ x))
         assert got == pytest.approx(expect, rel=1e-9)
 

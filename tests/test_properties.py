@@ -9,9 +9,13 @@ from pslwave.constellation import (
     SubcarrierMask,
     demodulate,
     modulate,
+    random_reference_grid,
 )
-from pslwave.projector import psk_project, qam_project
+from pslwave.optimizer import OptimizerConfig, optimize
+from pslwave.projector import project_grid, psk_project, qam_project
 from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations
+
+FAMILIES = st.sampled_from([("psk", 4), ("psk", 8), ("qam", 16)])
 
 
 class TestCorrelationProperties:
@@ -75,11 +79,55 @@ class TestProjectorProperties:
 
 
 class TestLagWeightProperties:
-    @given(st.integers(2, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+    @given(st.integers(2, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))))
     @settings(max_examples=40, deadline=None)
     def test_window_support(self, n_cp_pair):
         n, n_cp = n_cp_pair
         w = LagWeights(n, n_cp)
-        assert w.weights[0] == 0.0
-        assert np.count_nonzero(w.weights) == n_cp - 1
-        assert np.all((w.weights == 0) | (w.weights == 1))
+        assert w.mask.dtype == bool and w.mask.shape == (n,)
+        assert np.array_equal(np.flatnonzero(w.mask), np.arange(1, n_cp))
+
+
+class TestOptimizeProperties:
+    @given(
+        st.integers(0, 2**32 - 1), FAMILIES, st.sampled_from([16, 24, 32]),
+        st.floats(0.0, 0.3), st.integers(1, 3), st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_single_antenna(self, seed, family_order, n, unused, l_max, accelerated):
+        rng = np.random.default_rng(seed)
+        spec = ConstellationSpec(*family_order)
+        mask = SubcarrierMask.random(rng, n, 1, unused)
+        ref, _ = random_reference_grid(rng, spec, mask)
+        w = LagWeights(n, n // 4)
+        config = OptimizerConfig(l_max=l_max, accelerated=accelerated)
+        report = optimize(ref, spec, mask, w, config)
+        assert report.grid.symbols.shape == (n, 1)
+        reproj = project_grid(report.grid, ref, spec, mask)
+        assert np.allclose(reproj.symbols, report.grid.symbols, atol=1e-9)
+        assert np.all(np.diff(report.eta_trace) <= 0.0)
+        assert report.iterations <= l_max
+        assert report.stop_reason in ("objective_increased", "max_iterations", "zero_sidelobe")
+        again = optimize(ref, spec, mask, w, config)
+        assert np.array_equal(again.grid.symbols, report.grid.symbols)
+        assert again.eta_trace == report.eta_trace
+
+    @given(
+        st.integers(0, 2**32 - 1), FAMILIES, st.sampled_from([8, 16, 32, 64]),
+        st.integers(1, 4), st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_constant_grid_has_zero_sidelobes(self, seed, family_order, n, m, accelerated):
+        # one symbol per antenna on every sub-carrier: every correlation is a
+        # delta at lag 0 (exactly so in the power-of-two FFT)
+        rng = np.random.default_rng(seed)
+        spec = ConstellationSpec(*family_order)
+        ref = SymbolGrid(np.tile(spec.points[rng.integers(0, spec.order, m)], (n, 1)))
+        report = optimize(
+            ref, spec, SubcarrierMask.all_used(n, m), LagWeights(n, n // 4),
+            OptimizerConfig(accelerated=accelerated),
+        )
+        assert report.stop_reason == "zero_sidelobe"
+        assert report.iterations == 0 and report.eta_trace == [0.0]
+        assert report.psl_db_before == report.psl_db_after == -np.inf
+        assert np.array_equal(report.grid.symbols, ref.symbols)

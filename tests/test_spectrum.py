@@ -5,6 +5,7 @@ import pytest
 
 from pslwave.constellation import ConstellationSpec
 from pslwave.spectrum import (
+    CorrelationTensor,
     LagWeights,
     SymbolGrid,
     cyclic_correlations,
@@ -78,18 +79,21 @@ class TestCyclicCorrelations:
 class TestLagWeights:
     def test_window_excludes_zero_lag(self):
         w = LagWeights(8, 4)
-        assert np.array_equal(w.weights, [0, 1, 1, 1, 0, 0, 0, 0])
+        assert w.mask.dtype == bool
+        assert np.array_equal(w.mask, [0, 1, 1, 1, 0, 0, 0, 0])
 
     def test_one_sided(self):
         w = LagWeights(16, 5)
-        assert w.weights[1] == 1.0 and w.weights[4] == 1.0
-        assert w.weights[15] == 0.0 and w.weights[12] == 0.0
+        assert w.mask[1] and w.mask[4]
+        assert not w.mask[15] and not w.mask[12]
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            LagWeights(8, 0)
-        with pytest.raises(ValueError):
-            LagWeights(8, 9)
+        # n_cp = 1 would leave an empty window: lags 1..n_cp-1
+        for n_cp in (0, 1, 9):
+            with pytest.raises(ValueError):
+                LagWeights(8, n_cp)
+        assert np.count_nonzero(LagWeights(8, 2).mask) == 1
+        assert np.count_nonzero(LagWeights(8, 8).mask) == 7
 
 
 class TestPeakSidelobe:
@@ -102,10 +106,20 @@ class TestPeakSidelobe:
         vals = np.zeros((2, 2, 4), dtype=complex)
         vals[0, 1, 2] = 5.0
         vals[1, 0, 1] = 5.0
-        from pslwave.spectrum import CorrelationTensor
-
         _, argmax = peak_sidelobe(CorrelationTensor(vals), LagWeights(4, 4))
         assert argmax == (0, 1, 2)
+
+    def test_ignores_lags_outside_the_window(self):
+        vals = np.zeros((2, 2, 8), dtype=complex)
+        vals[0, 0, 0] = vals[1, 1, 0] = 100.0  # mainlobe
+        vals[0, 1, 4] = vals[1, 0, 7] = 50.0  # lags >= n_cp
+        vals[1, 0, 3] = 3.0 - 4.0j
+        vals[1, 1, 1] = 5.0j
+        vals[0, 0, 2] = 1.0
+        eta, argmax = peak_sidelobe(CorrelationTensor(vals), LagWeights(8, 4))
+        assert eta == 5.0
+        # |r| = 5 at (1, 0, 3) and (1, 1, 1): the first in (m, k, i) order wins
+        assert argmax == (1, 0, 3)
 
     def test_psl_db_reference_is_mean_mainlobe(self):
         g = frozen_grid()
