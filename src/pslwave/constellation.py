@@ -19,7 +19,7 @@ happens only where a transmit SNR is defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -148,11 +148,27 @@ def _bits_to_labels(bits: np.ndarray, bps: int) -> np.ndarray:
     return groups @ weights
 
 
-def _labels_to_bits(labels: np.ndarray, bps: int) -> np.ndarray:
-    """Bits of (..., L) labels, MSB-first per label: shape (..., L * bps)."""
-    shifts = np.arange(bps - 1, -1, -1)
-    bits = ((labels[..., None] >> shifts) & 1).astype(np.int8)
-    return bits.reshape(*labels.shape[:-1], -1)
+@lru_cache(maxsize=8)
+def _label_bits(bps: int) -> np.ndarray:
+    """Read-only (2**bps, bps) table: row l holds the bits of label l, MSB first."""
+    labels = np.arange(1 << bps)
+    bits = ((labels[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.int8)
+    bits.setflags(write=False)
+    return bits
+
+
+def _slice_labels(z: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
+    """Gray labels of the decision regions that hold the entries of z (see ``demodulate``)."""
+    q = spec.order
+    if spec.family == "psk":
+        # sector k, angles [2*pi*k/Q, 2*pi*(k+1)/Q), holds the point at 2*pi*(k+0.5)/Q
+        k = np.floor(np.arctan2(z.imag, z.real) * (q / (2.0 * np.pi))).astype(np.int64) % q
+        return _gray(k)
+    root = int(round(np.sqrt(q)))
+    # level l, at 2*l - (root-1), decides the axis interval [2*l - root, 2*l - root + 2)
+    levels = np.clip(np.floor((np.stack((z.real, z.imag)) + root) * 0.5), 0, root - 1)
+    li, lq = _gray(levels.astype(np.int64))
+    return (li << (spec.bits_per_symbol // 2)) | lq
 
 
 def modulate(
@@ -185,12 +201,27 @@ def demodulate(
 
     A (..., N, M) stack of grids gives (..., n_bits) bits, one row per grid,
     each in the stacked (antenna-by-antenna) order that ``modulate`` reads.
+
+    The decisions come from a closed-form slicer, not a distance table:
+
+    * PSK: the points have unit modulus, so the nearest one is the nearest
+      in angle.  The entry's phase picks the sector
+      k = floor(angle * Q / (2*pi)) mod Q, whose centre is the point at
+      2*pi*(k + 0.5)/Q.
+    * Square QAM: the squared distance is a sum of one term per axis, so
+      the nearest point takes the nearest PAM level on each axis,
+      l = clip(floor((x + sqrt(Q)) / 2), 0, sqrt(Q) - 1).
+
+    Both give the minimum-distance decision.  An exact tie, an entry
+    on a decision boundary, goes to the higher region: the sector
+    counterclockwise of the boundary for PSK (up to the round-off of the
+    entry's angle; the origin goes to sector 0), the higher level on that
+    axis for QAM.  Labels map to bits through a cached table.
     """
     symbols = grid.symbols if isinstance(grid, SymbolGrid) else np.asarray(grid)
     z = np.swapaxes(symbols, -1, -2)[..., mask.used.T]
-    dist = np.abs(z[..., None] - spec.points)
-    labels = np.argmin(dist, axis=-1)
-    return _labels_to_bits(labels, spec.bits_per_symbol)
+    bits = _label_bits(spec.bits_per_symbol)[_slice_labels(z, spec)]
+    return bits.reshape(*z.shape[:-1], -1)
 
 
 def random_reference_grid(

@@ -35,7 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe
+from .spectrum import (
+    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, mean_mainlobe, peak_sidelobe,
+    sidelobes_vanish,
+)
 
 __all__ = [
     "MajorizerCoeffs",
@@ -51,7 +54,7 @@ __all__ = [
 
 
 class ZeroSidelobeError(ValueError):
-    """All correlations in the lag window vanish; the objective is already zero."""
+    """All correlations in the lag window vanish up to round-off (``spectrum.sidelobes_vanish``)."""
 
 
 @dataclass
@@ -77,8 +80,8 @@ def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoe
         raise ValueError("p must be >= 2")
     r_abs = np.abs(corr.values[:, :, w.mask])
     r_bar = float(np.max(r_abs))
-    if r_bar == 0.0:
-        raise ZeroSidelobeError("all correlations in the lag window are zero")
+    if sidelobes_vanish(r_bar, mean_mainlobe(corr)):
+        raise ZeroSidelobeError("all correlations in the lag window are zero up to round-off")
     c_hat = np.zeros(corr.values.shape)
     c_hat[:, :, w.mask] = 0.5 * p * (r_abs / r_bar) ** (p - 2)
     return MajorizerCoeffs(p=p, r_bar=r_bar, c_hat=c_hat)
@@ -129,15 +132,17 @@ def majorize_direction(
 
     Returns the direction vector y = (Q - 2*lambda_bar*x x^H - mu_bar*I) x in
     the common r_bar**(p-2) scale, or y = None when the sidelobes in the lag
-    window already vanish.  ``corr`` may carry the already computed
-    correlations of ``grid``.  Cost O(M^2 N log N) plus N small eigenproblems.
+    window already vanish (``coefficients`` raises ``ZeroSidelobeError``).
+    ``corr`` may carry the already computed correlations of ``grid``.  Cost
+    O(M^2 N log N) plus N small eigenproblems.
     """
     if corr is None:
         corr = cyclic_correlations(grid)
     eta, amax = peak_sidelobe(corr, w)
-    if eta == 0.0:
-        return MajorizerOutput(y=None, eta=0.0, argmax=amax)
-    coeffs = coefficients(corr, w, p)
+    try:
+        coeffs = coefficients(corr, w, p)
+    except ZeroSidelobeError:
+        return MajorizerOutput(y=None, eta=eta, argmax=amax)
     lam = lambda_bar(coeffs, w)
     v = v_fields(corr, coeffs, w)
     mu = mu_bar(v)

@@ -14,12 +14,25 @@ Geometry and conventions:
 
 Detection averages the M per-antenna matched-filter power profiles
 noncoherently, mean_m |z[:, m]|^2, and runs cell-averaging CFAR with cyclic
-reference windows on that N-cell delay profile.
+reference windows on that N-cell delay profile (Rohling, IEEE TAES 1983).
+
+Each detection trial is a handful of small array operations, so the fixed
+cost per call is kept low:
+
+* ``range_steer`` reads a per-N table of the N-th roots of unity
+  exp(-2j*pi*k/N) at k = (n*delay) mod N instead of evaluating a complex
+  exponential; the reduction is exact in integers, so the table is accurate
+  to double precision even where n*delay/N is large.
+* ``cfar_detect`` keeps, per (p_fa, n_ref, n_guard), the reference-window
+  kernel already scaled by beta/(2*n_ref), so one convolution gives the
+  threshold of every cell.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,10 +69,23 @@ class CfarConfig:
             raise ValueError("profile too short for the reference window")
 
 
+_NEAR = np.array([-1, 0, 1])
+
+
+@lru_cache(maxsize=32)
+def _roots_of_unity(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only exp(-2j*pi*k/n) and k for k = 0..n-1."""
+    k = np.arange(n)
+    roots = np.exp(-2j * np.pi * k / n)
+    roots.setflags(write=False)
+    k.setflags(write=False)
+    return roots, k
+
+
 def range_steer(n_subcarriers: int, delay: int) -> np.ndarray:
     """Per-subcarrier phase ramp of an integer delay, b_n = exp(-2j*pi*n*delay/N)."""
-    n = np.arange(n_subcarriers)
-    return np.exp(-2j * np.pi * n * delay / n_subcarriers)
+    roots, n = _roots_of_unity(n_subcarriers)
+    return roots[n * operator.index(delay) % n_subcarriers]
 
 
 def synthesize_echo(
@@ -77,9 +103,9 @@ def synthesize_echo(
     for delay, gain in zip(delays, gains):
         y += gain * beam * range_steer(n, delay)
     if noise_std > 0:
-        y += noise_std * (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ) / np.sqrt(2.0)
+        # one draw, real parts first: the stream of two length-N draws
+        g = rng.standard_normal((2, n))
+        y += noise_std * (g[0] + 1j * g[1]) / np.sqrt(2.0)
     return y
 
 
@@ -98,25 +124,31 @@ def cfar_threshold_factor(p_fa: float, n_ref: int) -> float:
     return 2.0 * n_ref * (p_fa ** (-1.0 / (2.0 * n_ref)) - 1.0)
 
 
+@lru_cache(maxsize=32)
+def _cfar_kernel(p_fa: float, n_ref: int, n_guard: int) -> np.ndarray:
+    """Read-only window kernel: beta/(2*n_ref) on the reference cells, 0 on the guard and test cells."""
+    kernel = np.full(2 * (n_guard + n_ref) + 1, cfar_threshold_factor(p_fa, n_ref) / (2.0 * n_ref))
+    kernel[n_ref : n_ref + 2 * n_guard + 1] = 0.0
+    kernel.setflags(write=False)
+    return kernel
+
+
 def cfar_detect(power: np.ndarray, config: CfarConfig) -> np.ndarray:
     """Cell-averaging CFAR with cyclic reference windows on a 1-D power profile.
 
     Returns a boolean detection mask.  Each cell is compared against
     beta * mean of 2*n_ref reference cells taken symmetrically outside
-    n_guard guard cells on each side.  The reference sums come from one
-    convolution of the cyclically padded profile with a 0/1 window kernel.
+    n_guard guard cells on each side.  The thresholds come from one
+    convolution of the cyclically padded profile with the window kernel,
+    pre-scaled by beta/(2*n_ref) and kept per (p_fa, n_ref, n_guard).
     """
     power = np.asarray(power, dtype=float)
     n = power.size
     config.check_profile_length(n)
-    beta = cfar_threshold_factor(config.p_fa, config.n_ref)
+    kernel = _cfar_kernel(config.p_fa, config.n_ref, config.n_guard)
     half = config.n_guard + config.n_ref
-    kernel = np.ones(2 * half + 1)
-    kernel[config.n_ref : config.n_ref + 2 * config.n_guard + 1] = 0.0
     padded = np.concatenate((power[n - half :], power, power[:half]))
-    ref_sum = np.convolve(padded, kernel, mode="valid")
-    threshold = beta * ref_sum / (2.0 * config.n_ref)
-    return power > threshold
+    return power > np.convolve(padded, kernel, mode="valid")
 
 
 def detection_campaign(
@@ -141,12 +173,16 @@ def detection_campaign(
         es_avg = grid.energy() / grid.symbols.size
         sigma2 = m * es_avg / (10.0 ** (snr_db / 10.0))
         delays = _draw_delays(rng, n, n_targets)
-        gains = np.array([np.exp(2j * np.pi * rng.random()) for _ in delays])
+        # one draw of n_targets uniforms: the stream of n_targets scalar draws
+        gains = np.exp(2j * np.pi * rng.random(n_targets))
         y = synthesize_echo(grid, delays, gains, float(np.sqrt(sigma2)), rng)
         z = matched_filter(y, grid)
-        profile = np.mean(np.abs(z) ** 2, axis=1)
+        # (re^2 + im^2) summed over the antennas, times 1/M: one dot product
+        # per row of the interleaved real view
+        zf = np.ascontiguousarray(z).view(float)
+        profile = np.einsum("nj,nj->n", zf, zf) * (1.0 / m)
         det = cfar_detect(profile, cfar)
-        near = det[(delays[:, None] + [-1, 0, 1]) % n]  # each delay bin and its two neighbours
+        near = det[(delays[:, None] + _NEAR) % n]  # each delay bin and its two neighbours
         hits += int(np.count_nonzero(near.any(axis=1)))
     total = len(grids) * n_targets
     return hits / total if total else 0.0

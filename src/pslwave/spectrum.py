@@ -28,8 +28,18 @@ __all__ = [
     "LagWeights",
     "cyclic_correlations",
     "peak_sidelobe",
+    "ZERO_SIDELOBE_EPS",
+    "mean_mainlobe",
+    "sidelobes_vanish",
     "psl_db",
 ]
+
+# Window sidelobes count as zero when the peak is at most this many machine
+# epsilons times the mean mainlobe.  Exactly vanishing correlations (a
+# constant grid, say) keep FFT round-off of up to ~2 eps of the mainlobe
+# when N is not a power of two; real sidelobes sit hundreds of dB higher.
+ZERO_SIDELOBE_EPS = 1024
+_ZERO_SIDELOBE_TOL = ZERO_SIDELOBE_EPS * np.finfo(float).eps
 
 
 @dataclass
@@ -126,12 +136,22 @@ def peak_sidelobe(corr: CorrelationTensor, w: LagWeights) -> tuple[float, tuple[
     return float(mag[m, k, j]), (int(m), int(k), int(np.flatnonzero(w.mask)[j]))
 
 
+def mean_mainlobe(corr: CorrelationTensor) -> float:
+    """Zero-lag autocorrelation r[m, m, 0] averaged over the antennas."""
+    return float(corr.values[:, :, 0].real.diagonal().sum()) / corr.n_antennas
+
+
+def sidelobes_vanish(eta: float, mainlobe: float) -> bool:
+    """Whether a window peak eta is round-off of zero sidelobes (see ``ZERO_SIDELOBE_EPS``)."""
+    return eta <= _ZERO_SIDELOBE_TOL * mainlobe
+
+
 def psl_db(corr: CorrelationTensor, w: LagWeights) -> float:
-    """Peak sidelobe in dB relative to the mean zero-lag autocorrelation."""
+    """Peak sidelobe in dB relative to the mean zero-lag autocorrelation; -inf when they vanish."""
     eta, _ = peak_sidelobe(corr, w)
-    mainlobe = float(np.mean(np.real(np.diagonal(corr.values[:, :, 0]))))
+    mainlobe = mean_mainlobe(corr)
     if mainlobe <= 0:
         raise ValueError("zero mainlobe; cannot normalize")
-    if eta == 0.0:
+    if sidelobes_vanish(eta, mainlobe):
         return -np.inf
     return 20.0 * np.log10(eta / mainlobe)

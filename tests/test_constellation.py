@@ -88,6 +88,21 @@ class TestModulation:
         for s in range(5):
             assert np.array_equal(stacked[s], demodulate(noisy[s], spec, mask))
 
+    def test_ties_go_to_the_higher_region(self):
+        # 16QAM: 0 and 2 lie on axis boundaries, so the levels +1 and +3 win;
+        # 8PSK: the origin is in sector 0, and the positive imaginary axis,
+        # a boundary, is in sector 2 (point at 5*pi/8), counterclockwise of it
+        def decided_points(z, spec):
+            bits = demodulate(z, spec, SubcarrierMask.all_used(len(z), 1))
+            return modulate(bits, spec, SubcarrierMask.all_used(len(z), 1)).symbols[:, 0]
+
+        qam = ConstellationSpec("qam", 16)
+        got = decided_points(np.array([[0.0], [2.0 + 0.0j], [-2.0 + 2.0j]]), qam)
+        assert np.allclose(got, [1 + 1j, 3 + 1j, -1 + 3j])
+        psk = ConstellationSpec("psk", 8)
+        got = decided_points(np.array([[0.0], [1.0j], [1.0]]), psk)
+        assert np.allclose(np.angle(got), [np.pi / 8, 5 * np.pi / 8, np.pi / 8])
+
     def test_unused_entries_are_zero(self):
         rng = np.random.default_rng(5)
         spec = ConstellationSpec("psk", 4)

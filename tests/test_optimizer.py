@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from pslwave.constellation import ConstellationSpec, SubcarrierMask, random_reference_grid
+from pslwave.majorizer import ZeroSidelobeError, coefficients, majorize_direction
 from pslwave.optimizer import OptimizerConfig, mm_step, optimize
 from pslwave.projector import project_grid
-from pslwave.spectrum import LagWeights, SymbolGrid
+from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations
 
 
 def setup_problem(n=32, m=2, seed=60, unused=0.0):
@@ -120,6 +121,42 @@ class TestOptimize:
         spec, mask, ref, w = setup_problem(seed=71)
         report = optimize(ref, spec, mask, w, OptimizerConfig(l_max=1))
         assert report.iterations == len(report.eta_trace) - 1
+
+
+class TestZeroSidelobeUnderRoundOff:
+    """A constant grid's window correlations vanish exactly, but the FFT at N
+    not a power of two leaves |r| of 1e-30..1e-11: that is still a zero."""
+
+    @pytest.mark.parametrize("n", [20, 22, 28, 50, 100, 127])
+    @pytest.mark.parametrize("accelerated", [True, False])
+    def test_constant_two_symbol_grid_stops_at_once(self, n, accelerated):
+        spec = ConstellationSpec("psk", 8)
+        ref = SymbolGrid(np.tile(spec.points[[0, 1]], (n, 1)))
+        w = LagWeights(n, n // 4)
+        corr = cyclic_correlations(ref)
+        assert np.max(np.abs(corr.values[:, :, w.mask])) > 0.0  # round-off, not exact zeros
+        with pytest.raises(ZeroSidelobeError):
+            coefficients(corr, w, 50)
+        assert majorize_direction(ref, w, 50).y is None
+        report = optimize(
+            ref, spec, SubcarrierMask.all_used(n, 2), w, OptimizerConfig(accelerated=accelerated)
+        )
+        assert report.stop_reason == "zero_sidelobe"
+        assert report.iterations == 0
+        assert report.psl_db_before == report.psl_db_after == -np.inf
+        assert np.array_equal(report.grid.symbols, ref.symbols)
+
+    def test_small_real_sidelobes_are_not_zero(self):
+        # one entry moved by 1e-6 rad gives a PSL of about -146 dB: optimize runs
+        spec = ConstellationSpec("psk", 8)
+        symbols = np.tile(spec.points[[0, 1]], (20, 1))
+        symbols[3, 0] *= np.exp(1e-6j)
+        ref = SymbolGrid(symbols)
+        w = LagWeights(20, 5)
+        assert majorize_direction(ref, w, 50).y is not None
+        report = optimize(ref, spec, SubcarrierMask.all_used(20, 2), w, OptimizerConfig(l_max=1))
+        assert np.isfinite(report.psl_db_before)
+        assert report.stop_reason != "zero_sidelobe"
 
 
 class TestConfigValidation:

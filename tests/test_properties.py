@@ -52,6 +52,35 @@ class TestModulationProperties:
         bits = rng.integers(0, 2, size=spec.bits_per_symbol * mask.n_used, dtype=np.int8)
         assert np.array_equal(demodulate(modulate(bits, spec, mask), spec, mask), bits)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(
+            [("psk", 2), ("psk", 4), ("psk", 8), ("psk", 16), ("qam", 4), ("qam", 16), ("qam", 64)]
+        ),
+        st.integers(1, 3), st.integers(4, 24), st.integers(1, 4), st.floats(0.05, 2.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_slicer_is_minimum_distance(self, seed, family_order, s, n, m, noise):
+        rng = np.random.default_rng(seed)
+        spec = ConstellationSpec(*family_order)
+        mask = SubcarrierMask.random(rng, n, m, 0.2)
+        grid, _ = random_reference_grid(rng, spec, mask)
+        scale = noise * np.max(np.abs(spec.points))
+        stack = grid.symbols + scale * (
+            rng.standard_normal((s, n, m)) + 1j * rng.standard_normal((s, n, m))
+        )
+        # brute force: distance to every point, in the stacked order modulate reads
+        z = np.swapaxes(stack, -1, -2)[..., mask.used.T]
+        dist = np.abs(z[..., None] - spec.points)
+        labels = np.argmin(dist, axis=-1)
+        bps = spec.bits_per_symbol
+        expect = (labels[..., None] >> np.arange(bps - 1, -1, -1)) & 1
+        # exact ties (up to round-off) may go either way; compare every other entry
+        nearest = np.sort(dist, axis=-1)
+        clear = nearest[..., 1] - nearest[..., 0] > 1e-9 * scale
+        got = demodulate(stack, spec, mask).reshape(s, -1, bps)
+        assert np.array_equal(got[clear], expect[clear])
+
 
 class TestProjectorProperties:
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.45), st.floats(0.05, 0.5))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pslwave import sensing
 from pslwave.constellation import ConstellationSpec, SubcarrierMask, random_reference_grid
 from pslwave.sensing import (
     CfarConfig,
@@ -15,6 +16,9 @@ from pslwave.sensing import (
 )
 from pslwave.spectrum import SymbolGrid
 
+# pi to the precision of the x86 80-bit long double
+PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
+
 
 class TestSteering:
     def test_range_steer_zero_delay(self):
@@ -22,6 +26,23 @@ class TestSteering:
 
     def test_range_steer_periodicity(self):
         assert np.allclose(range_steer(16, 16), np.ones(16))
+
+    @pytest.mark.parametrize("n", [20, 128, 2048])
+    def test_root_table_matches_the_exponential(self, n):
+        # In double precision exp(-2j*pi*n*d/N) itself loses ~2e-12 at N = 2048,
+        # where the phase reaches ~1.3e4 rad, so the reference phase is formed
+        # and evaluated in extended precision.
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("no extended-precision long double on this platform")
+        k = np.arange(n)
+        for d in range(n):
+            phase = 2 * PI_LONG * (k * d).astype(np.longdouble) / n
+            err = np.abs(range_steer(n, d) - (np.cos(phase) - 1j * np.sin(phase)))
+            assert np.max(err) <= 1e-12, d
+
+    def test_range_steer_rejects_fractional_delay(self):
+        with pytest.raises(TypeError):
+            range_steer(16, 2.5)
 
 
 class TestEcho:
@@ -161,3 +182,53 @@ class TestDetectionCampaign:
         rng = np.random.default_rng(88)
         dp = detection_campaign(grids, 15.0, CfarConfig(), rng, n_targets=3)
         assert 0.0 <= dp <= 1.0
+
+
+def reference_hits(grids, snr_db, cfar, rng, n_targets):
+    """The detection loop as first written, one hit count per grid: a complex
+    exponential per steering vector, scalar gain draws, two noise draws, the
+    mean |z|^2 profile and an unscaled 0/1 CFAR window."""
+    hits = []
+    for grid in grids:
+        n, m = grid.symbols.shape
+        es_avg = grid.energy() / grid.symbols.size
+        sigma = float(np.sqrt(m * es_avg / (10.0 ** (snr_db / 10.0))))
+        delays = sensing._draw_delays(rng, n, n_targets)
+        gains = np.array([np.exp(2j * np.pi * rng.random()) for _ in delays])
+        beam = grid.symbols @ np.ones(m)
+        y = np.zeros(n, dtype=complex)
+        for delay, gain in zip(delays, gains):
+            y += gain * beam * np.exp(-2j * np.pi * np.arange(n) * delay / n)
+        y += sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+        z = np.fft.ifft(y[:, None] * np.conj(grid.symbols), axis=0)
+        profile = np.mean(np.abs(z) ** 2, axis=1)
+        half = cfar.n_guard + cfar.n_ref
+        kernel = np.ones(2 * half + 1)
+        kernel[cfar.n_ref : cfar.n_ref + 2 * cfar.n_guard + 1] = 0.0
+        padded = np.concatenate((profile[n - half :], profile, profile[:half]))
+        beta = cfar_threshold_factor(cfar.p_fa, cfar.n_ref)
+        det = profile > beta * np.convolve(padded, kernel, mode="valid") / (2.0 * cfar.n_ref)
+        near = det[(delays[:, None] + [-1, 0, 1]) % n]
+        hits.append(int(np.count_nonzero(near.any(axis=1))))
+    return hits
+
+
+class TestDetectionMatchesReference:
+    """The trimmed per-call path draws the same stream and makes the same decisions."""
+
+    @pytest.mark.parametrize("n_targets", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0])
+    def test_identical_hits(self, n_targets, m, snr_db):
+        rng = np.random.default_rng(1000 * n_targets + m)
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.random(rng, 128, m, 0.05)
+        grids = [random_reference_grid(rng, spec, mask)[0] for _ in range(50)]
+        cfar = CfarConfig()
+        expect = reference_hits(grids, snr_db, cfar, np.random.default_rng(7), n_targets)
+        stream = np.random.default_rng(7)
+        got = [
+            round(detection_campaign([g], snr_db, cfar, stream, n_targets=n_targets) * n_targets)
+            for g in grids
+        ]
+        assert got == expect
