@@ -27,6 +27,14 @@ coefficients overflow double precision, so the common factor r_bar**(p-2) is
 dropped throughout.  It multiplies a, c, lambda_bar, Q and mu_bar alike and
 cancels in the normalized minimization step, leaving the direction vector y
 unchanged up to a positive scale.
+
+One pass computes each quantity once.  The window magnitudes |r| (lags
+1..N_cp-1, read as a slice) give eta, its (m, k, i), r_bar and c_hat; a caller
+that already holds them for these correlations passes them in with the
+correlations.  The product c_hat * r is formed on the window lags only before
+the one FFT to v.  The (N, M, M) block stack is built once and serves both
+the eigensolve for mu_bar and Qx.  The pass keeps no state between calls;
+what an accepted iterate carries into its next pass is the optimizer's.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 
 from .spectrum import (
     CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, mean_mainlobe, peak_sidelobe,
-    sidelobes_vanish,
+    sidelobes_vanish, window_abs, window_lags,
 )
 
 __all__ = [
@@ -74,16 +82,22 @@ class MajorizerOutput:
     argmax: tuple[int, int, int]
 
 
-def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoeffs:
-    """Linearized weights c = (p/2) * |r|^(p-2) on the lag window, in r_bar-factored form."""
+def coefficients(
+    corr: CorrelationTensor, w: LagWeights, p: int, _r_abs: np.ndarray | None = None
+) -> MajorizerCoeffs:
+    """Linearized weights c = (p/2) * |r|^(p-2) on the lag window, in r_bar-factored form.
+
+    ``_r_abs`` may carry the already computed ``window_abs(corr, w)``.
+    """
     if p < 2:
         raise ValueError("p must be >= 2")
-    r_abs = np.abs(corr.values[:, :, w.mask])
+    lags = window_lags(corr, w)
+    r_abs = window_abs(corr, w) if _r_abs is None else _r_abs
     r_bar = float(np.max(r_abs))
     if sidelobes_vanish(r_bar, mean_mainlobe(corr)):
         raise ZeroSidelobeError("all correlations in the lag window are zero up to round-off")
     c_hat = np.zeros(corr.values.shape)
-    c_hat[:, :, w.mask] = 0.5 * p * (r_abs / r_bar) ** (p - 2)
+    c_hat[:, :, lags] = 0.5 * p * (r_abs / r_bar) ** (p - 2)
     return MajorizerCoeffs(p=p, r_bar=r_bar, c_hat=c_hat)
 
 
@@ -103,51 +117,62 @@ def v_fields(corr: CorrelationTensor, coeffs: MajorizerCoeffs, w: LagWeights) ->
     # of sum_i c (conj(r) Diag(N conj(F_i)) + h.c.) over window lags i entrywise
     # gives N * [DFT(c r_mk)]_n + conj(N * [DFT(c r_km)]_n).  The dense-matrix
     # oracle pins this constant; test_majorizer asserts it as a regression.
-    return corr.n_lags * np.fft.fft(coeffs.c_hat * corr.values, axis=2)
+    lags = window_lags(corr, w)
+    weighted = np.zeros(corr.values.shape, dtype=complex)
+    weighted[:, :, lags] = coeffs.c_hat[:, :, lags] * corr.values[:, :, lags]
+    return corr.n_lags * np.fft.fft(weighted, axis=2)
 
 
 def hermitian_blocks(v: np.ndarray) -> np.ndarray:
     """(N, M, M) stack of per-subcarrier blocks Q_n[m, k] = v_mk[n] + conj(v_km[n])."""
-    h = v + np.conj(np.swapaxes(v, 0, 1))
-    return np.moveaxis(h, 2, 0)
+    return (v + v.transpose(1, 0, 2).conj()).transpose(2, 0, 1)
 
 
-def mu_bar(v: np.ndarray) -> float:
+def mu_bar(v: np.ndarray, _blocks: np.ndarray | None = None) -> float:
     """max_n lambda_max(Q_n) over the Hermitian per-subcarrier blocks.
 
     One batched LAPACK Hermitian eigensolve (``eigvalsh``, ascending
     eigenvalues) over the (N, M, M) block stack.  The blocks are Hermitian by
     construction; ``v`` is checked to be finite first, since a NaN or an
-    infinity would otherwise pass through as a bound.
+    infinity would otherwise pass through as a bound.  ``_blocks`` may carry
+    the already built ``hermitian_blocks(v)``.
     """
     if not np.all(np.isfinite(v)):
         raise ValueError("v fields must be finite")
-    return float(np.max(np.linalg.eigvalsh(hermitian_blocks(v))[:, -1]))
+    blocks = hermitian_blocks(v) if _blocks is None else _blocks
+    return float(np.max(np.linalg.eigvalsh(blocks)[:, -1]))
 
 
 def majorize_direction(
-    grid: SymbolGrid, w: LagWeights, p: int, corr: CorrelationTensor | None = None
+    grid: SymbolGrid,
+    w: LagWeights,
+    p: int,
+    corr: CorrelationTensor | None = None,
+    _r_abs: np.ndarray | None = None,
 ) -> MajorizerOutput:
     """Full majorization pass at the current iterate.
 
     Returns the direction vector y = (Q - 2*lambda_bar*x x^H - mu_bar*I) x in
     the common r_bar**(p-2) scale, or y = None when the sidelobes in the lag
     window already vanish (``coefficients`` raises ``ZeroSidelobeError``).
-    ``corr`` may carry the already computed correlations of ``grid``.  Cost
-    O(M^2 N log N) plus N small eigenproblems.
+    ``corr`` may carry the already computed correlations of ``grid`` and
+    ``_r_abs`` their ``window_abs(corr, w)``.  Cost O(M^2 N log N) plus N
+    small eigenproblems.
     """
     if corr is None:
         corr = cyclic_correlations(grid)
-    eta, amax = peak_sidelobe(corr, w)
+    r_abs = window_abs(corr, w) if _r_abs is None else _r_abs
+    eta, amax = peak_sidelobe(corr, w, _r_abs=r_abs)
     try:
-        coeffs = coefficients(corr, w, p)
+        coeffs = coefficients(corr, w, p, _r_abs=r_abs)
     except ZeroSidelobeError:
         return MajorizerOutput(y=None, eta=eta, argmax=amax)
     lam = lambda_bar(coeffs, w)
     v = v_fields(corr, coeffs, w)
-    mu = mu_bar(v)
+    blocks = hermitian_blocks(v)
+    mu = mu_bar(v, _blocks=blocks)
 
     x = grid.symbols  # (N, M)
-    qx = np.einsum("nmk,nk->nm", hermitian_blocks(v), x)
+    qx = np.matmul(blocks, x[:, :, None])[:, :, 0]
     y = qx - (2.0 * lam * grid.energy() + mu) * x
     return MajorizerOutput(y=y.reshape(-1, order="F"), eta=eta, argmax=amax)

@@ -40,10 +40,12 @@ def _psk_project_canonical(u: np.ndarray, eps_p: float, eps_a: float) -> np.ndar
     r = np.abs(u)
     inner = 1.0 - eps_a
     # inside the wedge: keep the phase, clamp the radius (the origin goes to 1 - eps_a)
-    radial = np.where(r > 0.0, u * (np.clip(r, inner, 1.0) / np.where(r > 0.0, r, 1.0)), inner)
+    nonzero = r > 0.0
+    radial = np.where(nonzero, u * (np.clip(r, inner, 1.0) / np.where(nonzero, r, 1.0)), inner)
     # outside it: the nearer edge in angle is the one on the side of Im u; the
     # foot of the perpendicular on that edge is clipped to the segment [inner, 1]
-    edge = np.exp(1j * np.where(u.imag >= 0.0, eps_p, -eps_p))
+    e_pos, e_neg = np.exp(1j * np.array([eps_p, -eps_p]))
+    edge = np.where(u.imag >= 0.0, e_pos, e_neg)
     along = np.clip((u * np.conj(edge)).real, inner, 1.0) * edge
     return np.where(np.abs(np.angle(u)) <= eps_p, radial, along)
 
@@ -84,10 +86,10 @@ def project_grid(
     if z.shape != xr.shape or z.shape != mask.used.shape:
         raise ValueError("grid, reference and mask shapes disagree")
     out = np.empty_like(z)
-    used = mask.used
+    used, unused = mask.used, ~mask.used
     if spec.family == "psk":
         out[used] = psk_project(z[used], xr[used], spec.eps_p, spec.eps_a)
     else:
         out[used] = qam_project(z[used], xr[used], spec.eps_r)
-    out[~used] = clamp_unused(z[~used], spec)
+    out[unused] = clamp_unused(z[unused], spec)
     return SymbolGrid(out)

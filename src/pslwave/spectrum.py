@@ -27,6 +27,8 @@ __all__ = [
     "CorrelationTensor",
     "LagWeights",
     "cyclic_correlations",
+    "window_lags",
+    "window_abs",
     "peak_sidelobe",
     "ZERO_SIDELOBE_EPS",
     "mean_mainlobe",
@@ -99,7 +101,10 @@ class CorrelationTensor:
 
 @dataclass
 class LagWeights:
-    """The cyclic-prefix lag window: ``mask`` is True on lags [1, n_cp - 1], never the zero lag."""
+    """The cyclic-prefix lag window: ``mask`` is True on lags [1, n_cp - 1], never the zero lag.
+
+    The fast paths read the window as the slice ``window_lags(corr, w)``.
+    """
 
     n_lags: int
     n_cp: int
@@ -126,14 +131,33 @@ def cyclic_correlations(grid: SymbolGrid) -> CorrelationTensor:
     return CorrelationTensor(values)
 
 
-def peak_sidelobe(corr: CorrelationTensor, w: LagWeights) -> tuple[float, tuple[int, int, int]]:
-    """Largest |r| in the lag window and its first (m, k, i) triple in lexicographic order."""
+def window_lags(corr: CorrelationTensor, w: LagWeights) -> slice:
+    """The lag window 1..n_cp-1 of ``corr`` as a slice of its lag axis.
+
+    Raises ValueError when ``corr`` and ``w`` disagree on the lag count N, where
+    the slice alone would silently read a window of the wrong length.
+    """
     if corr.n_lags != w.n_lags:
         raise ValueError("correlation tensor and weights disagree on lag count")
-    mag = np.abs(corr.values[:, :, w.mask])
-    flat = int(np.argmax(mag))  # first maximum in C order == lexicographic (m, k, window lag)
-    m, k, j = np.unravel_index(flat, mag.shape)
-    return float(mag[m, k, j]), (int(m), int(k), int(np.flatnonzero(w.mask)[j]))
+    return slice(1, w.n_cp)
+
+
+def window_abs(corr: CorrelationTensor, w: LagWeights) -> np.ndarray:
+    """(M, M, n_cp - 1) magnitudes |r| on the lag window; index j holds lag j + 1."""
+    return np.abs(corr.values[:, :, window_lags(corr, w)])
+
+
+def peak_sidelobe(
+    corr: CorrelationTensor, w: LagWeights, _r_abs: np.ndarray | None = None
+) -> tuple[float, tuple[int, int, int]]:
+    """Largest |r| in the lag window and its first (m, k, i) triple in lexicographic order.
+
+    ``_r_abs`` may carry the already computed ``window_abs(corr, w)``.
+    """
+    r_abs = window_abs(corr, w) if _r_abs is None else _r_abs
+    flat = int(np.argmax(r_abs))  # first maximum in C order == lexicographic (m, k, window lag)
+    m, k, j = np.unravel_index(flat, r_abs.shape)
+    return float(r_abs[m, k, j]), (int(m), int(k), int(j) + 1)
 
 
 def mean_mainlobe(corr: CorrelationTensor) -> float:
@@ -146,9 +170,12 @@ def sidelobes_vanish(eta: float, mainlobe: float) -> bool:
     return eta <= _ZERO_SIDELOBE_TOL * mainlobe
 
 
-def psl_db(corr: CorrelationTensor, w: LagWeights) -> float:
-    """Peak sidelobe in dB relative to the mean zero-lag autocorrelation; -inf when they vanish."""
-    eta, _ = peak_sidelobe(corr, w)
+def psl_db(corr: CorrelationTensor, w: LagWeights, _r_abs: np.ndarray | None = None) -> float:
+    """Peak sidelobe in dB relative to the mean zero-lag autocorrelation; -inf when they vanish.
+
+    ``_r_abs`` may carry the already computed ``window_abs(corr, w)``.
+    """
+    eta, _ = peak_sidelobe(corr, w, _r_abs=_r_abs)
     mainlobe = mean_mainlobe(corr)
     if mainlobe <= 0:
         raise ValueError("zero mainlobe; cannot normalize")

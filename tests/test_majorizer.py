@@ -10,7 +10,9 @@ import pytest
 
 from pslwave import majorizer, oracle
 from pslwave.constellation import ConstellationSpec
-from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations
+from pslwave.spectrum import (
+    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, window_abs,
+)
 
 
 def random_grid(n, m, seed):
@@ -224,8 +226,75 @@ class TestDirection:
         assert plain.eta == reused.eta
         assert plain.argmax == reused.argmax
 
+    @pytest.mark.parametrize("m,p", [(1, 50), (2, 2), (3, 8), (4, 50)])
+    def test_carried_window_gives_identical_output(self, m, p):
+        grid = noisy_grid(32, m, 27 + m)
+        w = LagWeights(32, 8)
+        corr = cyclic_correlations(grid)
+        fresh = majorizer.majorize_direction(grid, w, p)
+        carried = majorizer.majorize_direction(grid, w, p, corr=corr, _r_abs=window_abs(corr, w))
+        assert np.array_equal(fresh.y, carried.y)
+        assert fresh.eta == carried.eta
+        assert fresh.argmax == carried.argmax
+
+    @pytest.mark.parametrize("m,p", [(1, 50), (2, 4), (4, 50), (8, 8)])
+    def test_one_pass_matches_the_unfused_chain(self, m, p):
+        # the pass builds the Hermitian blocks once, reads the window as a
+        # slice and forms Qx by matmul; the same y comes out of the chain that
+        # masks the window, weights every lag and forms Qx by einsum
+        grid = noisy_grid(64, m, 40 + m)
+        w = LagWeights(64, 16)
+        out = majorizer.majorize_direction(grid, w, p)
+        assert np.array_equal(out.y, unfused_direction(grid, w, p))
+
     def test_zero_sidelobe_short_circuit(self):
         grid = SymbolGrid(np.ones((8, 1)))
         out = majorizer.majorize_direction(grid, LagWeights(8, 4), 50)
         assert out.y is None
         assert out.eta == 0.0
+
+
+def unfused_direction(grid: SymbolGrid, w: LagWeights, p: int) -> np.ndarray:
+    """Direction y computed step by step with boolean-mask windows, a weighted
+    product on every lag, the block stack built twice and Qx by einsum."""
+    corr = cyclic_correlations(grid)
+    r_abs = np.abs(corr.values[:, :, w.mask])
+    r_bar = float(np.max(r_abs))
+    c_hat = np.zeros(corr.values.shape)
+    c_hat[:, :, w.mask] = 0.5 * p * (r_abs / r_bar) ** (p - 2)
+    lam = w.n_lags**3 * 0.5 * p * (p - 1)
+    v = corr.n_lags * np.fft.fft(c_hat * corr.values, axis=2)
+    blocks = np.moveaxis(v + np.conj(np.swapaxes(v, 0, 1)), 2, 0)
+    mu = float(np.max(np.linalg.eigvalsh(blocks)[:, -1]))
+    x = grid.symbols
+    qx = np.einsum("nmk,nk->nm", blocks, x)
+    return (qx - (2.0 * lam * grid.energy() + mu) * x).reshape(-1, order="F")
+
+
+class TestLagCountCheck:
+    """N = 128 correlations with a window built for N = 64 are rejected, not read."""
+
+    @pytest.mark.parametrize("call", ["peak_sidelobe", "coefficients", "majorize_direction"])
+    def test_mismatch_raises(self, call):
+        grid = noisy_grid(128, 2, 50)
+        corr = cyclic_correlations(grid)
+        w = LagWeights(64, 16)
+        calls = {
+            "peak_sidelobe": lambda: peak_sidelobe(corr, w),
+            "coefficients": lambda: majorizer.coefficients(corr, w, 50),
+            "majorize_direction": lambda: majorizer.majorize_direction(grid, w, 50),
+        }
+        with pytest.raises(ValueError, match="lag count"):
+            calls[call]()
+
+    def test_v_fields_mismatch_raises(self):
+        grid = noisy_grid(128, 2, 51)
+        corr = cyclic_correlations(grid)
+        coeffs = majorizer.coefficients(corr, LagWeights(128, 32), 50)
+        with pytest.raises(ValueError, match="lag count"):
+            majorizer.v_fields(corr, coeffs, LagWeights(64, 16))
+
+    def test_short_tensor_raises(self):
+        corr = CorrelationTensor(np.ones((2, 2, 64), dtype=complex))
+        with pytest.raises(ValueError, match="lag count"):
+            majorizer.coefficients(corr, LagWeights(128, 32), 50)

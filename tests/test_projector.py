@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pslwave.constellation import ConstellationSpec, SubcarrierMask
-from pslwave.projector import clamp_unused, project_grid, psk_project, qam_project
+from pslwave.projector import (
+    _psk_project_canonical, clamp_unused, project_grid, psk_project, qam_project,
+)
 from pslwave.spectrum import SymbolGrid
 
 EPS_P = 2 * np.pi * 0.15 / 4  # QPSK, rho = 0.15
@@ -104,6 +106,52 @@ class TestPskProjector:
         a = psk_project(z * rot, np.full_like(z, rot), EPS_P, EPS_A)
         b = psk_project(z, np.ones_like(z), EPS_P, EPS_A) * rot
         assert np.allclose(a, b, atol=1e-9)
+
+
+def exp_psk_project_canonical(u: np.ndarray, eps_p: float, eps_a: float) -> np.ndarray:
+    """The canonical PSK projection with a per-entry complex exp for the edge,
+    kept as a reference for the version that picks one of two precomputed edges."""
+    r = np.abs(u)
+    inner = 1.0 - eps_a
+    radial = np.where(r > 0.0, u * (np.clip(r, inner, 1.0) / np.where(r > 0.0, r, 1.0)), inner)
+    edge = np.exp(1j * np.where(u.imag >= 0.0, eps_p, -eps_p))
+    along = np.clip((u * np.conj(edge)).real, inner, 1.0) * edge
+    return np.where(np.abs(np.angle(u)) <= eps_p, radial, along)
+
+
+class TestPskEdgeMatchesExp:
+    """Two precomputed edges e^{+-i eps_p} give exactly the per-entry exp result."""
+
+    @staticmethod
+    def assert_same(u: np.ndarray, eps_p: float = EPS_P, eps_a: float = EPS_A):
+        u = np.asarray(u, dtype=complex)
+        assert np.array_equal(
+            _psk_project_canonical(u, eps_p, eps_a), exp_psk_project_canonical(u, eps_p, eps_a)
+        )
+
+    @pytest.mark.parametrize("eps_p,eps_a", [(EPS_P, EPS_A), (np.pi / 8, 0.0), (0.05, 1.0)])
+    def test_random_points(self, eps_p, eps_a):
+        rng = np.random.default_rng(43)
+        for scale in (0.1, 1.0, 3.0):
+            self.assert_same(random_points(rng, 2000, scale), eps_p, eps_a)
+
+    def test_origin(self):
+        self.assert_same(np.zeros(3))
+
+    def test_on_the_edges(self):
+        r = np.array([0.1, 1.0 - EPS_A, 0.9, 1.0, 2.5])
+        self.assert_same(np.concatenate([r * np.exp(1j * EPS_P), r * np.exp(-1j * EPS_P)]))
+
+    def test_on_the_real_axis(self):
+        re = np.array([-2.0, -0.5, -0.0, 0.0, 0.3, 0.8, 1.0, 4.0])
+        for im in (0.0, -0.0):
+            u = np.empty(re.size, dtype=complex)
+            u.real, u.imag = re, im
+            self.assert_same(u)
+
+    def test_on_the_inner_circle(self):
+        phase = np.linspace(-np.pi, np.pi, 41)
+        self.assert_same((1.0 - EPS_A) * np.exp(1j * phase))
 
 
 class TestQamProjector:

@@ -11,6 +11,7 @@ from pslwave.spectrum import (
     cyclic_correlations,
     peak_sidelobe,
     psl_db,
+    window_abs,
 )
 
 # QPSK labels drawn once from default_rng(12345); the correlation values below
@@ -121,9 +122,59 @@ class TestPeakSidelobe:
         # |r| = 5 at (1, 0, 3) and (1, 1, 1): the first in (m, k, i) order wins
         assert argmax == (1, 0, 3)
 
+    def test_lag_count_mismatch_raises(self):
+        corr = CorrelationTensor(np.ones((2, 2, 128), dtype=complex))
+        with pytest.raises(ValueError, match="lag count"):
+            window_abs(corr, LagWeights(64, 16))
+
     def test_psl_db_reference_is_mean_mainlobe(self):
         g = frozen_grid()
         corr = cyclic_correlations(g)
         w = LagWeights(8, 4)
         # both antennas have unit-modulus symbols: mainlobe = N^2 = 64
         assert psl_db(corr, w) == pytest.approx(20 * np.log10(32.0 / 64.0))
+
+
+def mask_peak_sidelobe(corr: CorrelationTensor, w: LagWeights) -> tuple[float, tuple]:
+    """The boolean-mask peak search that the slice-based one replaced, kept as a reference."""
+    mag = np.abs(corr.values[:, :, w.mask])
+    flat = int(np.argmax(mag))
+    m, k, j = np.unravel_index(flat, mag.shape)
+    return float(mag[m, k, j]), (int(m), int(k), int(np.flatnonzero(w.mask)[j]))
+
+
+class TestSlicedWindowMatchesMask:
+    """The lag window read as the slice 1:n_cp gives exactly the mask's peak and index."""
+
+    @staticmethod
+    def assert_same(vals: np.ndarray, w: LagWeights):
+        corr = CorrelationTensor(vals)
+        assert peak_sidelobe(corr, w) == mask_peak_sidelobe(corr, w)
+        assert peak_sidelobe(corr, w, _r_abs=window_abs(corr, w)) == mask_peak_sidelobe(corr, w)
+
+    @pytest.mark.parametrize("m,n,n_cp", [(1, 8, 2), (2, 16, 5), (4, 128, 32), (3, 64, 64)])
+    def test_random_tensors(self, m, n, n_cp):
+        rng = np.random.default_rng(100 + m * n + n_cp)
+        for _ in range(20):
+            vals = rng.standard_normal((m, m, n)) + 1j * rng.standard_normal((m, m, n))
+            self.assert_same(vals, LagWeights(n, n_cp))
+
+    def test_ties(self):
+        # unit magnitudes everywhere: every window entry ties, and with the
+        # magnitudes drawn from a few levels many partial ties remain
+        rng = np.random.default_rng(7)
+        w = LagWeights(16, 6)
+        self.assert_same(np.exp(2j * np.pi * rng.random((3, 3, 16))), w)
+        for _ in range(20):
+            levels = rng.integers(0, 3, size=(3, 3, 16)).astype(float)
+            self.assert_same(levels * np.exp(2j * np.pi * rng.random((3, 3, 16))), w)
+
+    @pytest.mark.parametrize("lag", [1, 5])
+    def test_peak_at_the_window_edges(self, lag):
+        w = LagWeights(16, 6)  # window lags 1..5
+        rng = np.random.default_rng(lag)
+        vals = 0.1 * (rng.standard_normal((2, 2, 16)) + 1j * rng.standard_normal((2, 2, 16)))
+        vals[:, :, 0] = vals[:, :, 6:] = 10.0  # larger values outside the window
+        vals[1, 0, lag] = 3.0 - 2.0j
+        self.assert_same(vals, w)
+        assert peak_sidelobe(CorrelationTensor(vals), w)[1] == (1, 0, lag)
