@@ -29,12 +29,13 @@ cancels in the normalized minimization step, leaving the direction vector y
 unchanged up to a positive scale.
 
 One pass computes each quantity once.  The window magnitudes |r| (lags
-1..N_cp-1, read as a slice) give eta, its (m, k, i), r_bar and c_hat; a caller
-that already holds them for these correlations passes them in with the
-correlations.  The product c_hat * r is formed on the window lags only before
-the one FFT to v.  The (N, M, M) block stack is built once and serves both
-the eigensolve for mu_bar and Qx.  The pass keeps no state between calls;
-what an accepted iterate carries into its next pass is the optimizer's.
+1..N_cp-1, read as a slice) give eta, its (m, k, i), r_bar and c_hat; the
+correlation tensor keeps them (``spectrum.window_abs``), so correlations
+passed in come with their |r|.  The product c_hat * r is formed on the
+window lags only before the one FFT to v.  The (N, M, M) block stack is
+built once and serves both the eigensolve for mu_bar and Qx.  The pass
+itself keeps no state between calls; which tensor an accepted iterate
+carries into its next pass is the optimizer's choice.
 """
 
 from __future__ import annotations
@@ -82,17 +83,12 @@ class MajorizerOutput:
     argmax: tuple[int, int, int]
 
 
-def coefficients(
-    corr: CorrelationTensor, w: LagWeights, p: int, _r_abs: np.ndarray | None = None
-) -> MajorizerCoeffs:
-    """Linearized weights c = (p/2) * |r|^(p-2) on the lag window, in r_bar-factored form.
-
-    ``_r_abs`` may carry the already computed ``window_abs(corr, w)``.
-    """
+def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoeffs:
+    """Linearized weights c = (p/2) * |r|^(p-2) on the lag window, in r_bar-factored form."""
     if p < 2:
         raise ValueError("p must be >= 2")
     lags = window_lags(corr, w)
-    r_abs = window_abs(corr, w) if _r_abs is None else _r_abs
+    r_abs = window_abs(corr, w)
     r_bar = float(np.max(r_abs))
     if sidelobes_vanish(r_bar, mean_mainlobe(corr)):
         raise ZeroSidelobeError("all correlations in the lag window are zero up to round-off")
@@ -148,23 +144,20 @@ def majorize_direction(
     w: LagWeights,
     p: int,
     corr: CorrelationTensor | None = None,
-    _r_abs: np.ndarray | None = None,
 ) -> MajorizerOutput:
     """Full majorization pass at the current iterate.
 
     Returns the direction vector y = (Q - 2*lambda_bar*x x^H - mu_bar*I) x in
     the common r_bar**(p-2) scale, or y = None when the sidelobes in the lag
     window already vanish (``coefficients`` raises ``ZeroSidelobeError``).
-    ``corr`` may carry the already computed correlations of ``grid`` and
-    ``_r_abs`` their ``window_abs(corr, w)``.  Cost O(M^2 N log N) plus N
-    small eigenproblems.
+    ``corr`` may carry the already computed correlations of ``grid``.  Cost
+    O(M^2 N log N) plus N small eigenproblems.
     """
     if corr is None:
         corr = cyclic_correlations(grid)
-    r_abs = window_abs(corr, w) if _r_abs is None else _r_abs
-    eta, amax = peak_sidelobe(corr, w, _r_abs=r_abs)
+    eta, amax = peak_sidelobe(corr, w)
     try:
-        coeffs = coefficients(corr, w, p, _r_abs=r_abs)
+        coeffs = coefficients(corr, w, p)
     except ZeroSidelobeError:
         return MajorizerOutput(y=None, eta=eta, argmax=amax)
     lam = lambda_bar(coeffs, w)

@@ -13,13 +13,13 @@ backtracked toward -1 (which recovers the plain double step) until the
 objective does not exceed the current one, at most ``BACKTRACK_CAP`` times.
 Without it each iteration is one plain MM step.
 
-Each quantity is computed once per iterate.  The correlations and window |r|
-of a grid are taken where its eta is; an accepted iterate carries them into
-the first MM step of the next iteration, and the last one into
-``psl_db_after`` (those of the reference give ``psl_db_before``).  The second
-MM step of an iteration computes its own, since x1 is never an accepted
-iterate.  The sphere radius sqrt(E) of the reference is computed once per
-``optimize`` call and passed to every step.
+Each quantity is computed once per iterate.  The correlations of a grid are
+taken where its eta is, and the tensor keeps its window |r|; an accepted
+iterate carries the tensor into the first MM step of the next iteration, and
+the last one into ``psl_db_after`` (that of the reference gives
+``psl_db_before``).  The second MM step of an iteration computes its own,
+since x1 is never an accepted iterate.  The sphere radius sqrt(E) of the
+reference is computed once per ``optimize`` call and passed to every step.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .majorizer import majorize_direction
 from .projector import project_grid
 from .spectrum import (
     CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db,
-    window_abs,
 )
 
 __all__ = ["BACKTRACK_CAP", "OptimizerConfig", "OptimizationReport", "mm_step", "optimize"]
@@ -68,12 +67,11 @@ class OptimizationReport:
         self.iterations = max(len(self.eta_trace) - 1, 0)
 
 
-def _eta(grid: SymbolGrid, w: LagWeights) -> tuple[float, CorrelationTensor, np.ndarray]:
-    """Peak sidelobe of ``grid`` with the correlations and window |r| it came
-    from, which the next majorization pass at an accepted iterate reuses."""
+def _eta(grid: SymbolGrid, w: LagWeights) -> tuple[float, CorrelationTensor]:
+    """Peak sidelobe of ``grid`` with the correlations it came from, which the
+    next majorization pass at an accepted iterate reuses, window |r| and all."""
     corr = cyclic_correlations(grid)
-    r_abs = window_abs(corr, w)
-    return peak_sidelobe(corr, w, _r_abs=r_abs)[0], corr, r_abs
+    return peak_sidelobe(corr, w)[0], corr
 
 
 def mm_step(
@@ -84,15 +82,14 @@ def mm_step(
     w: LagWeights,
     p: int,
     corr: CorrelationTensor | None = None,
-    _r_abs: np.ndarray | None = None,
     _radius: float | None = None,
 ) -> SymbolGrid | None:
     """One majorize-minimize-project step; None if the sidelobes already vanish.
 
-    ``corr`` may carry the already computed correlations of ``grid``, ``_r_abs``
-    their window |r| and ``_radius`` the sphere radius sqrt(E) of ``reference``.
+    ``corr`` may carry the already computed correlations of ``grid`` and
+    ``_radius`` the sphere radius sqrt(E) of ``reference``.
     """
-    out = majorize_direction(grid, w, p, corr=corr, _r_abs=_r_abs)
+    out = majorize_direction(grid, w, p, corr=corr)
     if out.y is None:
         return None
     radius = np.sqrt(reference.energy()) if _radius is None else _radius
@@ -118,13 +115,11 @@ def optimize(
     config = config or OptimizerConfig()
     radius = np.sqrt(reference.energy())
     current = reference.copy()
-    eta, corr, r_abs = _eta(current, w)
-    corr_ref, r_abs_ref, trace = corr, r_abs, [eta]
+    eta, corr = _eta(current, w)
+    corr_ref, trace = corr, [eta]
     reason = "max_iterations"
     for _ in range(config.l_max):
-        x1 = mm_step(
-            current, reference, spec, mask, w, config.p, corr=corr, _r_abs=r_abs, _radius=radius
-        )
+        x1 = mm_step(current, reference, spec, mask, w, config.p, corr=corr, _radius=radius)
         if x1 is None:
             reason = "zero_sidelobe"
             break
@@ -133,21 +128,21 @@ def optimize(
             x2 = mm_step(x1, reference, spec, mask, w, config.p, _radius=radius)
         if x2 is None:
             # plain step, or x1 already without sidelobes (the next step stops)
-            candidate, (eta_next, corr_next, r_abs_next) = x1, _eta(x1, w)
+            candidate, (eta_next, corr_next) = x1, _eta(x1, w)
         else:
-            candidate, eta_next, corr_next, r_abs_next = _squarem(
+            candidate, eta_next, corr_next = _squarem(
                 current, x1, x2, trace[-1], reference, spec, mask, w
             )
         if eta_next > trace[-1]:
             reason = "objective_increased"
             break
-        current, corr, r_abs = candidate, corr_next, r_abs_next
+        current, corr = candidate, corr_next
         trace.append(eta_next)
     return OptimizationReport(
         grid=current,
         eta_trace=trace,
-        psl_db_before=psl_db(corr_ref, w, _r_abs=r_abs_ref),
-        psl_db_after=psl_db(corr, w, _r_abs=r_abs),
+        psl_db_before=psl_db(corr_ref, w),
+        psl_db_after=psl_db(corr, w),
         stop_reason=reason,
     )
 
@@ -161,7 +156,7 @@ def _squarem(
     spec: ConstellationSpec,
     mask: SubcarrierMask,
     w: LagWeights,
-) -> tuple[SymbolGrid, float, CorrelationTensor, np.ndarray]:
+) -> tuple[SymbolGrid, float, CorrelationTensor]:
     """Projected extrapolation of the double step x0 -> x1 -> x2, backtracked
     until eta does not exceed eta0; falls back to x2 when no alpha does."""
     x0v, x1v = x0.stacked(), x1.stacked()
@@ -171,7 +166,7 @@ def _squarem(
     if v_norm == 0.0:
         return (x2, *_eta(x2, w))
 
-    def extrapolate(alpha: float) -> tuple[SymbolGrid, float, CorrelationTensor, np.ndarray]:
+    def extrapolate(alpha: float) -> tuple[SymbolGrid, float, CorrelationTensor]:
         x = SymbolGrid.from_stacked(x0v - 2.0 * alpha * r + alpha**2 * v, x0.n_subcarriers)
         grid = project_grid(x, reference, spec, mask)
         return (grid, *_eta(grid, w))

@@ -14,6 +14,9 @@ form in the stacked frequency-domain symbol vector.  The factor ``N``
 relative to the plain pointwise-product IDFT keeps the correlation equal to
 that quadratic form exactly, which is what the eigenvalue bounds in the
 majorizer assume.
+
+A correlation tensor keeps its window |r| once ``window_abs`` has taken it,
+so the peak search, ``psl_db`` and the majorizer's weights share one array.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class SymbolGrid:
 
     def stacked(self) -> np.ndarray:
         """Length-MN vector [x_0; x_1; ...; x_{M-1}], antenna by antenna."""
-        return self.symbols.reshape(-1, order="F").copy()
+        return self.symbols.flatten(order="F")
 
     @classmethod
     def from_stacked(cls, x: np.ndarray, n_subcarriers: int) -> "SymbolGrid":
@@ -86,9 +89,14 @@ class SymbolGrid:
 
 @dataclass
 class CorrelationTensor:
-    """values[m, k, i] = cyclic correlation r of antennas (m, k) at lag i."""
+    """values[m, k, i] = cyclic correlation r of antennas (m, k) at lag i.
+
+    Treated as a value (nothing writes into ``values``), so it can keep the
+    window |r| that ``window_abs`` takes.
+    """
 
     values: np.ndarray
+    _window_abs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_antennas(self) -> int:
@@ -143,18 +151,21 @@ def window_lags(corr: CorrelationTensor, w: LagWeights) -> slice:
 
 
 def window_abs(corr: CorrelationTensor, w: LagWeights) -> np.ndarray:
-    """(M, M, n_cp - 1) magnitudes |r| on the lag window; index j holds lag j + 1."""
-    return np.abs(corr.values[:, :, window_lags(corr, w)])
+    """(M, M, n_cp - 1) magnitudes |r| on the lag window; index j holds lag j + 1.
 
-
-def peak_sidelobe(
-    corr: CorrelationTensor, w: LagWeights, _r_abs: np.ndarray | None = None
-) -> tuple[float, tuple[int, int, int]]:
-    """Largest |r| in the lag window and its first (m, k, i) triple in lexicographic order.
-
-    ``_r_abs`` may carry the already computed ``window_abs(corr, w)``.
+    Taken once and kept on ``corr``; a window of another length takes and
+    keeps its own.  The lag count is checked on every read.
     """
-    r_abs = window_abs(corr, w) if _r_abs is None else _r_abs
+    lags = window_lags(corr, w)
+    r_abs = corr._window_abs
+    if r_abs is None or r_abs.shape[2] != w.n_cp - 1:
+        r_abs = corr._window_abs = np.abs(corr.values[:, :, lags])
+    return r_abs
+
+
+def peak_sidelobe(corr: CorrelationTensor, w: LagWeights) -> tuple[float, tuple[int, int, int]]:
+    """Largest |r| in the lag window and its first (m, k, i) triple in lexicographic order."""
+    r_abs = window_abs(corr, w)
     flat = int(np.argmax(r_abs))  # first maximum in C order == lexicographic (m, k, window lag)
     m, k, j = np.unravel_index(flat, r_abs.shape)
     return float(r_abs[m, k, j]), (int(m), int(k), int(j) + 1)
@@ -170,12 +181,9 @@ def sidelobes_vanish(eta: float, mainlobe: float) -> bool:
     return eta <= _ZERO_SIDELOBE_TOL * mainlobe
 
 
-def psl_db(corr: CorrelationTensor, w: LagWeights, _r_abs: np.ndarray | None = None) -> float:
-    """Peak sidelobe in dB relative to the mean zero-lag autocorrelation; -inf when they vanish.
-
-    ``_r_abs`` may carry the already computed ``window_abs(corr, w)``.
-    """
-    eta, _ = peak_sidelobe(corr, w, _r_abs=_r_abs)
+def psl_db(corr: CorrelationTensor, w: LagWeights) -> float:
+    """Peak sidelobe in dB relative to the mean zero-lag autocorrelation; -inf when they vanish."""
+    eta, _ = peak_sidelobe(corr, w)
     mainlobe = mean_mainlobe(corr)
     if mainlobe <= 0:
         raise ValueError("zero mainlobe; cannot normalize")

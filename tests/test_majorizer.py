@@ -11,7 +11,7 @@ import pytest
 from pslwave import majorizer, oracle
 from pslwave.constellation import ConstellationSpec
 from pslwave.spectrum import (
-    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, window_abs,
+    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe,
 )
 
 
@@ -231,8 +231,9 @@ class TestDirection:
         grid = noisy_grid(32, m, 27 + m)
         w = LagWeights(32, 8)
         corr = cyclic_correlations(grid)
+        peak_sidelobe(corr, w)  # the tensor keeps the window |r| this read takes
         fresh = majorizer.majorize_direction(grid, w, p)
-        carried = majorizer.majorize_direction(grid, w, p, corr=corr, _r_abs=window_abs(corr, w))
+        carried = majorizer.majorize_direction(grid, w, p, corr=corr)
         assert np.array_equal(fresh.y, carried.y)
         assert fresh.eta == carried.eta
         assert fresh.argmax == carried.argmax
@@ -283,6 +284,22 @@ class TestLagCountCheck:
             "peak_sidelobe": lambda: peak_sidelobe(corr, w),
             "coefficients": lambda: majorizer.coefficients(corr, w, 50),
             "majorize_direction": lambda: majorizer.majorize_direction(grid, w, 50),
+        }
+        with pytest.raises(ValueError, match="lag count"):
+            calls[call]()
+
+    @pytest.mark.parametrize("call", ["peak_sidelobe", "coefficients", "majorize_direction"])
+    def test_mismatch_raises_after_a_matching_read(self, call):
+        # the tensor keeps a 15-lag window |r| from LagWeights(128, 16); the
+        # N = 64 window has the same length and must still be rejected
+        grid = noisy_grid(128, 2, 52)
+        corr = cyclic_correlations(grid)
+        peak_sidelobe(corr, LagWeights(128, 16))
+        w = LagWeights(64, 16)
+        calls = {
+            "peak_sidelobe": lambda: peak_sidelobe(corr, w),
+            "coefficients": lambda: majorizer.coefficients(corr, w, 50),
+            "majorize_direction": lambda: majorizer.majorize_direction(grid, w, 50, corr=corr),
         }
         with pytest.raises(ValueError, match="lag count"):
             calls[call]()

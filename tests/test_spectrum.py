@@ -45,6 +45,13 @@ class TestSymbolGrid:
         g = SymbolGrid(np.full((4, 2), 1 + 1j))
         assert g.energy() == pytest.approx(16.0)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_stacked_is_a_copy(self, m):
+        rng = np.random.default_rng(m)
+        g = SymbolGrid(rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m)))
+        assert np.array_equal(g.stacked(), g.symbols.reshape(-1, order="F").copy())
+        assert not np.shares_memory(g.stacked(), g.symbols)
+
 
 class TestCyclicCorrelations:
     def test_frozen_values(self):
@@ -135,6 +142,18 @@ class TestPeakSidelobe:
         assert psl_db(corr, w) == pytest.approx(20 * np.log10(32.0 / 64.0))
 
 
+class TestKeptWindow:
+    """The window |r| a tensor keeps is the one of the window it is read through."""
+
+    def test_each_read_matches_its_window(self):
+        rng = np.random.default_rng(64)
+        vals = rng.standard_normal((3, 3, 64)) + 1j * rng.standard_normal((3, 3, 64))
+        corr = CorrelationTensor(vals)
+        for n_cp in (16, 8, 16):
+            r_abs = window_abs(corr, LagWeights(64, n_cp))
+            assert np.array_equal(r_abs, np.abs(vals[:, :, 1:n_cp]))
+
+
 def mask_peak_sidelobe(corr: CorrelationTensor, w: LagWeights) -> tuple[float, tuple]:
     """The boolean-mask peak search that the slice-based one replaced, kept as a reference."""
     mag = np.abs(corr.values[:, :, w.mask])
@@ -150,7 +169,8 @@ class TestSlicedWindowMatchesMask:
     def assert_same(vals: np.ndarray, w: LagWeights):
         corr = CorrelationTensor(vals)
         assert peak_sidelobe(corr, w) == mask_peak_sidelobe(corr, w)
-        assert peak_sidelobe(corr, w, _r_abs=window_abs(corr, w)) == mask_peak_sidelobe(corr, w)
+        # the second read finds the window |r| the first one kept on the tensor
+        assert peak_sidelobe(corr, w) == mask_peak_sidelobe(corr, w)
 
     @pytest.mark.parametrize("m,n,n_cp", [(1, 8, 2), (2, 16, 5), (4, 128, 32), (3, 64, 64)])
     def test_random_tensors(self, m, n, n_cp):
