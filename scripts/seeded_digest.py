@@ -1,4 +1,4 @@
-"""Seeded optimizer digests: one sha256 per case over a fixed set of 56 trials.
+"""Seeded optimizer digests: one sha256 per case over a fixed set of 50 trials.
 
     python3 scripts/seeded_digest.py [--src DIR]
 
@@ -25,7 +25,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # (case name, ExperimentConfig overrides, trials)
 CASES = (
     ("default", {}, 20),
-    ("plain-mm", {"accelerated": False}, 6),
     ("qam16-64x2", {"family": "qam", "order": 16, "n_subcarriers": 64, "n_antennas": 2,
                     "n_cp": 16}, 6),
     ("m1", {"n_antennas": 1}, 6),

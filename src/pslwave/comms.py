@@ -33,24 +33,16 @@ def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:
 
 
 def channel_apply(
-    grid: SymbolGrid,
-    h: np.ndarray,
-    noise_std: float | np.ndarray,
-    rng: np.random.Generator,
-    noise: np.ndarray | None = None,
+    grid: SymbolGrid, h: np.ndarray, noise_std: float | np.ndarray, noise: np.ndarray
 ) -> np.ndarray:
-    """Received (..., N, K) array: per-subcarrier H @ x plus white noise.
+    """Received (..., N, K) array: per-subcarrier H @ x plus ``noise_std * noise``.
 
     The noiseless H @ x is computed once and broadcast against ``noise_std``
-    and ``noise``: an (S, 1, 1) ``noise_std`` with (S, N, K) noise gives S
-    noisy copies.  A pre-drawn noise array may be supplied to pair arms of a
-    comparison; otherwise noise of the broadcast shape is drawn.
+    and the unit-variance ``noise``: an (S, 1, 1) ``noise_std`` with (S, N, K)
+    noise gives S noisy copies.  The caller draws the noise, so the arms of a
+    comparison can share it.
     """
-    received = grid.symbols @ h.T
-    if noise is None:
-        shape = np.broadcast_shapes(np.shape(noise_std), received.shape)
-        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return received + noise_std * noise
+    return grid.symbols @ h.T + noise_std * noise
 
 
 def zf_equalize(received: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -80,7 +72,7 @@ def ber_campaign(
     spec: ConstellationSpec,
     mask: SubcarrierMask,
     rng: np.random.Generator,
-    n_rx: int | None = None,
+    n_rx: int,
 ) -> dict[str, np.ndarray]:
     """Uncoded BER vs SNR for (reference, optimized, bits) grid pairs.
 
@@ -100,17 +92,16 @@ def ber_campaign(
     errors = {"original": np.zeros(n_snr), "optimized": np.zeros(n_snr)}
     for ref, opt, bits in pairs:
         n, m = ref.symbols.shape
-        k = n_rx if n_rx is not None else m
-        if k < m:
+        if n_rx < m:
             raise ValueError("zero forcing needs n_rx >= the number of transmit antennas")
         es_avg = ref.energy() / mask.n_used
-        h = draw_channel(rng, k, m)
+        h = draw_channel(rng, n_rx, m)
         # scalar powers: numpy's array power can differ from them in the last bit
         sigma = np.array([np.sqrt(es_avg / 10.0 ** (s / 10.0)) for s in snr_db_list])
-        gauss = rng.standard_normal((n_snr, 2, n, k))
+        gauss = rng.standard_normal((n_snr, 2, n, n_rx))
         noise = (gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0)
         rx = np.stack([
-            channel_apply(grid, h, sigma[:, None, None], rng, noise=noise) for grid in (ref, opt)
+            channel_apply(grid, h, sigma[:, None, None], noise) for grid in (ref, opt)
         ])
         counts = bit_errors(zf_equalize(rx, h), bits, spec, mask)  # (2, S)
         errors["original"] += counts[0]

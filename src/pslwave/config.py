@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +35,8 @@ class ExperimentConfig:
     # optimizer
     p: int = 50
     l_max: int = 10
-    accelerated: bool = True
+    # a constant, not a setting: perfbench/workloads.py records it in its input record
+    accelerated: ClassVar[bool] = True
     # sensing
     cfar_p_fa: float = 1e-4
     cfar_n_ref: int = 7
@@ -95,7 +97,7 @@ class ExperimentConfig:
         return LagWeights(self.n_subcarriers, self.n_cp)
 
     def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(p=self.p, l_max=self.l_max, accelerated=self.accelerated)
+        return OptimizerConfig(p=self.p, l_max=self.l_max)
 
     def cfar(self) -> CfarConfig:
         return CfarConfig(
@@ -114,7 +116,7 @@ class ExperimentConfig:
 _SECTIONS = {
     "waveform": ["n_subcarriers", "n_antennas", "n_cp"],
     "constellation": ["family", "order", "rho", "eps_a", "unused_fraction"],
-    "optimizer": ["p", "l_max", "accelerated"],
+    "optimizer": ["p", "l_max"],
     "sensing": ["cfar_p_fa", "cfar_n_ref", "cfar_n_guard", "n_targets", "sense_snr_db"],
     "comms": ["n_rx", "ber_snr_db"],
     "campaign": ["trials", "seed", "out_dir", "workers", "timestamp"],
@@ -125,8 +127,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
     """Defaults, optionally updated from an INI file, then from CLI overrides."""
     values: dict = {}
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None)  # a "%" in a value is literal
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file: {path}")
         known = {key: sec for sec, keys in _SECTIONS.items() for key in keys}

@@ -1,4 +1,4 @@
-"""Peak-sidelobe minimization: one loop of projected MM steps, optionally extrapolated.
+"""Peak-sidelobe minimization: one loop of projected MM steps with squared extrapolation.
 
 One MM step minimizes the linear surrogate over the energy sphere of the
 reference grid (the minimizer is -sqrt(E) * y / ||y||), then projects the
@@ -6,12 +6,13 @@ result entrywise onto the constellation similarity region.  ``optimize`` runs
 one loop that accepts iterates only while the peak sidelobe eta does not
 increase; the first increase terminates and returns the previous iterate.
 
-With ``OptimizerConfig.accelerated`` each iteration takes the squared
-extrapolation of two MM steps: they give a step r and curvature v, the
-extrapolated point x - 2*alpha*r + alpha**2 * v is projected, and alpha is
-backtracked toward -1 (which recovers the plain double step) until the
-objective does not exceed the current one, at most ``BACKTRACK_CAP`` times.
-Without it each iteration is one plain MM step.
+Each iteration takes the squared extrapolation (SQUAREM) of two MM steps:
+they give a step r and curvature v, the extrapolated point
+x - 2*alpha*r + alpha**2 * v is projected, and alpha is backtracked toward -1
+(which recovers the plain double step) until the objective does not exceed
+the current one, at most ``BACKTRACK_CAP`` times.  When the sidelobes of the
+first step's grid already vanish there is no second step, and that grid is
+the candidate.
 
 Each quantity is computed once per iterate.  The correlations of a grid are
 taken where its eta is, and the tensor keeps its window |r|; an accepted
@@ -24,7 +25,7 @@ reference is computed once per ``optimize`` call and passed to every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,6 @@ BACKTRACK_CAP = 20
 class OptimizerConfig:
     p: int = 50
     l_max: int = 10
-    accelerated: bool = True
 
     def __post_init__(self):
         if self.p < 2:
@@ -61,10 +61,10 @@ class OptimizationReport:
     psl_db_before: float
     psl_db_after: float
     stop_reason: str  # "objective_increased" | "max_iterations" | "zero_sidelobe"
-    iterations: int = field(init=False)
 
-    def __post_init__(self):
-        self.iterations = max(len(self.eta_trace) - 1, 0)
+    @property
+    def iterations(self) -> int:
+        return max(len(self.eta_trace) - 1, 0)
 
 
 def _eta(grid: SymbolGrid, w: LagWeights) -> tuple[float, CorrelationTensor]:
@@ -107,7 +107,7 @@ def optimize(
     w: LagWeights,
     config: OptimizerConfig | None = None,
 ) -> OptimizationReport:
-    """Monotone projected MM from the reference grid, accelerated unless disabled.
+    """Monotone projected MM with squared extrapolation from the reference grid.
 
     Stops when a step would increase eta, when the sidelobes vanish, or after
     ``config.l_max`` iterations.
@@ -123,11 +123,9 @@ def optimize(
         if x1 is None:
             reason = "zero_sidelobe"
             break
-        x2 = None
-        if config.accelerated:
-            x2 = mm_step(x1, reference, spec, mask, w, config.p, _radius=radius)
+        x2 = mm_step(x1, reference, spec, mask, w, config.p, _radius=radius)
         if x2 is None:
-            # plain step, or x1 already without sidelobes (the next step stops)
+            # x1 already has no sidelobes: take it, and the next iteration stops
             candidate, (eta_next, corr_next) = x1, _eta(x1, w)
         else:
             candidate, eta_next, corr_next = _squarem(

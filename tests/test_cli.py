@@ -71,13 +71,13 @@ class TestConfig:
         path = tmp_path / "exp.ini"
         path.write_text(
             "[waveform]\nn_subcarriers = 64\nn_cp = 16\n"
-            "[optimizer]\naccelerated = no\n"
+            "[optimizer]\nl_max = 3\n"
             "[sensing]\nsense_snr_db = -12 -10 -8\n"
         )
         cfg = load_config(str(path))
         assert cfg.n_subcarriers == 64
         assert cfg.n_cp == 16
-        assert cfg.accelerated is False
+        assert cfg.l_max == 3
         assert cfg.sense_snr_db == (-12.0, -10.0, -8.0)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -95,6 +95,22 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/does/not/exist.ini")
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[campaign]\nout_dir = res%x\n")
+        assert load_config(str(path)).out_dir == "res%x"
+
+    def test_accelerated_is_not_settable(self, tmp_path):
+        # a class constant: neither an INI key nor a constructor argument
+        path = tmp_path / "old.ini"
+        path.write_text("[optimizer]\naccelerated = no\n")
+        proc = run_cli("optimize", "--config", str(path), "--out", str(tmp_path / "res"))
+        assert proc.returncode == 1
+        assert "config error: unknown key 'accelerated' in section [optimizer]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        with pytest.raises(TypeError):
+            ExperimentConfig(accelerated=False)
 
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -336,6 +352,22 @@ class TestCliCommands:
         path.write_text(f"[{section}]\n{body}\n")
         proc = run_cli(command, "--config", str(path), "--trials", "1",
                        "--out", str(tmp_path / "res"))
+        assert proc.returncode == 1
+        assert "config error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"n_cp = 8\n", id="no-section-header"),
+            pytest.param(b"[waveform]\nn_cp = 8\nn_cp = 16\n", id="duplicate-key"),
+            pytest.param(b"[waveform]\nn_cp = 8\n# \xff\xfe\n", id="non-utf8-bytes"),
+        ],
+    )
+    def test_malformed_ini_exits_with_message(self, tmp_path, content):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(content)
+        proc = run_cli("verify", "--config", str(path), "--out", str(tmp_path / "res"))
         assert proc.returncode == 1
         assert "config error:" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -1,8 +1,11 @@
-"""Every benchmark trace site and every exported name resolves in the package.
+"""Every benchmark trace site and every exported name resolves in the package,
+and the benchmark workloads still build their input records.
 
 The span tracer in ``perfbench/tracer.py`` skips a site whose function is gone
 and only notes it in the run's output, so a rename or deletion here would
-silently drop a benchmark layer.  The tracer is loaded by path, unchanged.
+silently drop a benchmark layer.  The workloads in ``perfbench/workloads.py``
+read configuration attributes that the package must keep.  Both files are
+loaded by path, unchanged.
 """
 
 import importlib
@@ -14,14 +17,18 @@ import pytest
 
 import pslwave
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def trace_sites() -> tuple:
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.SITES
+    return load_perfbench("tracer").SITES
 
 
 MODULES = ["pslwave"] + [f"pslwave.{info.name}" for info in pkgutil.iter_modules(pslwave.__path__)]
@@ -37,3 +44,11 @@ def test_exported_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_workload_input_records_build(monkeypatch):
+    # the workloads import their sibling modules by plain name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = load_perfbench("workloads")
+    assert workloads.OptimizeDefault(0, tiny=True).input_size["accelerated"] is True
+    assert workloads.Evaluate(0, tiny=True).input_size["N"] == workloads.TINY["n_subcarriers"]

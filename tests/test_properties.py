@@ -120,16 +120,16 @@ class TestLagWeightProperties:
 class TestOptimizeProperties:
     @given(
         st.integers(0, 2**32 - 1), FAMILIES, st.sampled_from([16, 24, 32]),
-        st.floats(0.0, 0.3), st.integers(1, 3), st.booleans(),
+        st.floats(0.0, 0.3), st.integers(1, 3),
     )
     @settings(max_examples=25, deadline=None)
-    def test_single_antenna(self, seed, family_order, n, unused, l_max, accelerated):
+    def test_single_antenna(self, seed, family_order, n, unused, l_max):
         rng = np.random.default_rng(seed)
         spec = ConstellationSpec(*family_order)
         mask = SubcarrierMask.random(rng, n, 1, unused)
         ref, _ = random_reference_grid(rng, spec, mask)
         w = LagWeights(n, n // 4)
-        config = OptimizerConfig(l_max=l_max, accelerated=accelerated)
+        config = OptimizerConfig(l_max=l_max)
         report = optimize(ref, spec, mask, w, config)
         assert report.grid.symbols.shape == (n, 1)
         reproj = project_grid(report.grid, ref, spec, mask)
@@ -143,19 +143,16 @@ class TestOptimizeProperties:
 
     @given(
         st.integers(0, 2**32 - 1), FAMILIES, st.sampled_from([8, 16, 32, 64]),
-        st.integers(1, 4), st.booleans(),
+        st.integers(1, 4),
     )
     @settings(max_examples=25, deadline=None)
-    def test_constant_grid_has_zero_sidelobes(self, seed, family_order, n, m, accelerated):
+    def test_constant_grid_has_zero_sidelobes(self, seed, family_order, n, m):
         # one symbol per antenna on every sub-carrier: every correlation is a
         # delta at lag 0 (exactly so in the power-of-two FFT)
         rng = np.random.default_rng(seed)
         spec = ConstellationSpec(*family_order)
         ref = SymbolGrid(np.tile(spec.points[rng.integers(0, spec.order, m)], (n, 1)))
-        report = optimize(
-            ref, spec, SubcarrierMask.all_used(n, m), LagWeights(n, n // 4),
-            OptimizerConfig(accelerated=accelerated),
-        )
+        report = optimize(ref, spec, SubcarrierMask.all_used(n, m), LagWeights(n, n // 4))
         assert report.stop_reason == "zero_sidelobe"
         assert report.iterations == 0 and report.eta_trace == [0.0]
         assert report.psl_db_before == report.psl_db_after == -np.inf
