@@ -78,9 +78,14 @@ class MajorizerCoeffs:
 
 @dataclass
 class MajorizerOutput:
-    y: np.ndarray | None  # length-MN direction, common r_bar**(p-2) scale dropped
+    """One pass's results in the common r_bar**(p-2) scale; y, qx and mu_bar
+    are None when the sidelobes in the lag window vanish."""
+
+    y: np.ndarray | None  # length-MN direction (Q - 2*lambda_bar*x x^H - mu_bar*I) x
     eta: float
     argmax: tuple[int, int, int]
+    qx: np.ndarray | None = None  # (N, M) product Q x, column m for antenna m
+    mu_bar: float | None = None  # lambda_max(Q)
 
 
 def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoeffs:
@@ -148,8 +153,9 @@ def majorize_direction(
     """Full majorization pass at the current iterate.
 
     Returns the direction vector y = (Q - 2*lambda_bar*x x^H - mu_bar*I) x in
-    the common r_bar**(p-2) scale, or y = None when the sidelobes in the lag
-    window already vanish (``coefficients`` raises ``ZeroSidelobeError``).
+    the common r_bar**(p-2) scale, with the product Qx and mu_bar it was built
+    from, or y = None when the sidelobes in the lag window already vanish
+    (``coefficients`` raises ``ZeroSidelobeError``).
     ``corr`` may carry the already computed correlations of ``grid``.  Cost
     O(M^2 N log N) plus N small eigenproblems.
     """
@@ -168,4 +174,4 @@ def majorize_direction(
     x = grid.symbols  # (N, M)
     qx = np.matmul(blocks, x[:, :, None])[:, :, 0]
     y = qx - (2.0 * lam * grid.energy() + mu) * x
-    return MajorizerOutput(y=y.reshape(-1, order="F"), eta=eta, argmax=amax)
+    return MajorizerOutput(y=y.reshape(-1, order="F"), eta=eta, argmax=amax, qx=qx, mu_bar=mu)
