@@ -19,6 +19,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
@@ -165,6 +166,9 @@ def _cmd_optimize(cfg: ExperimentConfig, args) -> int:
     gains = [r["psl_db_before"] - r["psl_db_after"] for r in rows]
     print(f"wrote {path}")
     print(f"median PSL gain over {cfg.trials} trials: {np.median(gains):.2f} dB")
+    reasons = Counter(r["stop_reason"] for r in rows)
+    print(f"trials with a gain >= 3 dB: {np.mean(np.array(gains) >= 3.0):.0%}; stop reasons: "
+          + ", ".join(f"{reason} {count}" for reason, count in sorted(reasons.items())))
 
     for variant, grid in rows[0]["grids"].items():
         cells = [

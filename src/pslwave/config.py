@@ -134,6 +134,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file: {path}")
+        if parser.defaults():
+            # configparser copies [DEFAULT] keys into every section
+            keys = ", ".join(parser.defaults())
+            raise ConfigError(f"keys under [DEFAULT] are not supported ({keys}); "
+                              "put each key in its own section")
         known = {key: sec for sec, keys in _SECTIONS.items() for key in keys}
         for section in parser.sections():
             if section not in _SECTIONS:

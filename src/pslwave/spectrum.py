@@ -81,7 +81,7 @@ class SymbolGrid:
         return cls(x.reshape(n_subcarriers, m, order="F"))
 
     def energy(self) -> float:
-        return float(np.sum(np.abs(self.symbols) ** 2))
+        return float(np.vdot(self.symbols, self.symbols).real)
 
     def copy(self) -> "SymbolGrid":
         return SymbolGrid(self.symbols.copy())

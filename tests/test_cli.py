@@ -170,6 +170,19 @@ class TestCliCommands:
         assert gheader == ["antenna", "subcarrier", "re", "im"]
         assert len(grows) == 32 * 2
 
+    def test_optimize_prints_gain_share_and_stop_reasons(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        code = main(["optimize", "--out", str(out), "--seed", "1", "--trials", "4",
+                     "--no-timestamp", "--config", small_config(tmp_path)])
+        assert code == 0
+        _, rows = read_csv(out / "optimize_summary.csv")
+        gains = [float(r[1]) - float(r[2]) for r in rows]
+        share = f"{np.mean(np.array(gains) >= 3.0):.0%}"
+        reasons = sorted({r[4] for r in rows})
+        counts = ", ".join(f"{x} {sum(r[4] == x for r in rows)}" for x in reasons)
+        printed = capsys.readouterr().out
+        assert f"trials with a gain >= 3 dB: {share}; stop reasons: {counts}\n" in printed
+
     def test_optimize_runs_one_optimization_per_trial(self, tmp_path, monkeypatch):
         calls = []
 
@@ -370,6 +383,24 @@ class TestCliCommands:
         proc = run_cli("verify", "--config", str(path), "--out", str(tmp_path / "res"))
         assert proc.returncode == 1
         assert "config error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param("[DEFAULT]\nn_cp = 8\n", id="default-only"),
+            pytest.param("[DEFAULT]\nn_cp = 8\n[campaign]\nseed = 2\n", id="default-and-section"),
+        ],
+    )
+    def test_default_section_exits_with_message(self, tmp_path, content):
+        # configparser would otherwise drop the key alone, or copy it into [campaign]
+        path = tmp_path / "bad.ini"
+        path.write_text(content)
+        proc = run_cli("optimize", "--config", str(path), "--trials", "1",
+                       "--out", str(tmp_path / "res"))
+        assert proc.returncode == 1
+        assert "config error: keys under [DEFAULT] are not supported (n_cp)" in proc.stderr
+        assert "unknown key" not in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])

@@ -248,10 +248,25 @@ class TestDirection:
         out = majorizer.majorize_direction(grid, w, p)
         assert np.array_equal(out.y, unfused_direction(grid, w, p))
 
+    @pytest.mark.parametrize("m,p", [(1, 50), (2, 4), (4, 8), (8, 50)])
+    def test_y_is_built_from_qx_and_mu_bar(self, m, p):
+        # the optimizer steps from qx and mu_bar; y stays exactly the MM direction
+        grid = noisy_grid(32, m, 50 + m)
+        w = LagWeights(32, 8)
+        corr = cyclic_correlations(grid)
+        out = majorizer.majorize_direction(grid, w, p)
+        coeffs = majorizer.coefficients(corr, w, p)
+        v = majorizer.v_fields(corr, coeffs, w)
+        assert out.mu_bar == majorizer.mu_bar(v)
+        assert np.allclose(out.qx, np.einsum("nmk,nk->nm", majorizer.hermitian_blocks(v),
+                                             grid.symbols), rtol=1e-12, atol=0.0)
+        shift = 2.0 * majorizer.lambda_bar(coeffs, w) * grid.energy() + out.mu_bar
+        assert np.array_equal(out.y, (out.qx - shift * grid.symbols).reshape(-1, order="F"))
+
     def test_zero_sidelobe_short_circuit(self):
         grid = SymbolGrid(np.ones((8, 1)))
         out = majorizer.majorize_direction(grid, LagWeights(8, 4), 50)
-        assert out.y is None
+        assert out.y is None and out.qx is None and out.mu_bar is None
         assert out.eta == 0.0
 
 

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from pslwave import config, optimizer
 from pslwave.constellation import ConstellationSpec, SubcarrierMask, random_reference_grid
 from pslwave.majorizer import ZeroSidelobeError, coefficients, majorize_direction
-from pslwave.optimizer import OptimizerConfig, mm_step, optimize
+from pslwave.optimizer import (
+    MIN_GAIN_DB, P_SCHEDULE, STEP_C, OptimizerConfig, mm_step, optimize,
+)
 from pslwave.projector import project_grid
-from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations
+from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations, psl_db
 
 
 def setup_problem(n=32, m=2, seed=60, unused=0.0):
@@ -59,7 +62,9 @@ class TestRunSquarem:
     def test_stop_reason_values(self):
         spec, mask, ref, w = setup_problem(seed=64)
         report = optimize(ref, spec, mask, w, OptimizerConfig(l_max=3))
-        assert report.stop_reason in ("objective_increased", "max_iterations", "zero_sidelobe")
+        assert report.stop_reason in (
+            "small_gain", "objective_increased", "max_iterations", "zero_sidelobe"
+        )
 
     @pytest.mark.parametrize("seed", [60, 62, 64, 69])
     def test_shorter_run_traces_a_prefix(self, seed):
@@ -82,6 +87,88 @@ class TestRunSquarem:
         report = optimize(ref, spec, mask, w)
         assert report.eta_trace[-1] <= report.eta_trace[0] + 1e-12 * report.eta_trace[0]
         assert report.psl_db_after <= report.psl_db_before + 1e-9
+
+
+def recorded_ps(monkeypatch) -> list[int]:
+    """The p of every majorization pass the optimizer makes from now on."""
+    ps = []
+
+    def recording(grid, w, p, corr=None):
+        ps.append(p)
+        return majorize_direction(grid, w, p, corr=corr)
+
+    monkeypatch.setattr(optimizer, "majorize_direction", recording)
+    return ps
+
+
+def passes_per_iteration(report, p_of_k) -> list[int]:
+    """Two passes at p_k per iteration run, the dropped last one included."""
+    ran = report.iterations + (report.stop_reason == "objective_increased")
+    return [p_of_k(k) for k in range(ran) for _ in range(2)]
+
+
+class TestStepRule:
+    @pytest.mark.parametrize("p", [50, 12])
+    def test_p_schedule(self, monkeypatch, p):
+        # trial 9 at N = 64 runs 6 iterations once the gain rule is off, so k >= 3 is reached
+        cfg = config.ExperimentConfig(n_subcarriers=64, n_cp=16, p=p, l_max=6)
+        spec, w = cfg.constellation(), cfg.lag_weights()
+        rng = config.trial_rng(0, 9)
+        mask = cfg.mask(rng)
+        ref, _ = random_reference_grid(rng, spec, mask)
+        monkeypatch.setattr(optimizer, "MIN_GAIN_DB", -np.inf)
+        ps = recorded_ps(monkeypatch)
+        report = optimize(ref, spec, mask, w, cfg.optimizer())
+        assert report.iterations >= 4
+        expected = passes_per_iteration(
+            report, lambda k: min(P_SCHEDULE[k], p) if k < len(P_SCHEDULE) else p
+        )
+        assert ps == expected
+        assert ps[:6] == [min(8, p)] * 2 + [min(16, p)] * 2 + [min(32, p)] * 2
+        assert ps[6:] == [p] * (len(ps) - 6)
+
+    @pytest.mark.parametrize("seed", [60, 61, 64, 66])
+    def test_p_schedule_with_the_gain_rule(self, monkeypatch, seed):
+        spec, mask, ref, w = setup_problem(seed=seed)
+        ps = recorded_ps(monkeypatch)
+        report = optimize(ref, spec, mask, w)
+        assert ps == passes_per_iteration(report, lambda k: (8, 16, 32, 50)[min(k, 3)])
+
+    def test_small_gain_ends_on_the_first_small_step(self):
+        reasons = set()
+        for seed in range(60, 72):
+            spec, mask, ref, w = setup_problem(seed=seed)
+            report = optimize(ref, spec, mask, w)
+            reasons.add(report.stop_reason)
+            gains = -np.diff(report.psl_db_trace)
+            assert len(report.psl_db_trace) == len(report.eta_trace)
+            if report.stop_reason == "small_gain":
+                assert gains[-1] < MIN_GAIN_DB
+                assert np.all(gains[:-1] >= MIN_GAIN_DB)
+            else:
+                assert np.all(gains >= MIN_GAIN_DB)
+        assert "small_gain" in reasons and "objective_increased" in reasons
+
+    @pytest.mark.parametrize("n,m,n_cp", [(32, 1, 8), (32, 2, 8), (64, 4, 16), (16, 3, 15)])
+    def test_step_direction_is_finite_and_descends(self, n, m, n_cp):
+        rng = np.random.default_rng(n + m)
+        for p in (2, 8, 50):
+            grid = SymbolGrid(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+            out = majorize_direction(grid, LagWeights(n, n_cp), p)
+            assert out.mu_bar > 0.0
+            y_c = out.qx - STEP_C * out.mu_bar * grid.symbols
+            assert np.all(np.isfinite(y_c))
+            assert np.linalg.norm(y_c) > 0.0
+            # x^H y_c <= (1 - STEP_C) * mu_bar * ||x||^2
+            bound = (1.0 - STEP_C) * out.mu_bar * grid.energy()
+            assert np.vdot(grid.symbols, y_c).real <= bound * (1 - 1e-12)
+
+    def test_psl_db_before_and_after_read_the_trace(self):
+        spec, mask, ref, w = setup_problem(seed=62)
+        report = optimize(ref, spec, mask, w)
+        assert report.psl_db_before == report.psl_db_trace[0]
+        assert report.psl_db_after == report.psl_db_trace[-1]
+        assert report.psl_db_after == psl_db(cyclic_correlations(report.grid), w)
 
 
 class TestOptimize:

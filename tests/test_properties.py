@@ -136,7 +136,9 @@ class TestOptimizeProperties:
         assert np.allclose(reproj.symbols, report.grid.symbols, atol=1e-9)
         assert np.all(np.diff(report.eta_trace) <= 0.0)
         assert report.iterations <= l_max
-        assert report.stop_reason in ("objective_increased", "max_iterations", "zero_sidelobe")
+        assert report.stop_reason in (
+            "small_gain", "objective_increased", "max_iterations", "zero_sidelobe"
+        )
         again = optimize(ref, spec, mask, w, config)
         assert np.array_equal(again.grid.symbols, report.grid.symbols)
         assert again.eta_trace == report.eta_trace

@@ -45,6 +45,14 @@ class TestSymbolGrid:
         g = SymbolGrid(np.full((4, 2), 1 + 1j))
         assert g.energy() == pytest.approx(16.0)
 
+    @pytest.mark.parametrize("n,m", [(128, 4), (2048, 2), (7, 1)])
+    def test_energy_matches_the_sum_of_squared_magnitudes(self, n, m):
+        rng = np.random.default_rng(n + m)
+        g = SymbolGrid(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+        direct = float(np.sum(np.abs(g.symbols) ** 2))
+        assert isinstance(g.energy(), float)
+        assert abs(g.energy() - direct) <= 1e-12 * direct
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_stacked_is_a_copy(self, m):
         rng = np.random.default_rng(m)
