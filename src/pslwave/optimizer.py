@@ -39,20 +39,20 @@ sidelobes vanish (``zero_sidelobe``), or after ``config.l_max`` iterations
 (``max_iterations``).
 
 Each iteration takes the squared extrapolation (SQUAREM) of two MM steps:
-they give a step r and curvature v, the extrapolated point
-x - 2*alpha*r + alpha**2 * v is projected, and alpha is backtracked toward -1
-(which recovers the plain double step) until the objective does not exceed
-the current one, at most ``BACKTRACK_CAP`` times.  When the sidelobes of the
-first step's grid already vanish there is no second step, and that grid is
-the candidate.
+they give a step r and curvature v, and the one candidate of the iteration is
+the projection of x - 2*alpha*r + alpha**2 * v at alpha = -||r|| / ||v||.
+There is no backtracking in alpha and no fallback to the plain double step:
+the acceptance test takes the candidate or ends the run.  When v vanishes the
+second step's grid is the candidate, and when the sidelobes of the first
+step's grid already vanish there is no second step, and that grid is the
+candidate.
 
 Each quantity is computed once per iterate.  The correlations of a grid are
 taken where its eta is, and the tensor keeps its window |r|; an accepted
 iterate carries the tensor into the first MM step of the next iteration and
 into its entry of ``psl_db_trace``.  The second MM step of an iteration
-computes its own, since x1 is never an accepted iterate.  The sphere radius
-sqrt(E) of the reference is computed once per ``optimize`` call and passed to
-every step.
+computes its own, since x1 is never an accepted iterate.  Each step takes the
+sphere radius sqrt(E) from the reference grid itself.
 """
 
 from __future__ import annotations
@@ -69,12 +69,10 @@ from .spectrum import (
 )
 
 __all__ = [
-    "BACKTRACK_CAP", "MIN_GAIN_DB", "P_SCHEDULE", "STEP_C",
+    "MIN_GAIN_DB", "P_SCHEDULE", "STEP_C",
     "OptimizerConfig", "OptimizationReport", "mm_step", "optimize",
 ]
 
-# backtracking moves of the SQUAREM alpha toward -1 before the plain double step is taken
-BACKTRACK_CAP = 20
 # an MM step goes along (Q - STEP_C * mu_bar * I) x; of 1.5, 2, 3, 5 and 10 at the
 # default point (40 trials), 5 gave the largest median PSL gain (5.69 dB against
 # 4.56..5.53), and all of 2..10 gained >= 3 dB in every trial within 3 iterations
@@ -136,18 +134,15 @@ def mm_step(
     w: LagWeights,
     p: int,
     corr: CorrelationTensor | None = None,
-    _radius: float | None = None,
 ) -> SymbolGrid | None:
-    """One step along y_c = (Q - STEP_C * mu_bar * I) x, then the projection;
-    None if the sidelobes already vanish.
-
-    ``corr`` may carry the already computed correlations of ``grid`` and
-    ``_radius`` the sphere radius sqrt(E) of ``reference``.
+    """One step along y_c = (Q - STEP_C * mu_bar * I) x onto the sphere of
+    ``reference``'s energy, then the projection; None if the sidelobes already
+    vanish.  ``corr`` may carry the already computed correlations of ``grid``.
     """
     out = majorize_direction(grid, w, p, corr=corr)
     if out.y is None:
         return None
-    radius = np.sqrt(reference.energy()) if _radius is None else _radius
+    radius = np.sqrt(reference.energy())
     # nonzero: x^H y_c <= (1 - STEP_C) * mu_bar * ||x||^2 < 0 (module docstring)
     y_c = out.qx - STEP_C * out.mu_bar * grid.symbols
     # sphere minimizer, scaled to the reference energy budget
@@ -169,25 +164,34 @@ def optimize(
     iterations (module docstring).
     """
     config = config or OptimizerConfig()
-    radius = np.sqrt(reference.energy())
     current = reference.copy()
     eta, corr = _eta(current, w)
     trace, psl_trace = [eta], [psl_db(corr, w)]
     reason = "max_iterations"
     for k in range(config.l_max):
         p = min(P_SCHEDULE[k], config.p) if k < len(P_SCHEDULE) else config.p
-        x1 = mm_step(current, reference, spec, mask, w, p, corr=corr, _radius=radius)
+        x1 = mm_step(current, reference, spec, mask, w, p, corr=corr)
         if x1 is None:
             reason = "zero_sidelobe"
             break
-        x2 = mm_step(x1, reference, spec, mask, w, p, _radius=radius)
+        x2 = mm_step(x1, reference, spec, mask, w, p)
         if x2 is None:
             # x1 already has no sidelobes: take it, and the next iteration stops
-            candidate, (eta_next, corr_next) = x1, _eta(x1, w)
+            candidate = x1
         else:
-            candidate, eta_next, corr_next = _squarem(
-                current, x1, x2, trace[-1], reference, spec, mask, w
-            )
+            # the SQUAREM candidate (module docstring); x2 itself when v vanishes
+            x0v, x1v = current.stacked(), x1.stacked()
+            r = x1v - x0v
+            v = x2.stacked() - x1v - r
+            v_norm = float(np.linalg.norm(v))
+            candidate = x2
+            if v_norm > 0.0:
+                alpha = -float(np.linalg.norm(r)) / v_norm
+                x = x0v - 2.0 * alpha * r + alpha**2 * v
+                candidate = project_grid(
+                    SymbolGrid.from_stacked(x, current.n_subcarriers), reference, spec, mask
+                )
+        eta_next, corr_next = _eta(candidate, w)
         if eta_next > trace[-1]:
             reason = "objective_increased"
             break
@@ -202,39 +206,3 @@ def optimize(
         grid=current, eta_trace=trace, psl_db_trace=psl_trace, stop_reason=reason
     )
 
-
-def _squarem(
-    x0: SymbolGrid,
-    x1: SymbolGrid,
-    x2: SymbolGrid,
-    eta0: float,
-    reference: SymbolGrid,
-    spec: ConstellationSpec,
-    mask: SubcarrierMask,
-    w: LagWeights,
-) -> tuple[SymbolGrid, float, CorrelationTensor]:
-    """Projected extrapolation of the double step x0 -> x1 -> x2, backtracked
-    until eta does not exceed eta0; falls back to x2 when no alpha does."""
-    x0v, x1v = x0.stacked(), x1.stacked()
-    r = x1v - x0v
-    v = x2.stacked() - x1v - r
-    v_norm = float(np.linalg.norm(v))
-    if v_norm == 0.0:
-        return (x2, *_eta(x2, w))
-
-    def extrapolate(alpha: float) -> tuple[SymbolGrid, float, CorrelationTensor]:
-        x = SymbolGrid.from_stacked(x0v - 2.0 * alpha * r + alpha**2 * v, x0.n_subcarriers)
-        grid = project_grid(x, reference, spec, mask)
-        return (grid, *_eta(grid, w))
-
-    alpha = -float(np.linalg.norm(r)) / v_norm
-    candidate = extrapolate(alpha)
-    backtracks = 0
-    while candidate[1] > eta0 and alpha < -1.0 and backtracks < BACKTRACK_CAP:
-        alpha = (alpha - 1.0) / 2.0
-        candidate = extrapolate(alpha)
-        backtracks += 1
-    if candidate[1] > eta0:
-        # alpha = -1 reduces the scheme to the plain double MM step
-        candidate = (x2, *_eta(x2, w))
-    return candidate

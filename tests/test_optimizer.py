@@ -25,6 +25,21 @@ def setup_problem(n=32, m=2, seed=60, unused=0.0):
     return spec, mask, ref, w
 
 
+def seeded_trial(trial, **overrides):
+    """The reference grid of ``pslwave optimize``'s trial ``trial`` (seed 0)."""
+    cfg = config.ExperimentConfig(**overrides)
+    spec, w = cfg.constellation(), cfg.lag_weights()
+    rng = config.trial_rng(0, trial)
+    mask = cfg.mask(rng)
+    ref, _ = random_reference_grid(rng, spec, mask)
+    return spec, mask, ref, w, cfg
+
+
+def iterations_run(report) -> int:
+    """Iterations run, the dropped last one of an ``objective_increased`` run included."""
+    return report.iterations + (report.stop_reason == "objective_increased")
+
+
 class TestMmStep:
     def test_output_is_feasible(self):
         spec, mask, ref, w = setup_problem()
@@ -76,6 +91,22 @@ class TestRunSquarem:
             assert len(short) == k + 1
             assert full[: k + 1] == short
 
+    @pytest.mark.parametrize("overrides", [{}, {"n_antennas": 1}])
+    def test_one_candidate_per_iteration(self, monkeypatch, overrides):
+        # one correlation pass for the reference and one per iteration run: no
+        # backtracking in alpha and no fallback to the double step (the M = 1 trial
+        # drops the candidate of its second iteration)
+        spec, mask, ref, w, cfg = seeded_trial(0, **overrides)
+        grids = []
+
+        def recording(grid):
+            grids.append(grid)
+            return cyclic_correlations(grid)
+
+        monkeypatch.setattr(optimizer, "cyclic_correlations", recording)
+        report = optimize(ref, spec, mask, w, cfg.optimizer())
+        assert len(grids) == 1 + iterations_run(report)
+
     def test_final_grid_feasible(self):
         spec, mask, ref, w = setup_problem(seed=66, unused=0.1)
         report = optimize(ref, spec, mask, w)
@@ -103,19 +134,14 @@ def recorded_ps(monkeypatch) -> list[int]:
 
 def passes_per_iteration(report, p_of_k) -> list[int]:
     """Two passes at p_k per iteration run, the dropped last one included."""
-    ran = report.iterations + (report.stop_reason == "objective_increased")
-    return [p_of_k(k) for k in range(ran) for _ in range(2)]
+    return [p_of_k(k) for k in range(iterations_run(report)) for _ in range(2)]
 
 
 class TestStepRule:
     @pytest.mark.parametrize("p", [50, 12])
     def test_p_schedule(self, monkeypatch, p):
         # trial 9 at N = 64 runs 6 iterations once the gain rule is off, so k >= 3 is reached
-        cfg = config.ExperimentConfig(n_subcarriers=64, n_cp=16, p=p, l_max=6)
-        spec, w = cfg.constellation(), cfg.lag_weights()
-        rng = config.trial_rng(0, 9)
-        mask = cfg.mask(rng)
-        ref, _ = random_reference_grid(rng, spec, mask)
+        spec, mask, ref, w, cfg = seeded_trial(9, n_subcarriers=64, n_cp=16, p=p, l_max=6)
         monkeypatch.setattr(optimizer, "MIN_GAIN_DB", -np.inf)
         ps = recorded_ps(monkeypatch)
         report = optimize(ref, spec, mask, w, cfg.optimizer())
