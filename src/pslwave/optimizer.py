@@ -3,8 +3,8 @@
 One MM step minimizes a linear surrogate over the energy sphere of the
 reference grid, then projects the result entrywise onto the constellation
 similarity region.  ``optimize`` runs one loop that accepts iterates only
-while the peak sidelobe eta does not increase; the first increase terminates
-and returns the previous iterate.
+while neither the peak sidelobe eta nor the normalized PSL increases; the
+first increase terminates and returns the previous iterate.
 
 **Step rule.**  The majorizer's exact shift s = 2*lambda_bar*E + mu_bar
 (``majorizer.majorize_direction``) is a valid but very loose bound: lambda_bar
@@ -22,9 +22,12 @@ window sidelobe is nonzero, mu_bar > 0 and x^H y_c <= (1 - STEP_C) * mu_bar *
 **Why descent still holds.**  The shift STEP_C * mu_bar drops the quartic
 term's curvature, so the surrogate no longer majorizes the objective over the
 whole sphere and a step may raise eta.  Descent is kept by the acceptance
-test instead: an iterate whose eta exceeds the current one ends the run, so
-the accepted eta trace is non-increasing whatever the step does.  eta is the
-window peak |r| itself and does not depend on p.
+test instead: a candidate whose eta or normalized PSL (``psl_db``) exceeds
+the current one ends the run, so both accepted traces are non-increasing
+whatever the step does.  eta is the window peak |r| itself and does not
+depend on p.  The PSL is checked as well because eta alone does not bound
+it: the projection also moves the mainlobe, and a candidate can lower eta
+while its PSL rises.
 
 **Continuation in p.**  Iteration k runs both of its MM steps at
 p_k = min(P_SCHEDULE[k], config.p), and at ``config.p`` from
@@ -34,9 +37,9 @@ early moves; the growing p then closes in on the peak.
 
 **Stop rule.**  After an accepted iteration whose normalized PSL (``psl_db``)
 falls by less than MIN_GAIN_DB, the run stops with reason ``small_gain``.  It
-also stops when a candidate raises eta (``objective_increased``), when the
-sidelobes vanish (``zero_sidelobe``), or after ``config.l_max`` iterations
-(``max_iterations``).
+also stops when a candidate raises eta or the PSL (``objective_increased``),
+when the sidelobes vanish (``zero_sidelobe``), or after ``config.l_max``
+iterations (``max_iterations``).
 
 Each iteration takes the squared extrapolation (SQUAREM) of two MM steps:
 they give a step r and curvature v, and the one candidate of the iteration is
@@ -101,8 +104,8 @@ class OptimizationReport:
     eta_trace: list[float]  # accepted window peak |r|, reference first
     psl_db_trace: list[float]  # normalized PSL of the same iterates (``psl_db``)
     # why the loop ended: "small_gain" (the last accepted iteration gained less
-    # than MIN_GAIN_DB), "objective_increased" (a candidate raised eta and was
-    # dropped), "zero_sidelobe" (the window sidelobes vanish) or
+    # than MIN_GAIN_DB), "objective_increased" (a candidate raised eta or the
+    # PSL and was dropped), "zero_sidelobe" (the window sidelobes vanish) or
     # "max_iterations" (l_max iterations ran)
     stop_reason: str
 
@@ -160,7 +163,7 @@ def optimize(
     """Monotone projected MM with squared extrapolation from the reference grid.
 
     Stops after an iteration that gains less than MIN_GAIN_DB, when a step
-    would increase eta, when the sidelobes vanish, or after ``config.l_max``
+    would increase eta or the PSL, when the sidelobes vanish, or after ``config.l_max``
     iterations (module docstring).
     """
     config = config or OptimizerConfig()
@@ -192,12 +195,13 @@ def optimize(
                     SymbolGrid.from_stacked(x, current.n_subcarriers), reference, spec, mask
                 )
         eta_next, corr_next = _eta(candidate, w)
-        if eta_next > trace[-1]:
+        psl_next = psl_db(corr_next, w)
+        if eta_next > trace[-1] or psl_next > psl_trace[-1]:
             reason = "objective_increased"
             break
         current, corr = candidate, corr_next
         trace.append(eta_next)
-        psl_trace.append(psl_db(corr, w))
+        psl_trace.append(psl_next)
         # vanished sidelobes gain inf dB here; the next iteration stops at zero_sidelobe
         if psl_trace[-2] - psl_trace[-1] < MIN_GAIN_DB:
             reason = "small_gain"

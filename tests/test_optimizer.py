@@ -107,6 +107,15 @@ class TestRunSquarem:
         report = optimize(ref, spec, mask, w, cfg.optimizer())
         assert len(grids) == 1 + iterations_run(report)
 
+    def test_candidate_raising_the_psl_is_dropped(self):
+        # M = 1 trial 48: the first candidate lowers eta (481.4 -> 468.9) but, with
+        # the projection shrinking the mainlobe, raises the PSL (-30.22 -> -29.79 dB)
+        spec, mask, ref, w, cfg = seeded_trial(48, n_antennas=1)
+        report = optimize(ref, spec, mask, w, cfg.optimizer())
+        assert report.stop_reason == "objective_increased"
+        assert report.iterations == 0
+        assert np.array_equal(report.grid.symbols, ref.symbols)
+
     def test_final_grid_feasible(self):
         spec, mask, ref, w = setup_problem(seed=66, unused=0.1)
         report = optimize(ref, spec, mask, w)
@@ -140,8 +149,9 @@ def passes_per_iteration(report, p_of_k) -> list[int]:
 class TestStepRule:
     @pytest.mark.parametrize("p", [50, 12])
     def test_p_schedule(self, monkeypatch, p):
-        # trial 9 at N = 64 runs 6 iterations once the gain rule is off, so k >= 3 is reached
-        spec, mask, ref, w, cfg = seeded_trial(9, n_subcarriers=64, n_cp=16, p=p, l_max=6)
+        # trial 7 at N = 64 runs 4 (p = 50) and 6 (p = 12) iterations once the gain
+        # rule is off, so k >= 3 is reached
+        spec, mask, ref, w, cfg = seeded_trial(7, n_subcarriers=64, n_cp=16, p=p, l_max=6)
         monkeypatch.setattr(optimizer, "MIN_GAIN_DB", -np.inf)
         ps = recorded_ps(monkeypatch)
         report = optimize(ref, spec, mask, w, cfg.optimizer())

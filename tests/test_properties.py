@@ -135,6 +135,7 @@ class TestOptimizeProperties:
         reproj = project_grid(report.grid, ref, spec, mask)
         assert np.allclose(reproj.symbols, report.grid.symbols, atol=1e-9)
         assert np.all(np.diff(report.eta_trace) <= 0.0)
+        assert np.all(np.diff(report.psl_db_trace) <= 0.0)
         assert report.iterations <= l_max
         assert report.stop_reason in (
             "small_gain", "objective_increased", "max_iterations", "zero_sidelobe"
