@@ -163,8 +163,8 @@ def optimize(
     """Monotone projected MM with squared extrapolation from the reference grid.
 
     Stops after an iteration that gains less than MIN_GAIN_DB, when a step
-    would increase eta or the PSL, when the sidelobes vanish, or after ``config.l_max``
-    iterations (module docstring).
+    would increase eta or the PSL, when the sidelobes vanish, or after
+    ``config.l_max`` iterations (module docstring).
     """
     config = config or OptimizerConfig()
     current = reference.copy()
@@ -209,4 +209,3 @@ def optimize(
     return OptimizationReport(
         grid=current, eta_trace=trace, psl_db_trace=psl_trace, stop_reason=reason
     )
-
