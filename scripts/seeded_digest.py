@@ -1,4 +1,4 @@
-"""Seeded optimizer digests: one sha256 per case over a fixed set of 50 trials.
+"""Seeded optimizer digests: one sha256 per case over a fixed set of 56 trials.
 
     python3 scripts/seeded_digest.py [--src DIR]
 
@@ -31,6 +31,7 @@ CASES = (
     ("m8", {"n_antennas": 8}, 6),
     ("p2-n64", {"p": 2, "n_subcarriers": 64, "n_cp": 16}, 6),
     ("p8", {"p": 8}, 6),
+    ("unused0", {"unused_fraction": 0.0}, 6),
 )
 
 

@@ -105,8 +105,6 @@ class ExperimentConfig:
         )
 
     def mask(self, rng: np.random.Generator) -> SubcarrierMask:
-        if self.unused_fraction == 0.0:
-            return SubcarrierMask.all_used(self.n_subcarriers, self.n_antennas)
         return SubcarrierMask.random(
             rng, self.n_subcarriers, self.n_antennas, self.unused_fraction
         )

@@ -28,14 +28,17 @@ dropped throughout.  It multiplies a, c, lambda_bar, Q and mu_bar alike and
 cancels in the normalized minimization step, leaving the direction vector y
 unchanged up to a positive scale.
 
-One pass computes each quantity once.  The window magnitudes |r| (lags
-1..N_cp-1, read as a slice) give eta, its (m, k, i), r_bar and c_hat; the
-correlation tensor keeps them (``spectrum.window_abs``), so correlations
-passed in come with their |r|.  The product c_hat * r is formed on the
-window lags only before the one FFT to v.  The (N, M, M) block stack is
-built once and serves both the eigensolve for mu_bar and Qx.  The pass
-itself keeps no state between calls; which tensor an accepted iterate
-carries into its next pass is the optimizer's choice.
+One pass computes each quantity once and returns only y, Qx and mu_bar.
+The window magnitudes |r| (lags 1..N_cp-1, read as a slice) give r_bar and
+c_hat, which lives on the window lags only; the correlation tensor keeps them
+(``spectrum.window_abs``), so correlations passed in come with their |r|.
+The product c_hat * r fills the window lags of the pass's one (M, M, N) array
+before the one FFT to v.  The (N, M, M) block stack is built once and serves
+both the eigensolve for mu_bar and Qx.  When the window sidelobes vanish
+(``spectrum.sidelobes_vanish``) there is no surrogate: ``coefficients``
+raises ``ZeroSidelobeError`` and the pass lets it through.  The pass itself
+keeps no state between calls; which tensor an accepted iterate carries into
+its next pass is the optimizer's choice.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# peak_sidelobe is not called here; perfbench/tracer.py still wraps it at this site
 from .spectrum import (
     CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, mean_mainlobe, peak_sidelobe,
     sidelobes_vanish, window_abs, window_lags,
@@ -73,33 +77,27 @@ class MajorizerCoeffs:
 
     p: int
     r_bar: float
-    c_hat: np.ndarray  # (M, M, N), zero off the lag window
+    c_hat: np.ndarray  # (M, M, n_cp - 1) on the lag window; index j holds lag j + 1
 
 
 @dataclass
 class MajorizerOutput:
-    """One pass's results in the common r_bar**(p-2) scale; y, qx and mu_bar
-    are None when the sidelobes in the lag window vanish."""
+    """One pass's results in the common r_bar**(p-2) scale."""
 
-    y: np.ndarray | None  # length-MN direction (Q - 2*lambda_bar*x x^H - mu_bar*I) x
-    eta: float
-    argmax: tuple[int, int, int]
-    qx: np.ndarray | None = None  # (N, M) product Q x, column m for antenna m
-    mu_bar: float | None = None  # lambda_max(Q)
+    y: np.ndarray  # length-MN direction (Q - 2*lambda_bar*x x^H - mu_bar*I) x
+    qx: np.ndarray  # (N, M) product Q x, column m for antenna m
+    mu_bar: float  # lambda_max(Q)
 
 
 def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoeffs:
     """Linearized weights c = (p/2) * |r|^(p-2) on the lag window, in r_bar-factored form."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    lags = window_lags(corr, w)
     r_abs = window_abs(corr, w)
     r_bar = float(np.max(r_abs))
     if sidelobes_vanish(r_bar, mean_mainlobe(corr)):
         raise ZeroSidelobeError("all correlations in the lag window are zero up to round-off")
-    c_hat = np.zeros(corr.values.shape)
-    c_hat[:, :, lags] = 0.5 * p * (r_abs / r_bar) ** (p - 2)
-    return MajorizerCoeffs(p=p, r_bar=r_bar, c_hat=c_hat)
+    return MajorizerCoeffs(p=p, r_bar=r_bar, c_hat=0.5 * p * (r_abs / r_bar) ** (p - 2))
 
 
 def lambda_bar(coeffs: MajorizerCoeffs, w: LagWeights) -> float:
@@ -112,7 +110,7 @@ def lambda_bar(coeffs: MajorizerCoeffs, w: LagWeights) -> float:
 
 
 def v_fields(corr: CorrelationTensor, coeffs: MajorizerCoeffs, w: LagWeights) -> np.ndarray:
-    """Diagonal-block generators: v[m, k] = N * DFT(c_hat * r), c_hat zero off the window."""
+    """Diagonal-block generators: v[m, k] = N * DFT(c_hat * r), zero-filled off the window."""
     # The diagonal blocks Lambda_mk = Diag(v_mk + conj(v_km)) require v_mk to
     # carry a factor N on top of the DFT of (c * r): expanding the diagonal
     # of sum_i c (conj(r) Diag(N conj(F_i)) + h.c.) over window lags i entrywise
@@ -120,7 +118,7 @@ def v_fields(corr: CorrelationTensor, coeffs: MajorizerCoeffs, w: LagWeights) ->
     # oracle pins this constant; test_majorizer asserts it as a regression.
     lags = window_lags(corr, w)
     weighted = np.zeros(corr.values.shape, dtype=complex)
-    weighted[:, :, lags] = coeffs.c_hat[:, :, lags] * corr.values[:, :, lags]
+    weighted[:, :, lags] = coeffs.c_hat * corr.values[:, :, lags]
     return corr.n_lags * np.fft.fft(weighted, axis=2)
 
 
@@ -154,18 +152,13 @@ def majorize_direction(
 
     Returns the direction vector y = (Q - 2*lambda_bar*x x^H - mu_bar*I) x in
     the common r_bar**(p-2) scale, with the product Qx and mu_bar it was built
-    from, or y = None when the sidelobes in the lag window already vanish
-    (``coefficients`` raises ``ZeroSidelobeError``).
-    ``corr`` may carry the already computed correlations of ``grid``.  Cost
-    O(M^2 N log N) plus N small eigenproblems.
+    from.  Raises ``ZeroSidelobeError`` when the sidelobes in the lag window
+    already vanish.  ``corr`` may carry the already computed correlations of
+    ``grid``.  Cost O(M^2 N log N) plus N small eigenproblems.
     """
     if corr is None:
         corr = cyclic_correlations(grid)
-    eta, amax = peak_sidelobe(corr, w)
-    try:
-        coeffs = coefficients(corr, w, p)
-    except ZeroSidelobeError:
-        return MajorizerOutput(y=None, eta=eta, argmax=amax)
+    coeffs = coefficients(corr, w, p)
     lam = lambda_bar(coeffs, w)
     v = v_fields(corr, coeffs, w)
     blocks = hermitian_blocks(v)
@@ -174,4 +167,4 @@ def majorize_direction(
     x = grid.symbols  # (N, M)
     qx = np.matmul(blocks, x[:, :, None])[:, :, 0]
     y = qx - (2.0 * lam * grid.energy() + mu) * x
-    return MajorizerOutput(y=y.reshape(-1, order="F"), eta=eta, argmax=amax, qx=qx, mu_bar=mu)
+    return MajorizerOutput(y=y.reshape(-1, order="F"), qx=qx, mu_bar=mu)

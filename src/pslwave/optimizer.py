@@ -38,17 +38,19 @@ early moves; the growing p then closes in on the peak.
 **Stop rule.**  After an accepted iteration whose normalized PSL (``psl_db``)
 falls by less than MIN_GAIN_DB, the run stops with reason ``small_gain``.  It
 also stops when a candidate raises eta or the PSL (``objective_increased``),
-when the sidelobes vanish (``zero_sidelobe``), or after ``config.l_max``
-iterations (``max_iterations``).
+or after ``config.l_max`` iterations (``max_iterations``).  An iteration
+starts only while the last accepted PSL is finite: ``psl_db`` is -inf exactly
+when ``spectrum.sidelobes_vanish`` holds, the same test on which
+``majorizer.coefficients`` raises ``ZeroSidelobeError``, so the loop stops
+with ``zero_sidelobe`` before a pass that has no surrogate.
 
 Each iteration takes the squared extrapolation (SQUAREM) of two MM steps:
 they give a step r and curvature v, and the one candidate of the iteration is
-the projection of x - 2*alpha*r + alpha**2 * v at alpha = -||r|| / ||v||.
-There is no backtracking in alpha and no fallback to the plain double step:
-the acceptance test takes the candidate or ends the run.  When v vanishes the
+the projection of x - 2*alpha*r + alpha**2 * v at alpha = -||r|| / ||v||,
+which the acceptance test takes or ends the run at.  When v vanishes the
 second step's grid is the candidate, and when the sidelobes of the first
-step's grid already vanish there is no second step, and that grid is the
-candidate.
+step's grid already vanish (the second step raises ``ZeroSidelobeError``)
+that grid is the candidate.
 
 Each quantity is computed once per iterate.  The correlations of a grid are
 taken where its eta is, and the tensor keeps its window |r|; an accepted
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask
-from .majorizer import majorize_direction
+from .majorizer import ZeroSidelobeError, majorize_direction
 from .projector import project_grid
 from .spectrum import (
     CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db,
@@ -137,14 +139,13 @@ def mm_step(
     w: LagWeights,
     p: int,
     corr: CorrelationTensor | None = None,
-) -> SymbolGrid | None:
+) -> SymbolGrid:
     """One step along y_c = (Q - STEP_C * mu_bar * I) x onto the sphere of
-    ``reference``'s energy, then the projection; None if the sidelobes already
-    vanish.  ``corr`` may carry the already computed correlations of ``grid``.
+    ``reference``'s energy, then the projection.  Raises ``ZeroSidelobeError``
+    when the sidelobes of ``grid`` already vanish.  ``corr`` may carry the
+    already computed correlations of ``grid``.
     """
     out = majorize_direction(grid, w, p, corr=corr)
-    if out.y is None:
-        return None
     radius = np.sqrt(reference.energy())
     # nonzero: x^H y_c <= (1 - STEP_C) * mu_bar * ||x||^2 < 0 (module docstring)
     y_c = out.qx - STEP_C * out.mu_bar * grid.symbols
@@ -172,13 +173,14 @@ def optimize(
     trace, psl_trace = [eta], [psl_db(corr, w)]
     reason = "max_iterations"
     for k in range(config.l_max):
-        p = min(P_SCHEDULE[k], config.p) if k < len(P_SCHEDULE) else config.p
-        x1 = mm_step(current, reference, spec, mask, w, p, corr=corr)
-        if x1 is None:
+        if psl_trace[-1] == -np.inf:
             reason = "zero_sidelobe"
             break
-        x2 = mm_step(x1, reference, spec, mask, w, p)
-        if x2 is None:
+        p = min(P_SCHEDULE[k], config.p) if k < len(P_SCHEDULE) else config.p
+        x1 = mm_step(current, reference, spec, mask, w, p, corr=corr)
+        try:
+            x2 = mm_step(x1, reference, spec, mask, w, p)
+        except ZeroSidelobeError:
             # x1 already has no sidelobes: take it, and the next iteration stops
             candidate = x1
         else:

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,28 @@ class TestCliCommands:
             for m, n, re, im in rows:
                 written[int(n), int(m)] = complex(float(re), float(im))
             assert np.allclose(written, grid.symbols, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("command,names", [
+        ("optimize", ["optimize_summary.csv", "grid_optimized.csv"]),
+        ("sense", ["sense.csv"]),
+    ])
+    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch, command, names):
+        pools = []
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", counted_pool)
+        cfgp = small_config(tmp_path)
+        written = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            assert main([command, "--config", cfgp, "--out", str(out), "--seed", "3",
+                         "--trials", "4", "--workers", workers, "--no-timestamp"]) == 0
+            written[workers] = [(out / name).read_bytes() for name in names]
+        assert pools == [{"max_workers": 2}]
+        assert written["1"] == written["2"]
 
     def test_optimize_deterministic(self, tmp_path):
         cfgp = small_config(tmp_path)

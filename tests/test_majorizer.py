@@ -76,7 +76,8 @@ class TestCoefficients:
         coeffs = majorizer.coefficients(corr, w, p)
         r_bar, _, _, c_raw = oracle.coefficients_raw(corr, w, p)
         assert coeffs.r_bar == pytest.approx(r_bar)
-        assert np.allclose(r_bar ** (p - 2) * coeffs.c_hat, c_raw, rtol=1e-9, atol=1e-9)
+        assert np.allclose(r_bar ** (p - 2) * coeffs.c_hat, c_raw[:, :, w.mask],
+                           rtol=1e-9, atol=1e-9)
 
     def test_peak_lag_uses_limit(self):
         # lambda_bar = N^3 * max(a_raw) / r_bar^(p-2): the largest quadratic
@@ -91,10 +92,17 @@ class TestCoefficients:
             assert majorizer.lambda_bar(coeffs, w) == pytest.approx(expect, rel=1e-12)
 
     def test_zero_off_window(self):
+        # c_hat holds the window lags 1..n_cp-1 only; v_fields weights every
+        # other lag by zero
         grid = random_grid(8, 2, 13)
         w = LagWeights(8, 3)
-        coeffs = majorizer.coefficients(cyclic_correlations(grid), w, 50)
-        assert np.all(coeffs.c_hat[:, :, [0, 3, 4, 5, 6, 7]] == 0)
+        corr = cyclic_correlations(grid)
+        coeffs = majorizer.coefficients(corr, w, 50)
+        assert coeffs.c_hat.shape == (2, 2, 2)
+        full = np.zeros(corr.values.shape)
+        full[:, :, [1, 2]] = coeffs.c_hat
+        v = majorizer.v_fields(corr, coeffs, w)
+        assert np.array_equal(v, 8 * np.fft.fft(full * corr.values, axis=2))
 
     def test_p50_stays_finite(self):
         grid = noisy_grid(16, 3, 14)
@@ -205,17 +213,20 @@ class TestDirection:
         out = majorizer.majorize_direction(grid, w, p)
         x_l = grid.stacked()
         vals = oracle.chain_values(x_l, x_l, oracle.brute_correlations(grid), w, p)
-        y_fast = out.eta ** (p - 2) * out.y
+        r_bar = majorizer.coefficients(cyclic_correlations(grid), w, p).r_bar
+        y_fast = r_bar ** (p - 2) * out.y
         scale = max(np.max(np.abs(vals["y"])), 1.0)
         assert np.allclose(y_fast, vals["y"], rtol=1e-8, atol=1e-8 * scale)
 
     def test_eta_and_argmax_reported(self):
+        # the pass scales by the window peak r_bar that peak_sidelobe reports as eta
         grid = random_grid(8, 2, 23)
-        out = majorizer.majorize_direction(grid, LagWeights(8, 4), 50)
-        assert out.eta > 0
-        m, k, i = out.argmax
-        r = cyclic_correlations(grid).values
-        assert abs(r[m, k, i]) == pytest.approx(out.eta)
+        w = LagWeights(8, 4)
+        corr = cyclic_correlations(grid)
+        eta, (m, k, i) = peak_sidelobe(corr, w)
+        assert eta > 0
+        assert abs(corr.values[m, k, i]) == pytest.approx(eta)
+        assert majorizer.coefficients(corr, w, 50).r_bar == eta
 
     def test_precomputed_correlations_give_identical_output(self):
         grid = noisy_grid(16, 3, 26)
@@ -223,8 +234,8 @@ class TestDirection:
         plain = majorizer.majorize_direction(grid, w, 50)
         reused = majorizer.majorize_direction(grid, w, 50, corr=cyclic_correlations(grid))
         assert np.array_equal(plain.y, reused.y)
-        assert plain.eta == reused.eta
-        assert plain.argmax == reused.argmax
+        assert np.array_equal(plain.qx, reused.qx)
+        assert plain.mu_bar == reused.mu_bar
 
     @pytest.mark.parametrize("m,p", [(1, 50), (2, 2), (3, 8), (4, 50)])
     def test_carried_window_gives_identical_output(self, m, p):
@@ -235,8 +246,8 @@ class TestDirection:
         fresh = majorizer.majorize_direction(grid, w, p)
         carried = majorizer.majorize_direction(grid, w, p, corr=corr)
         assert np.array_equal(fresh.y, carried.y)
-        assert fresh.eta == carried.eta
-        assert fresh.argmax == carried.argmax
+        assert np.array_equal(fresh.qx, carried.qx)
+        assert fresh.mu_bar == carried.mu_bar
 
     @pytest.mark.parametrize("m,p", [(1, 50), (2, 4), (4, 50), (8, 8)])
     def test_one_pass_matches_the_unfused_chain(self, m, p):
@@ -265,9 +276,8 @@ class TestDirection:
 
     def test_zero_sidelobe_short_circuit(self):
         grid = SymbolGrid(np.ones((8, 1)))
-        out = majorizer.majorize_direction(grid, LagWeights(8, 4), 50)
-        assert out.y is None and out.qx is None and out.mu_bar is None
-        assert out.eta == 0.0
+        with pytest.raises(majorizer.ZeroSidelobeError):
+            majorizer.majorize_direction(grid, LagWeights(8, 4), 50)
 
 
 def unfused_direction(grid: SymbolGrid, w: LagWeights, p: int) -> np.ndarray:

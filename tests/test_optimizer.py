@@ -53,12 +53,13 @@ class TestMmStep:
         assert out.symbols.shape == ref.symbols.shape
         assert np.all(np.isfinite(out.symbols))
 
-    def test_zero_sidelobe_returns_none(self):
+    def test_zero_sidelobe_raises(self):
         spec = ConstellationSpec("psk", 4)
         mask = SubcarrierMask.all_used(8, 1)
         # flat spectrum has zero weighted sidelobes; mm_step must signal it
         flat = SymbolGrid(np.ones((8, 1), dtype=complex))
-        assert mm_step(flat, flat, spec, mask, LagWeights(8, 4), 50) is None
+        with pytest.raises(ZeroSidelobeError):
+            mm_step(flat, flat, spec, mask, LagWeights(8, 4), 50)
 
 
 class TestRunSquarem:
@@ -106,6 +107,25 @@ class TestRunSquarem:
         monkeypatch.setattr(optimizer, "cyclic_correlations", recording)
         report = optimize(ref, spec, mask, w, cfg.optimizer())
         assert len(grids) == 1 + iterations_run(report)
+
+    def test_first_step_without_sidelobes_is_the_candidate(self, monkeypatch):
+        # x1 has no sidelobes, so the second step has no surrogate: x1 is taken,
+        # and the next iteration stops at once
+        spec, mask, ref, w = setup_problem()
+        flat = SymbolGrid(np.tile(spec.points[[0, 1]], (32, 1)))
+        steps = []
+
+        def first_step_flat(grid, *args, **kwargs):
+            steps.append(grid)
+            return flat if len(steps) == 1 else mm_step(grid, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "mm_step", first_step_flat)
+        report = optimize(ref, spec, mask, w)
+        assert steps[1] is flat
+        assert np.array_equal(report.grid.symbols, flat.symbols)
+        assert report.psl_db_after == -np.inf
+        assert report.stop_reason == "zero_sidelobe"
+        assert report.iterations == 1
 
     def test_candidate_raising_the_psl_is_dropped(self):
         # M = 1 trial 48: the first candidate lowers eta (481.4 -> 468.9) but, with
@@ -245,7 +265,8 @@ class TestZeroSidelobeUnderRoundOff:
         assert np.max(np.abs(corr.values[:, :, w.mask])) > 0.0  # round-off, not exact zeros
         with pytest.raises(ZeroSidelobeError):
             coefficients(corr, w, 50)
-        assert majorize_direction(ref, w, 50).y is None
+        with pytest.raises(ZeroSidelobeError):
+            majorize_direction(ref, w, 50)
         report = optimize(ref, spec, SubcarrierMask.all_used(n, 2), w)
         assert report.stop_reason == "zero_sidelobe"
         assert report.iterations == 0
@@ -259,7 +280,7 @@ class TestZeroSidelobeUnderRoundOff:
         symbols[3, 0] *= np.exp(1e-6j)
         ref = SymbolGrid(symbols)
         w = LagWeights(20, 5)
-        assert majorize_direction(ref, w, 50).y is not None
+        assert np.all(np.isfinite(majorize_direction(ref, w, 50).y))
         report = optimize(ref, spec, SubcarrierMask.all_used(20, 2), w, OptimizerConfig(l_max=1))
         assert np.isfinite(report.psl_db_before)
         assert report.stop_reason != "zero_sidelobe"
