@@ -7,8 +7,12 @@ Each trial draws its reference grid from ``trial_rng(0, t)`` exactly as
 covers, per trial, the optimized grid's bytes, ``eta_trace``,
 ``psl_db_before``, ``psl_db_after`` and ``stop_reason``.  Two source trees
 whose printed digests agree give bit-identical seeded optimizer outputs on
-these cases.  ``--src`` names the directory holding the ``pslwave`` package
-(default: this checkout's ``src/``).
+these cases.  Next to each digest the case's quality is printed: the median
+PSL gain (``psl_db_before - psl_db_after``, dB), the share of trials that
+gain at least 3 dB, and the median iteration count, so a change that alters
+digests by design shows what it did to the results.  ``--src`` names the
+directory holding the ``pslwave`` package (default: this checkout's
+``src/``).
 """
 
 from __future__ import annotations
@@ -35,10 +39,14 @@ CASES = (
 )
 
 
-def case_digest(config, constellation, optimizer, overrides: dict, trials: int) -> str:
+def case_digest(
+    config, constellation, optimizer, overrides: dict, trials: int
+) -> tuple[str, np.ndarray, np.ndarray]:
+    """The case's digest, with the PSL gain (dB) and iteration count of each trial."""
     cfg = config.ExperimentConfig(**overrides)
     spec, w = cfg.constellation(), cfg.lag_weights()
     h = hashlib.sha256()
+    gains, iterations = np.empty(trials), np.empty(trials)
     for t in range(trials):
         rng = config.trial_rng(0, t)
         mask = cfg.mask(rng)
@@ -48,7 +56,8 @@ def case_digest(config, constellation, optimizer, overrides: dict, trials: int) 
         h.update(np.asarray(rep.eta_trace, dtype=float).tobytes())
         h.update(np.array([rep.psl_db_before, rep.psl_db_after]).tobytes())
         h.update(rep.stop_reason.encode())
-    return h.hexdigest()
+        gains[t], iterations[t] = rep.psl_db_before - rep.psl_db_after, rep.iterations
+    return h.hexdigest(), gains, iterations
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,9 +67,11 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     from pslwave import config, constellation, optimizer
 
+    print(f"{'case':<12} {'n':>2} {'sha256':<64} {'gain_dB':>7} {'>=3dB':>5} {'iter':>4}")
     for name, overrides, trials in CASES:
-        digest = case_digest(config, constellation, optimizer, overrides, trials)
-        print(f"{name:<12} {trials:>2} {digest}")
+        digest, gains, iterations = case_digest(config, constellation, optimizer, overrides, trials)
+        print(f"{name:<12} {trials:>2} {digest} {np.median(gains):7.2f}"
+              f" {np.mean(gains >= 3.0):5.0%} {np.median(iterations):4.1f}")
     return 0
 
 

@@ -281,15 +281,19 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
         dense = oracle.chain_values(x_l, x_l, slow, w, p)
         coeffs = majorizer.coefficients(corr, w, p)
         unscale = coeffs.r_bar ** (p - 2)
+        out = majorizer.majorize_direction(grid, w, p, corr=corr)
         fast = {
             "lambda_bar": unscale * majorizer.lambda_bar(coeffs, w),
-            "mu_bar": unscale * majorizer.mu_bar(majorizer.v_fields(corr, coeffs, w)),
-            "y": unscale * majorizer.majorize_direction(grid, w, p, corr=corr).y,
+            "mu_bar": unscale * out.mu_bar,
+            "y": unscale * out.y,
         }
         for key, value in fast.items():
             ref = dense[key]
             err = np.max(np.abs(value - ref)) / max(np.max(np.abs(ref)), 1.0)
             check(f"fast {key} vs dense oracle (p={p}), rel. err", err, "1e-08", err <= 1e-8)
+        # the optimizer's step constant L must bound the exact mu_bar
+        ratio = unscale * out.mu_bound / dense["mu_bar"]
+        check(f"step bound L / dense mu_bar (p={p})", ratio, ">= 1 - 1e-12", ratio >= 1 - 1e-12)
 
     beta = sensing.cfar_threshold_factor(1e-4, 7)
     check("CFAR threshold factor - 13.03", abs(beta - 13.03), "0.01", abs(beta - 13.03) <= 0.01)

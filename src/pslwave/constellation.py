@@ -220,7 +220,8 @@ def demodulate(
     """
     symbols = grid.symbols if isinstance(grid, SymbolGrid) else np.asarray(grid)
     z = np.swapaxes(symbols, -1, -2)[..., mask.used.T]
-    bits = _label_bits(spec.bits_per_symbol)[_slice_labels(z, spec)]
+    # np.take on the small table is far cheaper than fancy indexing it
+    bits = np.take(_label_bits(spec.bits_per_symbol), _slice_labels(z, spec), axis=0)
     return bits.reshape(*z.shape[:-1], -1)
 
 

@@ -14,7 +14,9 @@ majorized in three stages:
    r_bar^(p-2) of the stacked Gram matrix;
 3. the remaining quadratic x^H Q x by mu_bar * ||x||^2 + linear, where Q is
    block-diagonal per sub-carrier, so mu_bar is the max over N decoupled
-   M x M Hermitian eigenproblems.
+   M x M Hermitian eigenproblems.  Any L >= mu_bar bounds it as well; the
+   closed-form trace bound L = max_n ``lambda_max_bound(Q_n)`` costs O(M^2)
+   per block and needs no eigensolve.
 
 The per-subcarrier blocks are Q_n[m, k] = v_mk[n] + conj(v_km[n]) with
 v_mk = N * DFT(c * r_mk), where c is zero off the lag window.  With the
@@ -24,17 +26,20 @@ mirror symmetric.  The dense-matrix oracle pins this structure.
 
 Everything is computed in r_bar-factored form: with p = 50 the raw
 coefficients overflow double precision, so the common factor r_bar**(p-2) is
-dropped throughout.  It multiplies a, c, lambda_bar, Q and mu_bar alike and
+dropped throughout.  It multiplies a, c, lambda_bar, Q, mu_bar and L alike and
 cancels in the normalized minimization step, leaving the direction vector y
 unchanged up to a positive scale.
 
-One pass computes each quantity once and returns only y, Qx and mu_bar.
-The window magnitudes |r| (lags 1..N_cp-1, read as a slice) give r_bar and
-c_hat, which lives on the window lags only; the correlation tensor keeps them
-(``spectrum.window_abs``), so correlations passed in come with their |r|.
-The product c_hat * r fills the window lags of the pass's one (M, M, N) array
-before the one FFT to v.  The (N, M, M) block stack is built once and serves
-both the eigensolve for mu_bar and Qx.  When the window sidelobes vanish
+One pass computes each quantity once and returns Qx and L, the two values an
+optimizer step reads.  The exact mu_bar and the MM direction y are computed
+when first read (``MajorizerOutput``), from the blocks the pass keeps, so a
+step that never reads them runs no eigensolve.  The window magnitudes |r|
+(lags 1..N_cp-1, read as a slice) give r_bar and c_hat, which lives on the
+window lags only; the correlation tensor keeps them (``spectrum.window_abs``),
+so correlations passed in come with their |r|.  The product c_hat * r fills
+the window lags of the pass's one (M, M, N) array before the one FFT to v.
+The (N, M, M) block stack is built once and serves L, Qx and, when read, the
+eigensolve for mu_bar.  When the window sidelobes vanish
 (``spectrum.sidelobes_vanish``) there is no surrogate: ``coefficients``
 raises ``ZeroSidelobeError`` and the pass lets it through.  The pass itself
 keeps no state between calls; which tensor an accepted iterate carries into
@@ -43,7 +48,8 @@ its next pass is the optimizer's choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +67,7 @@ __all__ = [
     "lambda_bar",
     "v_fields",
     "hermitian_blocks",
+    "lambda_max_bound",
     "mu_bar",
     "majorize_direction",
 ]
@@ -82,11 +89,30 @@ class MajorizerCoeffs:
 
 @dataclass
 class MajorizerOutput:
-    """One pass's results in the common r_bar**(p-2) scale."""
+    """One pass's results in the common r_bar**(p-2) scale.
 
-    y: np.ndarray  # length-MN direction (Q - 2*lambda_bar*x x^H - mu_bar*I) x
+    The pass fills ``qx`` and ``mu_bound``; ``mu_bar`` and ``y`` are computed
+    on first read from the kept ``grid``, ``lambda_bar``, ``v`` and ``blocks``.
+    """
+
     qx: np.ndarray  # (N, M) product Q x, column m for antenna m
-    mu_bar: float  # lambda_max(Q)
+    mu_bound: float  # L = max_n lambda_max_bound(Q_n) >= mu_bar
+    grid: SymbolGrid = field(repr=False)  # the iterate x
+    lambda_bar: float = field(repr=False)
+    v: np.ndarray = field(repr=False)  # (M, M, N) v fields
+    blocks: np.ndarray = field(repr=False)  # (N, M, M) hermitian_blocks(v)
+
+    @cached_property
+    def mu_bar(self) -> float:
+        """lambda_max(Q), through the module-level ``mu_bar`` (one eigensolve)."""
+        return mu_bar(self.v, _blocks=self.blocks)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        """Length-MN MM direction (Q - 2*lambda_bar*x x^H - mu_bar*I) x."""
+        x = self.grid.symbols
+        y = self.qx - (2.0 * self.lambda_bar * self.grid.energy() + self.mu_bar) * x
+        return y.reshape(-1, order="F")
 
 
 def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoeffs:
@@ -127,8 +153,26 @@ def hermitian_blocks(v: np.ndarray) -> np.ndarray:
     return (v + v.transpose(1, 0, 2).conj()).transpose(2, 0, 1)
 
 
+def lambda_max_bound(blocks: np.ndarray) -> np.ndarray:
+    """(N,) upper bounds on lambda_max of each Hermitian block of an (N, M, M) stack.
+
+    With t = Re tr Q_n and f = ||Q_n||_F^2 (= tr Q_n^2), the eigenvalues have
+    mean t/M and variance f/M - (t/M)^2, and
+    lambda_max <= t/M + sqrt((M - 1) * (f/M - (t/M)^2))
+    (Wolkowicz & Styan, Lin. Alg. Appl. 29, 1980).  It is attained when the
+    M - 1 smallest eigenvalues are equal, so it is exact for M <= 2 (one
+    eigenvalue is the mean, or two sit symmetric about it) and for rank-one
+    blocks.  The variance is clipped at 0 against round-off.  A non-finite
+    block gives a non-finite bound.
+    """
+    m = blocks.shape[-1]
+    mean = np.trace(blocks, axis1=1, axis2=2).real / m
+    frob2 = np.square(np.abs(blocks)).sum(axis=(1, 2))
+    return mean + np.sqrt((m - 1) * np.maximum(frob2 / m - mean * mean, 0.0))
+
+
 def mu_bar(v: np.ndarray, _blocks: np.ndarray | None = None) -> float:
-    """max_n lambda_max(Q_n) over the Hermitian per-subcarrier blocks.
+    """max_n lambda_max(Q_n) over the Hermitian per-subcarrier blocks, exactly.
 
     One batched LAPACK Hermitian eigensolve (``eigvalsh``, ascending
     eigenvalues) over the (N, M, M) block stack.  The blocks are Hermitian by
@@ -150,11 +194,13 @@ def majorize_direction(
 ) -> MajorizerOutput:
     """Full majorization pass at the current iterate.
 
-    Returns the direction vector y = (Q - 2*lambda_bar*x x^H - mu_bar*I) x in
-    the common r_bar**(p-2) scale, with the product Qx and mu_bar it was built
-    from.  Raises ``ZeroSidelobeError`` when the sidelobes in the lag window
-    already vanish.  ``corr`` may carry the already computed correlations of
-    ``grid``.  Cost O(M^2 N log N) plus N small eigenproblems.
+    Returns the product Qx and the bound L = max_n ``lambda_max_bound(Q_n)``
+    >= mu_bar in the common r_bar**(p-2) scale; the exact mu_bar and the
+    direction y = (Q - 2*lambda_bar*x x^H - mu_bar*I) x are computed on first
+    read.  Raises ``ZeroSidelobeError`` when the sidelobes in the lag window
+    already vanish, and ``ValueError`` when the v fields are not finite.
+    ``corr`` may carry the already computed correlations of ``grid``.  Cost
+    O(M^2 N log N); reading mu_bar or y adds N small eigenproblems.
     """
     if corr is None:
         corr = cyclic_correlations(grid)
@@ -162,9 +208,9 @@ def majorize_direction(
     lam = lambda_bar(coeffs, w)
     v = v_fields(corr, coeffs, w)
     blocks = hermitian_blocks(v)
-    mu = mu_bar(v, _blocks=blocks)
-
-    x = grid.symbols  # (N, M)
-    qx = np.matmul(blocks, x[:, :, None])[:, :, 0]
-    y = qx - (2.0 * lam * grid.energy() + mu) * x
-    return MajorizerOutput(y=y.reshape(-1, order="F"), qx=qx, mu_bar=mu)
+    bound = float(np.max(lambda_max_bound(blocks)))
+    # a NaN or an infinity anywhere in v makes the bound non-finite
+    if not np.isfinite(bound):
+        raise ValueError("v fields must be finite")
+    qx = np.matmul(blocks, grid.symbols[:, :, None])[:, :, 0]
+    return MajorizerOutput(qx=qx, mu_bound=bound, grid=grid, lambda_bar=lam, v=v, blocks=blocks)

@@ -317,9 +317,23 @@ class TestCliCommands:
         main(["verify", "--out", str(tmp_path / "res"), "--seed", "0", "--no-timestamp"])
         lines = capsys.readouterr().out.splitlines()
         checks = [line for line in lines if line.startswith(("PASS", "FAIL"))]
-        assert len(checks) == 12
+        assert len(checks) == 14
         assert all("(limit " in line for line in checks)
         assert sum("vs dense oracle" in line for line in checks) == 6
+
+    def test_verify_checks_the_step_bound(self, tmp_path, capsys, monkeypatch):
+        main(["verify", "--out", str(tmp_path / "res"), "--seed", "0", "--no-timestamp"])
+        lines = capsys.readouterr().out.splitlines()
+        for p in (2, 4):
+            line = next(x for x in lines if f"step bound L / dense mu_bar (p={p})" in x)
+            assert line.startswith("PASS") and "(limit >= 1 - 1e-12)" in line
+            # N = 8, M = 2: the bound is exact
+            assert float(line.split(": ")[1].split()[0]) == pytest.approx(1.0, rel=1e-9)
+        exact = majorizer.lambda_max_bound
+        monkeypatch.setattr(majorizer, "lambda_max_bound", lambda b: 0.99 * exact(b))
+        code = main(["verify", "--out", str(tmp_path / "res"), "--seed", "0", "--no-timestamp"])
+        assert code == 2
+        assert "FAIL step bound L / dense mu_bar (p=2)" in capsys.readouterr().out
 
     def test_verify_fails_on_a_wrong_fast_majorizer(self, tmp_path, capsys, monkeypatch):
         exact = majorizer.lambda_bar

@@ -6,6 +6,8 @@ import pytest
 from pslwave.constellation import (
     ConstellationSpec,
     SubcarrierMask,
+    _label_bits,
+    _slice_labels,
     demodulate,
     modulate,
     orthogonal_interleaved_grid,
@@ -87,6 +89,24 @@ class TestModulation:
         assert stacked.shape == (5, spec.bits_per_symbol * mask.n_used)
         for s in range(5):
             assert np.array_equal(stacked[s], demodulate(noisy[s], spec, mask))
+
+    @pytest.mark.parametrize("family,order", [("psk", 4), ("psk", 8), ("qam", 16), ("qam", 64)])
+    def test_table_read_matches_fancy_indexing(self, family, order):
+        # demodulate reads the label-to-bits table with np.take; fancy indexing
+        # the same table with the same labels gives the same bits
+        rng = np.random.default_rng(7)
+        spec = ConstellationSpec(family, order)
+        mask = SubcarrierMask.random(rng, 64, 4, 0.1)
+        grid, _ = random_reference_grid(rng, spec, mask)
+        noisy = grid.symbols + 0.5 * (
+            rng.standard_normal((2, 3, 64, 4)) + 1j * rng.standard_normal((2, 3, 64, 4))
+        )
+        z = np.swapaxes(noisy, -1, -2)[..., mask.used.T]
+        old = _label_bits(spec.bits_per_symbol)[_slice_labels(z, spec)]
+        old = old.reshape(*z.shape[:-1], -1)
+        got = demodulate(noisy, spec, mask)
+        assert got.dtype == old.dtype
+        assert np.array_equal(got, old)
 
     def test_ties_go_to_the_higher_region(self):
         # 16QAM: 0 and 2 lie on axis boundaries, so the levels +1 and +3 win;

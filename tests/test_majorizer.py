@@ -205,6 +205,91 @@ class TestEigenvalueBounds:
             majorizer.mu_bar(v)
 
 
+def hermitian_stack(rng, n, m):
+    a = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+    return a + np.conj(np.swapaxes(a, 1, 2))
+
+
+def assert_bounds_top_eigenvalue(blocks, exact_rows=None):
+    """Each block's bound is >= its top eigenvalue (1e-12 of the block's
+    Frobenius norm), and equal to it within 1e-12 relative on ``exact_rows``."""
+    bound = majorizer.lambda_max_bound(blocks)
+    top = np.linalg.eigvalsh(blocks)[:, -1]
+    scale = np.linalg.norm(blocks, axis=(1, 2))
+    assert bound.shape == (blocks.shape[0],)
+    assert np.all(bound >= top - 1e-12 * scale)
+    if exact_rows is not None:
+        assert np.allclose(bound[exact_rows], top[exact_rows], rtol=1e-12, atol=0.0)
+
+
+class TestLambdaMaxBound:
+    """The Wolkowicz-Styan trace bound on lambda_max, against ``eigvalsh``."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_random_hermitian_stacks(self, m):
+        blocks = hermitian_stack(np.random.default_rng(100 + m), 64, m)
+        assert_bounds_top_eigenvalue(blocks, exact_rows=slice(None) if m <= 2 else None)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_rank_one_blocks_are_exact(self, m):
+        # eigenvalues ||u||^2, 0, ..., 0: the M - 1 smallest are equal
+        rng = np.random.default_rng(110 + m)
+        u = rng.standard_normal((16, m)) + 1j * rng.standard_normal((16, m))
+        assert_bounds_top_eigenvalue(u[:, :, None] * np.conj(u[:, None, :]), exact_rows=slice(None))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_trace_zero_blocks(self, m):
+        # first row and column carry u: eigenvalues +||u||, -||u|| and M - 2 zeros
+        rng = np.random.default_rng(120 + m)
+        u = rng.standard_normal((16, m - 1)) + 1j * rng.standard_normal((16, m - 1))
+        blocks = np.zeros((16, m, m), dtype=complex)
+        blocks[:, 0, 1:] = np.conj(u)
+        blocks[:, 1:, 0] = u
+        assert_bounds_top_eigenvalue(blocks, exact_rows=slice(None) if m == 2 else None)
+        norm = np.linalg.norm(u, axis=1)
+        assert np.allclose(majorizer.lambda_max_bound(blocks),
+                           norm * np.sqrt(2.0 * (m - 1) / m), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_scalar_and_zero_blocks(self, m):
+        scalars = np.array([0.0, 1.0, -2.5, 3.0, 1e-9])
+        blocks = scalars[:, None, None] * np.eye(m, dtype=complex)
+        assert_bounds_top_eigenvalue(blocks, exact_rows=slice(None) if m <= 2 else None)
+        assert majorizer.lambda_max_bound(blocks)[0] == 0.0
+
+    def test_pass_steps_on_the_max_bound(self):
+        grid = noisy_grid(32, 4, 130)
+        w = LagWeights(32, 8)
+        corr = cyclic_correlations(grid)
+        v = majorizer.v_fields(corr, majorizer.coefficients(corr, w, 8), w)
+        out = majorizer.majorize_direction(grid, w, 8)
+        assert out.mu_bound == np.max(majorizer.lambda_max_bound(majorizer.hermitian_blocks(v)))
+        assert out.mu_bound >= out.mu_bar * (1 - 1e-12) > 0.0
+
+    def test_pass_runs_no_eigensolve(self, monkeypatch):
+        # mu_bar and y are computed on first read, through the module-level mu_bar
+        calls = []
+        exact = majorizer.mu_bar
+        monkeypatch.setattr(majorizer, "mu_bar", lambda *a, **k: calls.append(1) or exact(*a, **k))
+        out = majorizer.majorize_direction(noisy_grid(16, 3, 131), LagWeights(16, 4), 50)
+        assert calls == []
+        y, mu = out.y, out.mu_bar
+        assert len(calls) == 1 and out.y is y and out.mu_bar == mu
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_v_raises(self, monkeypatch, bad):
+        exact = majorizer.v_fields
+
+        def broken(corr, coeffs, w):
+            v = exact(corr, coeffs, w)
+            v[0, 1, 3] = bad
+            return v
+
+        monkeypatch.setattr(majorizer, "v_fields", broken)
+        with pytest.raises(ValueError, match="finite"):
+            majorizer.majorize_direction(noisy_grid(8, 2, 132), LagWeights(8, 4), 4)
+
+
 class TestDirection:
     @pytest.mark.parametrize("p", [2, 4])
     def test_y_matches_dense_reference(self, p):

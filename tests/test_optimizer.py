@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pslwave import config, optimizer
+from pslwave import config, majorizer, optimizer
 from pslwave.constellation import ConstellationSpec, SubcarrierMask, random_reference_grid
 from pslwave.majorizer import ZeroSidelobeError, coefficients, majorize_direction
 from pslwave.optimizer import (
@@ -218,6 +218,45 @@ class TestStepRule:
             # x^H y_c <= (1 - STEP_C) * mu_bar * ||x||^2
             bound = (1.0 - STEP_C) * out.mu_bar * grid.energy()
             assert np.vdot(grid.symbols, y_c).real <= bound * (1 - 1e-12)
+            # the step mm_step takes: x^H y_c <= (mu_bar - STEP_C * L) * ||x||^2 < 0
+            assert out.mu_bound >= out.mu_bar * (1 - 1e-12)  # exact at M <= 2 up to round-off
+            y_c = out.qx - STEP_C * out.mu_bound * grid.symbols
+            assert np.all(np.isfinite(y_c))
+            bound = (out.mu_bar - STEP_C * out.mu_bound) * grid.energy()
+            assert bound < 0.0
+            assert np.vdot(grid.symbols, y_c).real <= bound * (1 - 1e-12)
+
+    @pytest.mark.parametrize("overrides", [{}, {"n_antennas": 8}], ids=["default", "m8"])
+    def test_optimizer_runs_no_eigensolve(self, monkeypatch, overrides):
+        # the steps read qx and the bound L; the exact mu_bar is never computed
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("the optimizer computed mu_bar")
+
+        monkeypatch.setattr(majorizer, "mu_bar", no_eigensolve)
+        for trial in range(3):
+            spec, mask, ref, w, cfg = seeded_trial(trial, **overrides)
+            report = optimize(ref, spec, mask, w, cfg.optimizer())
+            assert report.iterations >= 1
+            assert report.psl_db_after < report.psl_db_before
+            reproj = project_grid(report.grid, ref, spec, mask)
+            assert np.allclose(reproj.symbols, report.grid.symbols, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_v_raises_before_a_step(self, monkeypatch, bad):
+        exact = majorizer.v_fields
+
+        def broken(corr, coeffs, w):
+            v = exact(corr, coeffs, w)
+            v[1, 0, 2] = bad
+            return v
+
+        projected = []
+        monkeypatch.setattr(majorizer, "v_fields", broken)
+        monkeypatch.setattr(optimizer, "project_grid", lambda *a: projected.append(a))
+        spec, mask, ref, w = setup_problem(seed=63)
+        with pytest.raises(ValueError, match="finite"):
+            mm_step(ref, ref, spec, mask, w, 50)
+        assert projected == []
 
     def test_psl_db_before_and_after_read_the_trace(self):
         spec, mask, ref, w = setup_problem(seed=62)
