@@ -1,6 +1,6 @@
 """Seeded optimizer digests: one sha256 per case over a fixed set of 56 trials.
 
-    python3 scripts/seeded_digest.py [--src DIR]
+    python3 scripts/seeded_digest.py [--src DIR] [--against DIR] [--trials N]
 
 Each trial draws its reference grid from ``trial_rng(0, t)`` exactly as
 ``pslwave optimize`` does and runs ``optimize`` on it.  A case's digest
@@ -13,12 +13,22 @@ gain at least 3 dB, and the median iteration count, so a change that alters
 digests by design shows what it did to the results.  ``--src`` names the
 directory holding the ``pslwave`` package (default: this checkout's
 ``src/``).
+
+``--against DIR`` runs the same trials with the ``pslwave`` package under
+``DIR`` as well (both trees are imported side by side in one process) and
+prints, per case, the largest entrywise |grid difference|, the largest
+|difference of psl_db_after| (dB) and the number of trials whose iteration
+count and stop reason agree.  A change that is not bit-identical states its
+tolerance with this one command.  ``--trials N`` runs N trials in every case
+instead of the case's fixed count; the digests then cover those trials.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -39,39 +49,96 @@ CASES = (
 )
 
 
-def case_digest(
-    config, constellation, optimizer, overrides: dict, trials: int
-) -> tuple[str, np.ndarray, np.ndarray]:
-    """The case's digest, with the PSL gain (dB) and iteration count of each trial."""
+def load_package(src: Path, name: str):
+    """Import the ``pslwave`` package under ``src`` as the top-level package ``name``.
+
+    The package imports its own modules relatively, so two source trees load
+    side by side under two names.
+    """
+    init = src.resolve() / "pslwave" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no pslwave package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def run_case(package: str, overrides: dict, trials: int) -> list:
+    """The ``OptimizationReport`` of each seeded trial of one case."""
+    config = importlib.import_module(f"{package}.config")
+    constellation = importlib.import_module(f"{package}.constellation")
+    optimizer = importlib.import_module(f"{package}.optimizer")
     cfg = config.ExperimentConfig(**overrides)
     spec, w = cfg.constellation(), cfg.lag_weights()
-    h = hashlib.sha256()
-    gains, iterations = np.empty(trials), np.empty(trials)
+    reports = []
     for t in range(trials):
         rng = config.trial_rng(0, t)
         mask = cfg.mask(rng)
         reference, _ = constellation.random_reference_grid(rng, spec, mask)
-        rep = optimizer.optimize(reference, spec, mask, w, cfg.optimizer())
+        reports.append(optimizer.optimize(reference, spec, mask, w, cfg.optimizer()))
+    return reports
+
+
+def digest(reports: list) -> str:
+    h = hashlib.sha256()
+    for rep in reports:
         h.update(np.ascontiguousarray(rep.grid.symbols).tobytes())
         h.update(np.asarray(rep.eta_trace, dtype=float).tobytes())
         h.update(np.array([rep.psl_db_before, rep.psl_db_after]).tobytes())
         h.update(rep.stop_reason.encode())
-        gains[t], iterations[t] = rep.psl_db_before - rep.psl_db_after, rep.iterations
-    return h.hexdigest(), gains, iterations
+    return h.hexdigest()
+
+
+def difference(a: list, b: list) -> tuple[float, float, int]:
+    """Max |grid difference|, max |psl_db_after difference| (dB) and the number
+    of trials whose iteration count and stop reason agree."""
+    d_grid = max(float(np.max(np.abs(x.grid.symbols - y.grid.symbols))) for x, y in zip(a, b))
+    # equal values (an -inf PSL on both sides included) differ by 0
+    d_psl = max(
+        0.0 if x.psl_db_after == y.psl_db_after else abs(x.psl_db_after - y.psl_db_after)
+        for x, y in zip(a, b)
+    )
+    same = sum(
+        (x.iterations, x.stop_reason) == (y.iterations, y.stop_reason) for x, y in zip(a, b)
+    )
+    return d_grid, d_psl, same
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=SRC, help="directory holding pslwave")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="directory holding another pslwave to compare with")
+    parser.add_argument("--trials", type=int, default=None,
+                        help="trials per case (default: each case's own count)")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    from pslwave import config, constellation, optimizer
+    if args.trials is not None and args.trials < 1:
+        parser.error("--trials must be >= 1")
+    load_package(args.src, "pslwave")
+    if args.against is not None:
+        load_package(args.against, "pslwave_against")
 
-    print(f"{'case':<12} {'n':>2} {'sha256':<64} {'gain_dB':>7} {'>=3dB':>5} {'iter':>4}")
+    head = f"{'case':<12} {'n':>2} {'sha256':<64} {'gain_dB':>7} {'>=3dB':>5} {'iter':>4}"
+    if args.against is not None:
+        head += f" {'max|dgrid|':>10} {'max|dpsl|dB':>11} {'same_iter_stop':>14}"
+    print(head)
     for name, overrides, trials in CASES:
-        digest, gains, iterations = case_digest(config, constellation, optimizer, overrides, trials)
-        print(f"{name:<12} {trials:>2} {digest} {np.median(gains):7.2f}"
-              f" {np.mean(gains >= 3.0):5.0%} {np.median(iterations):4.1f}")
+        trials = args.trials or trials
+        reports = run_case("pslwave", overrides, trials)
+        gains = np.array([r.psl_db_before - r.psl_db_after for r in reports])
+        iterations = np.array([r.iterations for r in reports])
+        line = (f"{name:<12} {trials:>2} {digest(reports)} {np.median(gains):7.2f}"
+                f" {np.mean(gains >= 3.0):5.0%} {np.median(iterations):4.1f}")
+        if args.against is not None:
+            d_grid, d_psl, same = difference(
+                reports, run_case("pslwave_against", overrides, trials)
+            )
+            line += f" {d_grid:10.1e} {d_psl:11.1e} {f'{same}/{trials}':>14}"
+        print(line)
     return 0
 
 

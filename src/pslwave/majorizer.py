@@ -48,6 +48,7 @@ its next pass is the optimizer's choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -120,7 +121,7 @@ def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoe
     if p < 2:
         raise ValueError("p must be >= 2")
     r_abs = window_abs(corr, w)
-    r_bar = float(np.max(r_abs))
+    r_bar = float(r_abs.max())
     if sidelobes_vanish(r_bar, mean_mainlobe(corr)):
         raise ZeroSidelobeError("all correlations in the lag window are zero up to round-off")
     return MajorizerCoeffs(p=p, r_bar=r_bar, c_hat=0.5 * p * (r_abs / r_bar) ** (p - 2))
@@ -142,10 +143,12 @@ def v_fields(corr: CorrelationTensor, coeffs: MajorizerCoeffs, w: LagWeights) ->
     # of sum_i c (conj(r) Diag(N conj(F_i)) + h.c.) over window lags i entrywise
     # gives N * [DFT(c r_mk)]_n + conj(N * [DFT(c r_km)]_n).  The dense-matrix
     # oracle pins this constant; test_majorizer asserts it as a regression.
+    # N scales c_hat on the window lags, before the FFT, rather than the whole
+    # (M, M, N) result; for N a power of two the two orders round alike.
     lags = window_lags(corr, w)
     weighted = np.zeros(corr.values.shape, dtype=complex)
-    weighted[:, :, lags] = coeffs.c_hat * corr.values[:, :, lags]
-    return corr.n_lags * np.fft.fft(weighted, axis=2)
+    weighted[:, :, lags] = (corr.n_lags * coeffs.c_hat) * corr.values[:, :, lags]
+    return np.fft.fft(weighted, axis=2)
 
 
 def hermitian_blocks(v: np.ndarray) -> np.ndarray:
@@ -166,7 +169,7 @@ def lambda_max_bound(blocks: np.ndarray) -> np.ndarray:
     block gives a non-finite bound.
     """
     m = blocks.shape[-1]
-    mean = np.trace(blocks, axis1=1, axis2=2).real / m
+    mean = blocks.trace(axis1=1, axis2=2).real / m
     frob2 = np.square(np.abs(blocks)).sum(axis=(1, 2))
     return mean + np.sqrt((m - 1) * np.maximum(frob2 / m - mean * mean, 0.0))
 
@@ -208,9 +211,9 @@ def majorize_direction(
     lam = lambda_bar(coeffs, w)
     v = v_fields(corr, coeffs, w)
     blocks = hermitian_blocks(v)
-    bound = float(np.max(lambda_max_bound(blocks)))
+    bound = float(lambda_max_bound(blocks).max())
     # a NaN or an infinity anywhere in v makes the bound non-finite
-    if not np.isfinite(bound):
+    if not math.isfinite(bound):
         raise ValueError("v fields must be finite")
     qx = np.matmul(blocks, grid.symbols[:, :, None])[:, :, 0]
     return MajorizerOutput(qx=qx, mu_bound=bound, grid=grid, lambda_bar=lam, v=v, blocks=blocks)

@@ -55,17 +55,20 @@ with ``zero_sidelobe`` before a pass that has no surrogate.
 Each iteration takes the squared extrapolation (SQUAREM) of two MM steps:
 they give a step r and curvature v, and the one candidate of the iteration is
 the projection of x - 2*alpha*r + alpha**2 * v at alpha = -||r|| / ||v||,
-which the acceptance test takes or ends the run at.  When v vanishes the
-second step's grid is the candidate, and when the sidelobes of the first
-step's grid already vanish (the second step raises ``ZeroSidelobeError``)
-that grid is the candidate.
+which the acceptance test takes or ends the run at.  r, v and the candidate
+are formed on the (N, M) symbol arrays themselves, with the norms from
+``np.vdot``.  When v vanishes the second step's grid is the candidate, and
+when the sidelobes of the first step's grid already vanish (the second step
+raises ``ZeroSidelobeError``) that grid is the candidate.
 
-Each quantity is computed once per iterate.  The correlations of a grid are
-taken where its eta is, and the tensor keeps its window |r|; an accepted
-iterate carries the tensor into the first MM step of the next iteration and
-into its entry of ``psl_db_trace``.  The second MM step of an iteration
-computes its own, since x1 is never an accepted iterate.  Each step takes the
-sphere radius sqrt(E) from the reference grid itself.
+Each quantity is computed once per run or once per iterate.  ``optimize``
+builds one ``projector.Projection`` of the reference per run, which every MM
+step and every SQUAREM candidate projects through and which carries the
+sphere radius sqrt(E).  The correlations of a grid are taken where its eta
+is, from one peak search that gives both eta and the normalized PSL, and the
+tensor keeps its window |r|; an accepted iterate carries the tensor into the
+first MM step of the next iteration.  The second MM step of an iteration
+computes its own, since x1 is never an accepted iterate.
 """
 
 from __future__ import annotations
@@ -76,9 +79,9 @@ import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask
 from .majorizer import ZeroSidelobeError, majorize_direction
-from .projector import project_grid
+from .projector import Projection, project_grid
 from .spectrum import (
-    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db,
+    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db_of_peak,
 )
 
 __all__ = [
@@ -133,11 +136,13 @@ class OptimizationReport:
         return self.psl_db_trace[-1]
 
 
-def _eta(grid: SymbolGrid, w: LagWeights) -> tuple[float, CorrelationTensor]:
-    """Peak sidelobe of ``grid`` with the correlations it came from, which the
-    next majorization pass at an accepted iterate reuses, window |r| and all."""
+def _eta(grid: SymbolGrid, w: LagWeights) -> tuple[float, float, CorrelationTensor]:
+    """Peak sidelobe and normalized PSL of ``grid``, from one peak search, with
+    the correlations they came from, which the next majorization pass at an
+    accepted iterate reuses, window |r| and all."""
     corr = cyclic_correlations(grid)
-    return peak_sidelobe(corr, w)[0], corr
+    eta = peak_sidelobe(corr, w)[0]
+    return eta, psl_db_of_peak(eta, corr), corr
 
 
 def mm_step(
@@ -148,19 +153,24 @@ def mm_step(
     w: LagWeights,
     p: int,
     corr: CorrelationTensor | None = None,
+    projection: Projection | None = None,
 ) -> SymbolGrid:
     """One step along y_c = (Q - STEP_C * L * I) x, L = ``mu_bound`` >= mu_bar,
     onto the sphere of ``reference``'s energy, then the projection.  Raises
     ``ZeroSidelobeError`` when the sidelobes of ``grid`` already vanish.
-    ``corr`` may carry the already computed correlations of ``grid``.
+    ``corr`` may carry the already computed correlations of ``grid``, and
+    ``projection`` the run's ``Projection(reference, spec, mask)``; without
+    it the step projects through ``project_grid``.
     """
     out = majorize_direction(grid, w, p, corr=corr)
-    radius = np.sqrt(reference.energy())
+    radius = np.sqrt(reference.energy()) if projection is None else projection.radius
     # nonzero: x^H y_c <= (1 - STEP_C) * L * ||x||^2 < 0 (module docstring)
     y_c = out.qx - STEP_C * out.mu_bound * grid.symbols
     # sphere minimizer, scaled to the reference energy budget
-    candidate = SymbolGrid(-radius / float(np.linalg.norm(y_c)) * y_c)
-    return project_grid(candidate, reference, spec, mask)
+    candidate = -radius / float(np.linalg.norm(y_c)) * y_c
+    if projection is None:
+        return project_grid(SymbolGrid(candidate), reference, spec, mask)
+    return SymbolGrid(projection(candidate))
 
 
 def optimize(
@@ -177,36 +187,33 @@ def optimize(
     ``config.l_max`` iterations (module docstring).
     """
     config = config or OptimizerConfig()
+    projection = Projection(reference, spec, mask)
     current = reference.copy()
-    eta, corr = _eta(current, w)
-    trace, psl_trace = [eta], [psl_db(corr, w)]
+    eta, psl, corr = _eta(current, w)
+    trace, psl_trace = [eta], [psl]
     reason = "max_iterations"
     for k in range(config.l_max):
         if psl_trace[-1] == -np.inf:
             reason = "zero_sidelobe"
             break
         p = min(P_SCHEDULE[k], config.p) if k < len(P_SCHEDULE) else config.p
-        x1 = mm_step(current, reference, spec, mask, w, p, corr=corr)
+        x1 = mm_step(current, reference, spec, mask, w, p, corr=corr, projection=projection)
         try:
-            x2 = mm_step(x1, reference, spec, mask, w, p)
+            x2 = mm_step(x1, reference, spec, mask, w, p, projection=projection)
         except ZeroSidelobeError:
             # x1 already has no sidelobes: take it, and the next iteration stops
             candidate = x1
         else:
             # the SQUAREM candidate (module docstring); x2 itself when v vanishes
-            x0v, x1v = current.stacked(), x1.stacked()
-            r = x1v - x0v
-            v = x2.stacked() - x1v - r
-            v_norm = float(np.linalg.norm(v))
+            x0 = current.symbols
+            r = x1.symbols - x0
+            v = x2.symbols - x1.symbols - r
+            v_norm = np.sqrt(np.vdot(v, v).real)
             candidate = x2
             if v_norm > 0.0:
-                alpha = -float(np.linalg.norm(r)) / v_norm
-                x = x0v - 2.0 * alpha * r + alpha**2 * v
-                candidate = project_grid(
-                    SymbolGrid.from_stacked(x, current.n_subcarriers), reference, spec, mask
-                )
-        eta_next, corr_next = _eta(candidate, w)
-        psl_next = psl_db(corr_next, w)
+                alpha = -np.sqrt(np.vdot(r, r).real) / v_norm
+                candidate = SymbolGrid(projection(x0 - 2.0 * alpha * r + alpha**2 * v))
+        eta_next, psl_next, corr_next = _eta(candidate, w)
         if eta_next > trace[-1] or psl_next > psl_trace[-1]:
             reason = "objective_increased"
             break

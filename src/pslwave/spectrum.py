@@ -37,6 +37,7 @@ __all__ = [
     "mean_mainlobe",
     "sidelobes_vanish",
     "psl_db",
+    "psl_db_of_peak",
 ]
 
 # Window sidelobes count as zero when the peak is at most this many machine
@@ -183,7 +184,11 @@ def sidelobes_vanish(eta: float, mainlobe: float) -> bool:
 
 def psl_db(corr: CorrelationTensor, w: LagWeights) -> float:
     """Peak sidelobe in dB relative to the mean zero-lag autocorrelation; -inf when they vanish."""
-    eta, _ = peak_sidelobe(corr, w)
+    return psl_db_of_peak(peak_sidelobe(corr, w)[0], corr)
+
+
+def psl_db_of_peak(eta: float, corr: CorrelationTensor) -> float:
+    """``psl_db`` of ``corr`` from its window peak ``eta``, as ``peak_sidelobe`` returned it."""
     mainlobe = mean_mainlobe(corr)
     if mainlobe <= 0:
         raise ValueError("zero mainlobe; cannot normalize")

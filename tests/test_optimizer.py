@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from pslwave import config, majorizer, optimizer
+from pslwave import config, majorizer, optimizer, spectrum
 from pslwave.constellation import ConstellationSpec, SubcarrierMask, random_reference_grid
 from pslwave.majorizer import ZeroSidelobeError, coefficients, majorize_direction
 from pslwave.optimizer import (
     MIN_GAIN_DB, P_SCHEDULE, STEP_C, OptimizerConfig, mm_step, optimize,
 )
-from pslwave.projector import project_grid
-from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations, psl_db
+from pslwave.projector import Projection, project_grid
+from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db
 
 
 def setup_problem(n=32, m=2, seed=60, unused=0.0):
@@ -52,6 +52,18 @@ class TestMmStep:
         out = mm_step(ref, ref, spec, mask, w, 50)
         assert out.symbols.shape == ref.symbols.shape
         assert np.all(np.isfinite(out.symbols))
+
+    @pytest.mark.parametrize("overrides", [{}, {"n_antennas": 1}, {"unused_fraction": 0.0},
+                                           {"family": "qam", "order": 16, "n_subcarriers": 64,
+                                            "n_antennas": 2, "n_cp": 16}])
+    def test_a_plan_steps_as_project_grid_does(self, overrides):
+        spec, mask, ref, w, cfg = seeded_trial(1, **overrides)
+        plan = Projection(ref, spec, mask)
+        x1 = mm_step(ref, ref, spec, mask, w, 8)
+        assert np.array_equal(mm_step(ref, ref, spec, mask, w, 8, projection=plan).symbols,
+                              x1.symbols)
+        assert np.array_equal(mm_step(x1, ref, spec, mask, w, 8, projection=plan).symbols,
+                              mm_step(x1, ref, spec, mask, w, 8).symbols)
 
     def test_zero_sidelobe_raises(self):
         spec = ConstellationSpec("psk", 4)
@@ -107,6 +119,50 @@ class TestRunSquarem:
         monkeypatch.setattr(optimizer, "cyclic_correlations", recording)
         report = optimize(ref, spec, mask, w, cfg.optimizer())
         assert len(grids) == 1 + iterations_run(report)
+
+    def test_one_peak_search_per_candidate(self, monkeypatch):
+        # eta and the PSL of an iterate come from one peak_sidelobe call; psl_db,
+        # which would search again, is not called
+        spec, mask, ref, w, cfg = seeded_trial(0)
+        searched = []
+
+        def recording(corr, w):
+            searched.append(corr)
+            return peak_sidelobe(corr, w)
+
+        def no_second_search(*args):
+            raise AssertionError("the PSL took a second peak search")
+
+        monkeypatch.setattr(optimizer, "peak_sidelobe", recording)
+        monkeypatch.setattr(spectrum, "peak_sidelobe", no_second_search)
+        report = optimize(ref, spec, mask, w, cfg.optimizer())
+        assert len(searched) == 1 + iterations_run(report)
+        assert len({id(c) for c in searched}) == len(searched)
+
+    @pytest.mark.parametrize("overrides", [{}, {"n_antennas": 1}])
+    def test_one_plan_per_run(self, monkeypatch, overrides):
+        # the projection is set up once per run and every step and candidate uses it
+        spec, mask, ref, w, cfg = seeded_trial(0, **overrides)
+        plans, calls = [], []
+
+        class CountingPlan(Projection):
+            def __init__(self, *args):
+                super().__init__(*args)
+                plans.append(self)
+
+            def __call__(self, z):
+                calls.append(z)
+                return super().__call__(z)
+
+        def no_project_grid(*args):
+            raise AssertionError("optimize projected through project_grid")
+
+        monkeypatch.setattr(optimizer, "Projection", CountingPlan)
+        monkeypatch.setattr(optimizer, "project_grid", no_project_grid)
+        report = optimize(ref, spec, mask, w, cfg.optimizer())
+        assert len(plans) == 1
+        # two MM steps and the SQUAREM candidate per iteration run
+        assert len(calls) == 3 * iterations_run(report)
 
     def test_first_step_without_sidelobes_is_the_candidate(self, monkeypatch):
         # x1 has no sidelobes, so the second step has no surrogate: x1 is taken,
@@ -256,6 +312,29 @@ class TestStepRule:
         spec, mask, ref, w = setup_problem(seed=63)
         with pytest.raises(ValueError, match="finite"):
             mm_step(ref, ref, spec, mask, w, 50)
+        assert projected == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_v_raises_before_the_plan_projects(self, monkeypatch, bad):
+        exact = majorizer.v_fields
+
+        def broken(corr, coeffs, w):
+            v = exact(corr, coeffs, w)
+            v[1, 0, 2] = bad
+            return v
+
+        projected = []
+
+        class RecordingPlan(Projection):
+            def __call__(self, z):
+                projected.append(z)
+                return super().__call__(z)
+
+        monkeypatch.setattr(majorizer, "v_fields", broken)
+        spec, mask, ref, w = setup_problem(seed=63)
+        plan = RecordingPlan(ref, spec, mask)
+        with pytest.raises(ValueError, match="finite"):
+            mm_step(ref, ref, spec, mask, w, 50, projection=plan)
         assert projected == []
 
     def test_psl_db_before_and_after_read_the_trace(self):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pslwave.constellation import ConstellationSpec, SubcarrierMask
+from pslwave import config
+from pslwave.constellation import ConstellationSpec, SubcarrierMask, random_reference_grid
 from pslwave.projector import (
-    _psk_project_canonical, clamp_unused, project_grid, psk_project, qam_project,
+    Projection, _psk_project_canonical, clamp_unused, project_grid, psk_project, qam_project,
 )
 from pslwave.spectrum import SymbolGrid
 
@@ -251,3 +252,93 @@ class TestProjectGrid:
         spec, mask, ref, _ = self._setup("psk", 4, 42)
         with pytest.raises(ValueError):
             project_grid(SymbolGrid(np.zeros((16, 2), dtype=complex)), ref, spec, mask)
+
+
+def indexed_projection(z, xr, spec, mask):
+    """The boolean-indexed composition of the element projectors, kept as the
+    reference for the full-grid ``Projection``."""
+    out = np.empty_like(z)
+    used, unused = mask.used, ~mask.used
+    if spec.family == "psk":
+        out[used] = psk_project(z[used], xr[used], spec.eps_p, spec.eps_a)
+    else:
+        out[used] = qam_project(z[used], xr[used], spec.eps_r)
+    out[unused] = clamp_unused(z[unused], spec)
+    return out
+
+
+class TestProjectionPlan:
+    """``Projection`` projects whole grids as the boolean-indexed composition does."""
+
+    CASES = {
+        "default": {},
+        "unused0": {"unused_fraction": 0.0},
+        "m1": {"n_antennas": 1},
+        "qam16-unused": {"family": "qam", "order": 16, "n_subcarriers": 64, "n_antennas": 2,
+                         "n_cp": 16, "unused_fraction": 0.2},
+    }
+
+    @staticmethod
+    def seeded(overrides, trial):
+        cfg = config.ExperimentConfig(**overrides)
+        spec = cfg.constellation()
+        rng = config.trial_rng(0, trial)
+        mask = cfg.mask(rng)
+        ref, _ = random_reference_grid(rng, spec, mask)
+        return spec, mask, ref, rng
+
+    @staticmethod
+    def special_points(spec, ref, rng):
+        """A grid near the reference whose first rows hold the hard cases: points
+        on both wedge edges (inside and beyond the annulus), the origin, and
+        -0.0 + 0j and -0.0 - 0j as entries."""
+        xr = ref.symbols
+        z = xr + 0.6 * (rng.standard_normal(xr.shape) + 1j * rng.standard_normal(xr.shape))
+        n, m = z.shape
+        radii = np.array([0.1, 1.0 - spec.eps_a, 0.9, 1.0, 2.5])
+        edges = np.concatenate([radii * np.exp(1j * spec.eps_p), radii * np.exp(-1j * spec.eps_p)])
+        k = min(edges.size, n)
+        z[:k, 0] = xr[:k, 0] * edges[:k]
+        z[k, :] = 0.0
+        z[k + 1, :] = complex(-0.0, 0.0)
+        z[k + 2, :] = complex(-0.0, -0.0)
+        return z
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_indexed_composition(self, case):
+        overrides = self.CASES[case]
+        for trial in range(6):
+            spec, mask, ref, rng = self.seeded(overrides, trial)
+            plan = Projection(ref, spec, mask)
+            for z in (self.special_points(spec, ref, rng),
+                      ref.symbols + 3.0 * (rng.standard_normal(ref.symbols.shape)
+                                           + 1j * rng.standard_normal(ref.symbols.shape))):
+                expected = indexed_projection(z, ref.symbols, spec, mask)
+                assert np.max(np.abs(plan(z) - expected)) <= 1e-15
+                assert np.array_equal(project_grid(SymbolGrid(z), ref, spec, mask).symbols,
+                                      plan(z))
+
+    def test_a_rotated_origin_stays_outside_the_wedge(self):
+        # z = -0.0 + 0j on a reference e^{-i pi/4} rotates to u = -0.0 + 0j, which
+        # np.angle puts at pi: the projection is the inner corner on the upper edge
+        spec = ConstellationSpec("psk", 4)
+        xr = np.exp(-0.25j * np.pi)
+        assert np.signbit((complex(-0.0, 0.0) * np.conj(xr)).real)
+        mask = SubcarrierMask.all_used(1, 1)
+        out = Projection(SymbolGrid(np.array([[xr]])), spec, mask)(np.array([[complex(-0.0, 0.0)]]))
+        # inside the wedge it would go to the inner radius on the axis, 0.19 away
+        expected = (1.0 - spec.eps_a) * np.exp(1j * spec.eps_p) * xr
+        assert abs(out[0, 0] - expected) <= 1e-15
+        assert out[0, 0] == psk_project(np.array([complex(-0.0, 0.0)]), np.array([xr]),
+                                        spec.eps_p, spec.eps_a)[0]
+
+    def test_radius_is_the_reference_energy(self):
+        spec, mask, ref, _ = self.seeded({}, 0)
+        assert Projection(ref, spec, mask).radius == np.sqrt(ref.energy())
+
+    def test_shape_mismatch(self):
+        spec, mask, ref, _ = self.seeded({}, 0)
+        with pytest.raises(ValueError):
+            Projection(SymbolGrid(ref.symbols[:-1]), spec, mask)
+        with pytest.raises(ValueError):
+            Projection(ref, spec, mask)(ref.symbols[:, :1])
