@@ -49,13 +49,17 @@ def _psk_project_canonical(
 ) -> np.ndarray:
     """Exact projection onto the annular sector with the reference at 1 + 0j.
 
-    Where the optional boolean ``free`` is True the region is the unit disc
-    instead: inner radius 0 and no phase limit (an unused PSK carrier).
+    ``eps_p`` lies in [0, pi/2), as ``ConstellationSpec`` gives it (rho < 1/2,
+    Q >= 2).  Where the optional boolean ``free`` is True the region is the
+    unit disc instead: inner radius 0 and no phase limit (an unused PSK
+    carrier).
     """
+    if not 0.0 <= eps_p < 0.5 * np.pi:
+        raise ValueError("eps_p must lie in [0, pi/2)")
     r = np.abs(u)
     inner = 1.0 - eps_a
-    # |angle(u)| <= eps_p (eps_p < pi/2) without an arctan; the sign bit keeps
-    # u = -0.0 + 0j outside, where np.angle puts it (at pi)
+    # |angle(u)| <= eps_p without an arctan; the sign bit keeps u = -0.0 + 0j
+    # outside, where np.angle puts it (at pi)
     wedge = (np.abs(u.imag) <= np.tan(eps_p) * u.real) & ~np.signbit(u.real)
     if free is not None:
         inner = np.where(free, 0.0, inner)

@@ -332,9 +332,10 @@ class TestProjectionPlan:
         assert out[0, 0] == psk_project(np.array([complex(-0.0, 0.0)]), np.array([xr]),
                                         spec.eps_p, spec.eps_a)[0]
 
-    def test_radius_is_the_reference_energy(self):
-        spec, mask, ref, _ = self.seeded({}, 0)
-        assert Projection(ref, spec, mask).radius == np.sqrt(ref.energy())
+    @pytest.mark.parametrize("eps_p", [0.5 * np.pi, 2.0, -0.1])
+    def test_phase_tolerance_outside_the_tangent_domain(self, eps_p):
+        with pytest.raises(ValueError, match="eps_p"):
+            psk_project(np.ones(3), np.ones(3), eps_p, EPS_A)
 
     def test_shape_mismatch(self):
         spec, mask, ref, _ = self.seeded({}, 0)
