@@ -6,7 +6,7 @@ import pytest
 from pslwave import config
 from pslwave.constellation import ConstellationSpec, SubcarrierMask, random_reference_grid
 from pslwave.projector import (
-    Projection, _psk_project_canonical, clamp_unused, project_grid, psk_project, qam_project,
+    Projection, _sector, clamp_unused, project_grid, psk_project, qam_project,
 )
 from pslwave.spectrum import SymbolGrid
 
@@ -110,8 +110,8 @@ class TestPskProjector:
 
 
 def exp_psk_project_canonical(u: np.ndarray, eps_p: float, eps_a: float) -> np.ndarray:
-    """The canonical PSK projection with a per-entry complex exp for the edge,
-    kept as a reference for the version that picks one of two precomputed edges."""
+    """The canonical PSK projection in two branches (radial clamp inside the
+    wedge, nearer edge outside it), kept as a reference for the closed form."""
     r = np.abs(u)
     inner = 1.0 - eps_a
     radial = np.where(r > 0.0, u * (np.clip(r, inner, 1.0) / np.where(r > 0.0, r, 1.0)), inner)
@@ -121,14 +121,13 @@ def exp_psk_project_canonical(u: np.ndarray, eps_p: float, eps_a: float) -> np.n
 
 
 class TestPskEdgeMatchesExp:
-    """Two precomputed edges e^{+-i eps_p} give exactly the per-entry exp result."""
+    """The closed form ``_sector`` gives the two-branch result within 2 ulp of 1."""
 
     @staticmethod
     def assert_same(u: np.ndarray, eps_p: float = EPS_P, eps_a: float = EPS_A):
         u = np.asarray(u, dtype=complex)
-        assert np.array_equal(
-            _psk_project_canonical(u, eps_p, eps_a), exp_psk_project_canonical(u, eps_p, eps_a)
-        )
+        diff = _sector(u, eps_p, 1.0 - eps_a) - exp_psk_project_canonical(u, eps_p, eps_a)
+        assert np.max(np.abs(diff)) <= 2 * np.finfo(float).eps
 
     @pytest.mark.parametrize("eps_p,eps_a", [(EPS_P, EPS_A), (np.pi / 8, 0.0), (0.05, 1.0)])
     def test_random_points(self, eps_p, eps_a):
@@ -189,6 +188,11 @@ class TestQamProjector:
         out = qam_project(np.array([3 + 4j]), np.array([0j]), 1.0)
         assert out[0] == pytest.approx(0.6 + 0.8j)
 
+    def test_negative_radius_is_rejected(self):
+        # a disc of negative radius is empty; the formula would send z away from xr
+        with pytest.raises(ValueError, match="eps_r"):
+            qam_project(np.array([1.0 + 0j]), np.array([0j]), -0.3)
+
 
 class TestClampUnused:
     def test_psk_unit_disc(self):
@@ -197,6 +201,13 @@ class TestClampUnused:
         out = clamp_unused(z, spec)
         assert out[0] == pytest.approx(0.3 + 0.4j)
         assert out[1] == pytest.approx(0.6 + 0.8j)
+        rng = np.random.default_rng(44)
+        for scale in (0.1, 1.0, 3.0):
+            z = random_points(rng, 2000, scale)
+            r = np.abs(z)
+            radial = np.where(r > 1.0, z / r, z)
+            assert np.max(np.abs(clamp_unused(z, spec) - radial)) <= 1e-15
+        assert np.all(clamp_unused(np.zeros(2, dtype=complex), spec) == 0.0)
 
     def test_qam_square(self):
         spec = ConstellationSpec("qam", 16)
@@ -336,6 +347,12 @@ class TestProjectionPlan:
     def test_phase_tolerance_outside_the_tangent_domain(self, eps_p):
         with pytest.raises(ValueError, match="eps_p"):
             psk_project(np.ones(3), np.ones(3), eps_p, EPS_A)
+
+    @pytest.mark.parametrize("eps_a", [1.5, -0.1])
+    def test_amplitude_tolerance_outside_the_unit_interval(self, eps_a):
+        # an inner radius 1 - eps_a below 0 would send the origin to phase pi
+        with pytest.raises(ValueError, match="eps_a"):
+            psk_project(np.array([0j]), np.ones(1), EPS_P, eps_a)
 
     def test_shape_mismatch(self):
         spec, mask, ref, _ = self.seeded({}, 0)
