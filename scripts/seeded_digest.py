@@ -1,4 +1,4 @@
-"""Seeded optimizer digests: one sha256 per case over a fixed set of 56 trials.
+"""Seeded optimizer, detection and BER digests: one sha256 per row.
 
     python3 scripts/seeded_digest.py [--src DIR] [--against DIR] [--trials N]
 
@@ -14,11 +14,24 @@ digests by design shows what it did to the results.  ``--src`` names the
 directory holding the ``pslwave`` package (default: this checkout's
 ``src/``).
 
+Two more rows follow, over the pairs of the ``default`` case (reference
+grid, optimized grid), as the ``evaluate`` benchmark workload sweeps them
+with seed 0:
+
+* ``sense``: the hit count of one ``detection_campaign`` trial per pair,
+  sensing SNR and arm, each from ``SeedSequence(0, spawn_key=(j, si))``
+  for pair j and SNR index si;
+* ``ber``: the bit-error count per pair, BER SNR and arm of one
+  ``ber_campaign`` per pair, from ``SeedSequence(0, spawn_key=(j, 10**6))``.
+
+Their digest covers the counts as int64.
+
 ``--against DIR`` runs the same trials with the ``pslwave`` package under
 ``DIR`` as well (both trees are imported side by side in one process) and
 prints, per case, the largest entrywise |grid difference|, the largest
 |difference of psl_db_after| (dB) and the number of trials whose iteration
-count and stop reason agree.  A change that is not bit-identical states its
+count and stop reason agree; for ``sense`` and ``ber``, the number of
+counts that agree.  A change that is not bit-identical states its
 tolerance with this one command.  ``--trials N`` runs N trials in every case
 instead of the case's fixed count; the digests then cover those trials.
 """
@@ -47,6 +60,9 @@ CASES = (
     ("p8", {"p": 8}, 6),
     ("unused0", {"unused_fraction": 0.0}, 6),
 )
+# the SNR grids of the evaluate workload (perfbench/workloads.py)
+SENSE_SNR_DB = tuple(float(s) for s in np.arange(-8.0, 2.5, 1.0))
+BER_SNR_DB = tuple(float(s) for s in np.arange(16.0, 36.5, 2.0))
 
 
 def load_package(src: Path, name: str):
@@ -67,20 +83,57 @@ def load_package(src: Path, name: str):
     return package
 
 
-def run_case(package: str, overrides: dict, trials: int) -> list:
-    """The ``OptimizationReport`` of each seeded trial of one case."""
+def run_case(package: str, overrides: dict, trials: int) -> list[tuple]:
+    """(mask, reference grid, bits, ``OptimizationReport``) of each seeded trial of one case."""
     config = importlib.import_module(f"{package}.config")
     constellation = importlib.import_module(f"{package}.constellation")
     optimizer = importlib.import_module(f"{package}.optimizer")
     cfg = config.ExperimentConfig(**overrides)
     spec, w = cfg.constellation(), cfg.lag_weights()
-    reports = []
+    out = []
     for t in range(trials):
         rng = config.trial_rng(0, t)
         mask = cfg.mask(rng)
-        reference, _ = constellation.random_reference_grid(rng, spec, mask)
-        reports.append(optimizer.optimize(reference, spec, mask, w, cfg.optimizer()))
-    return reports
+        reference, bits = constellation.random_reference_grid(rng, spec, mask)
+        out.append((mask, reference, bits, optimizer.optimize(reference, spec, mask, w,
+                                                              cfg.optimizer())))
+    return out
+
+
+def stream(*key: int) -> np.random.Generator:
+    """The stream of spawn key ``key`` under seed 0."""
+    return np.random.default_rng(np.random.SeedSequence(0, spawn_key=key))
+
+
+def sense_counts(package: str, trials: list[tuple]) -> np.ndarray:
+    """Hit counts, (pair, sensing SNR, arm), of default-point pairs."""
+    config = importlib.import_module(f"{package}.config")
+    sensing = importlib.import_module(f"{package}.sensing")
+    cfg = config.ExperimentConfig()
+    cfar = cfg.cfar()
+    counts = np.zeros((len(trials), len(SENSE_SNR_DB), 2), dtype=np.int64)
+    for j, (_, reference, _, report) in enumerate(trials):
+        for si, snr_db in enumerate(SENSE_SNR_DB):
+            for ai, grid in enumerate((reference, report.grid)):
+                dp = sensing.detection_campaign([grid], snr_db, cfar, stream(j, si),
+                                                n_targets=cfg.n_targets)
+                counts[j, si, ai] = round(dp * cfg.n_targets)
+    return counts
+
+
+def ber_counts(package: str, trials: list[tuple]) -> np.ndarray:
+    """Bit-error counts, (pair, BER SNR, arm), of default-point pairs."""
+    config = importlib.import_module(f"{package}.config")
+    comms = importlib.import_module(f"{package}.comms")
+    cfg = config.ExperimentConfig()
+    spec = cfg.constellation()
+    counts = np.zeros((len(trials), len(BER_SNR_DB), 2), dtype=np.int64)
+    for j, (mask, reference, bits, report) in enumerate(trials):
+        ber = comms.ber_campaign([(reference, report.grid, bits)], list(BER_SNR_DB), spec,
+                                 mask, stream(j, 10**6), n_rx=cfg.n_rx)
+        for ai, arm in enumerate(("original", "optimized")):
+            counts[j, :, ai] = np.round(ber[arm] * bits.size)
+    return counts
 
 
 def digest(reports: list) -> str:
@@ -126,18 +179,31 @@ def main(argv: list[str] | None = None) -> int:
     if args.against is not None:
         head += f" {'max|dgrid|':>10} {'max|dpsl|dB':>11} {'same_iter_stop':>14}"
     print(head)
+    pairs = {}  # the default case's trials, per package
     for name, overrides, trials in CASES:
         trials = args.trials or trials
-        reports = run_case("pslwave", overrides, trials)
+        out = run_case("pslwave", overrides, trials)
+        reports = [r for *_, r in out]
         gains = np.array([r.psl_db_before - r.psl_db_after for r in reports])
         iterations = np.array([r.iterations for r in reports])
         line = (f"{name:<12} {trials:>2} {digest(reports)} {np.median(gains):7.2f}"
                 f" {np.mean(gains >= 3.0):5.0%} {np.median(iterations):4.1f}")
+        if name == "default":
+            pairs["pslwave"] = out
         if args.against is not None:
-            d_grid, d_psl, same = difference(
-                reports, run_case("pslwave_against", overrides, trials)
-            )
+            other = run_case("pslwave_against", overrides, trials)
+            d_grid, d_psl, same = difference(reports, [r for *_, r in other])
             line += f" {d_grid:10.1e} {d_psl:11.1e} {f'{same}/{trials}':>14}"
+            if name == "default":
+                pairs["pslwave_against"] = other
+        print(line)
+    for name, counts in (("sense", sense_counts), ("ber", ber_counts)):
+        mine = counts("pslwave", pairs["pslwave"])
+        sha = hashlib.sha256(mine.tobytes()).hexdigest()
+        line = f"{name:<12} {mine.shape[0]:>2} {sha} {'-':>7} {'-':>5} {'-':>4}"
+        if args.against is not None:
+            same = int(np.count_nonzero(mine == counts("pslwave_against", pairs["pslwave_against"])))
+            line += f" {'-':>10} {'-':>11} {f'{same}/{mine.size}':>14}"
         print(line)
     return 0
 

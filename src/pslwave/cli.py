@@ -186,6 +186,7 @@ def _cmd_optimize(cfg: ExperimentConfig, args) -> int:
 def _sense_trial(payload) -> dict:
     cfg, trial, variants = payload
     grids, _, _, _ = _trial_grids(cfg, trial, variants)
+    cfar = cfg.cfar()
     hits = {}
     for si, snr_db in enumerate(cfg.sense_snr_db):
         for variant in variants:
@@ -194,7 +195,7 @@ def _sense_trial(payload) -> dict:
                 np.random.SeedSequence(cfg.seed, spawn_key=(trial, si))
             )
             hits[(si, variant)] = sensing.detection_campaign(
-                [grids[variant]], snr_db, cfg.cfar(), noise_rng, n_targets=cfg.n_targets
+                [grids[variant]], snr_db, cfar, noise_rng, n_targets=cfg.n_targets
             )
     return hits
 

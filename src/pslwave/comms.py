@@ -26,6 +26,8 @@ __all__ = [
     "ber_campaign",
 ]
 
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
 
 def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:
     """iid CN(0, 1) frequency-flat (n_rx, n_tx) channel matrix H."""
@@ -46,8 +48,13 @@ def channel_apply(
 
 
 def zf_equalize(received: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Zero-forcing estimate of the transmitted grid: (..., N, K) -> (..., N, M)."""
-    return received @ np.linalg.pinv(h).T
+    """Zero-forcing estimate of the transmitted grid: (..., N, K) -> (..., N, M).
+
+    The stack is flattened to rows of K and equalized by one 2-D product.
+    """
+    n_rx, n_tx = h.shape
+    flat = received.reshape(-1, n_rx) @ np.linalg.pinv(h).T
+    return flat.reshape(received.shape[:-1] + (n_tx,))
 
 
 def bit_errors(
@@ -84,6 +91,9 @@ def ber_campaign(
     All SNR points of a pair are processed as one (S, N, K) stack.  Their
     noise is drawn at once as (S, 2, N, K) standard normals, which consumes
     the stream as per-point draws would: point by point, real part first.
+    The unit noise is written straight into the real and imaginary views of
+    one complex array, each part times 1/sqrt(2): the rounding of
+    (re + 1j*im) / sqrt(2).
     The two arms' stacks are equalized together, (2, S, N, K), so each
     channel draw costs one pseudoinverse.
     """
@@ -99,7 +109,9 @@ def ber_campaign(
         # scalar powers: numpy's array power can differ from them in the last bit
         sigma = np.array([np.sqrt(es_avg / 10.0 ** (s / 10.0)) for s in snr_db_list])
         gauss = rng.standard_normal((n_snr, 2, n, n_rx))
-        noise = (gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0)
+        noise = np.empty((n_snr, n, n_rx), dtype=complex)
+        np.multiply(gauss[:, 0], _INV_SQRT2, out=noise.real)
+        np.multiply(gauss[:, 1], _INV_SQRT2, out=noise.imag)
         rx = np.stack([
             channel_apply(grid, h, sigma[:, None, None], noise) for grid in (ref, opt)
         ])

@@ -10,7 +10,7 @@ import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask
 from .optimizer import OptimizerConfig
-from .sensing import MIN_SEPARATION, CfarConfig, cfar_threshold_factor
+from .sensing import MIN_SEPARATION, CfarConfig
 from .spectrum import LagWeights
 
 __all__ = ["ExperimentConfig", "load_config", "trial_rng", "ConfigError"]
@@ -82,9 +82,7 @@ class ExperimentConfig:
             self.constellation()
             self.optimizer()
             self.lag_weights()
-            cfar = self.cfar()
-            cfar_threshold_factor(cfar.p_fa, cfar.n_ref)
-            cfar.check_profile_length(self.n_subcarriers)  # the range profile has N cells
+            self.cfar().check_profile_length(self.n_subcarriers)  # the range profile has N cells
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -23,9 +23,16 @@ cost per call is kept low:
   exp(-2j*pi*k/N) at k = (n*delay) mod N instead of evaluating a complex
   exponential; the reduction is exact in integers, so the table is accurate
   to double precision even where n*delay/N is large.
+* ``synthesize_echo`` forms the beam with a cached read-only ones vector and
+  adds the noise in place to the real and imaginary views of the echo,
+  scaling the one standard-normal draw by noise_std and then by 1/sqrt(2):
+  the rounding of noise_std * (g_re + 1j*g_im) / sqrt(2), since numpy
+  divides a complex array by a real scalar as a multiply by its reciprocal.
 * ``cfar_detect`` keeps, per (p_fa, n_ref, n_guard), the reference-window
   kernel already scaled by beta/(2*n_ref), so one convolution gives the
   threshold of every cell.
+* ``detection_campaign`` tests each target's delay bin and its two
+  neighbours with three scalar reads of the detection mask.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ class CfarConfig:
     n_guard: int = 1  # one-sided guard cells
 
     def __post_init__(self):
+        cfar_threshold_factor(self.p_fa, self.n_ref)  # raises unless p_fa in (0, 1), n_ref >= 1
         if self.n_guard < 0:
             raise ValueError("n_guard must be >= 0")
 
@@ -69,7 +77,15 @@ class CfarConfig:
             raise ValueError("profile too short for the reference window")
 
 
-_NEAR = np.array([-1, 0, 1])
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+@lru_cache(maxsize=16)
+def _ones(m: int) -> np.ndarray:
+    """Read-only vector of m ones."""
+    ones = np.ones(m)
+    ones.setflags(write=False)
+    return ones
 
 
 @lru_cache(maxsize=32)
@@ -96,16 +112,22 @@ def synthesize_echo(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Frequency-domain receive vector: broadside echoes at integer delays plus noise."""
+    if len(delays) != len(gains):
+        raise ValueError(f"got {len(delays)} delays but {len(gains)} gains")
     n, m = grid.symbols.shape
     # a product with ones, not a sum over axis 1: the two round differently
-    beam = grid.symbols @ np.ones(m)
+    beam = grid.symbols @ _ones(m)
     y = np.zeros(n, dtype=complex)
     for delay, gain in zip(delays, gains):
         y += gain * beam * range_steer(n, delay)
     if noise_std > 0:
-        # one draw, real parts first: the stream of two length-N draws
+        # one draw, real parts first: the stream of two length-N draws, scaled
+        # as noise_std * (g[0] + 1j * g[1]) / sqrt(2) rounds
         g = rng.standard_normal((2, n))
-        y += noise_std * (g[0] + 1j * g[1]) / np.sqrt(2.0)
+        g *= noise_std
+        g *= _INV_SQRT2
+        y.real += g[0]
+        y.imag += g[1]
     return y
 
 
@@ -182,8 +204,9 @@ def detection_campaign(
         zf = np.ascontiguousarray(z).view(float)
         profile = np.einsum("nj,nj->n", zf, zf) * (1.0 / m)
         det = cfar_detect(profile, cfar)
-        near = det[(delays[:, None] + _NEAR) % n]  # each delay bin and its two neighbours
-        hits += int(np.count_nonzero(near.any(axis=1)))
+        for d in delays.tolist():  # each delay bin and its two neighbours, cyclically
+            if det[d - 1] or det[d] or det[(d + 1) % n]:
+                hits += 1
     total = len(grids) * n_targets
     return hits / total if total else 0.0
 
@@ -198,4 +221,4 @@ def _draw_delays(rng: np.random.Generator, n: int, n_targets: int) -> np.ndarray
         attempts += 1
         if attempts > 1000 * n_targets:
             raise RuntimeError("cannot place targets with the requested separation")
-    return np.array(delays)
+    return np.array(delays, dtype=np.int64)

@@ -366,6 +366,8 @@ class TestCliCommands:
             pytest.param("optimize", "optimizer", "p = 1", id="optimizer-p-1"),
             pytest.param("optimize", "constellation", "eps_a = 1.5", id="constellation-eps_a-1.5"),
             pytest.param("sense", "sensing", "cfar_p_fa = 1.5", id="sensing-cfar_p_fa-1.5"),
+            pytest.param("sense", "sensing", "cfar_p_fa = nan", id="sensing-cfar_p_fa-nan"),
+            pytest.param("sense", "sensing", "cfar_n_ref = 0", id="sensing-cfar_n_ref-0"),
             pytest.param(
                 "sense", "waveform", "n_subcarriers = 16\nn_cp = 8", id="waveform-n_subcarriers-16"
             ),

@@ -56,6 +56,20 @@ class TestZeroForcing:
         est = zf_equalize(rx, h)
         assert np.allclose(est, grid.symbols, atol=1e-10)
 
+    @pytest.mark.parametrize("k,m", [(2, 2), (4, 4), (8, 4)])
+    def test_stack_equals_per_slice_products(self, k, m):
+        # the flattened stack rounds as one 2-D product per (arm, SNR) slice
+        rng = np.random.default_rng(95 + k + m)
+        h = draw_channel(rng, k, m)
+        rx = rng.standard_normal((2, 5, 64, k)) + 1j * rng.standard_normal((2, 5, 64, k))
+        est = zf_equalize(rx, h)
+        assert est.shape == (2, 5, 64, m)
+        w = np.linalg.pinv(h).T
+        for a in range(2):
+            for s in range(5):
+                assert est[a, s].tobytes() == (rx[a, s] @ w).tobytes()
+                assert est[a, s].tobytes() == zf_equalize(rx[a, s], h).tobytes()
+
     def test_bit_errors_zero_without_noise(self):
         rng = np.random.default_rng(94)
         spec = ConstellationSpec("qam", 16)

@@ -9,6 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "seeded_digest.py"
 N_CASES = 7
+# the sense and ber rows: 11 SNR points x 2 arms of counts per pair
+COUNT_ROWS = {"sense": 22, "ber": 22}
 
 
 def run_digest(*args: str) -> subprocess.CompletedProcess:
@@ -24,7 +26,8 @@ def test_one_digest_per_case():
     proc = run_digest("--trials", "1")
     assert proc.returncode == 0, proc.stderr
     rows = case_rows(proc.stdout)
-    assert len(rows) == N_CASES
+    assert len(rows) == N_CASES + len(COUNT_ROWS)
+    assert [row.split()[0] for row in rows[N_CASES:]] == list(COUNT_ROWS)
     for row in rows:
         assert re.search(r"\b[0-9a-f]{64}\b", row), row
 
@@ -33,9 +36,12 @@ def test_a_tree_against_itself_differs_by_nothing():
     proc = run_digest("--against", str(ROOT / "src"), "--trials", "1")
     assert proc.returncode == 0, proc.stderr
     rows = case_rows(proc.stdout)
-    assert len(rows) == N_CASES
-    for row in rows:
+    assert len(rows) == N_CASES + len(COUNT_ROWS)
+    for row in rows[:N_CASES]:
         assert row.split()[-3:] == ["0.0e+00", "0.0e+00", "1/1"], row
+    for row, (name, n_counts) in zip(rows[N_CASES:], COUNT_ROWS.items()):
+        assert row.split()[0] == name
+        assert row.split()[-1] == f"{n_counts}/{n_counts}", row
 
 
 def test_zero_trials_is_a_usage_error():

@@ -69,6 +69,48 @@ class TestEcho:
         y = synthesize_echo(grid, [5], [1.0], 0.5, rng)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.25, rel=0.1)
 
+    def test_one_gain_per_delay(self):
+        grid = SymbolGrid(np.ones((32, 2), dtype=complex))
+        rng = np.random.default_rng(76)
+        with pytest.raises(ValueError):
+            synthesize_echo(grid, [3, 20], [1.0], 0.0, rng)
+        with pytest.raises(ValueError):
+            synthesize_echo(grid, [3], [1.0, 1.0], 0.0, rng)
+
+
+def reference_echo(grid, delays, gains, noise_std, rng):
+    """The echo as first written: complex temporaries for the noise,
+    noise_std * (g_re + 1j * g_im) / sqrt(2)."""
+    n, m = grid.symbols.shape
+    beam = grid.symbols @ np.ones(m)
+    y = np.zeros(n, dtype=complex)
+    for delay, gain in zip(delays, gains):
+        y += gain * beam * range_steer(n, delay)
+    g = rng.standard_normal((2, n))
+    y += noise_std * (g[0] + 1j * g[1]) / np.sqrt(2.0)
+    return y
+
+
+class TestEchoRounding:
+    """The in-place noise rounds as the complex expression: bit for bit."""
+
+    @pytest.mark.parametrize("n_targets", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_bitwise_equal_to_complex_expression(self, n_targets, m):
+        rng = np.random.default_rng(100 * m + n_targets)
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.random(rng, 128, m, 0.05)
+        for _ in range(20):
+            grid, _ = random_reference_grid(rng, spec, mask)
+            delays = rng.integers(0, 128, size=n_targets)
+            gains = np.exp(2j * np.pi * rng.random(n_targets))
+            # not powers of two, for which the two scaling orders would agree
+            noise_std = float(rng.uniform(0.05, 3.0))
+            seed = int(rng.integers(2**32))
+            got = synthesize_echo(grid, delays, gains, noise_std, np.random.default_rng(seed))
+            expect = reference_echo(grid, delays, gains, noise_std, np.random.default_rng(seed))
+            assert got.tobytes() == expect.tobytes()
+
 
 class TestMatchedFilter:
     def test_noise_free_peak_at_true_delay(self):
@@ -132,6 +174,13 @@ class TestCfar:
         det = cfar_detect(cells, CfarConfig(p_fa=1e-4, n_ref=7, n_guard=1))
         assert det[100]
 
+    @pytest.mark.parametrize(
+        "p_fa,n_ref", [(0.0, 7), (1.0, 7), (1.5, 7), (-1e-3, 7), (float("nan"), 7), (1e-4, 0)]
+    )
+    def test_config_rejects_bad_values(self, p_fa, n_ref):
+        with pytest.raises(ValueError):
+            CfarConfig(p_fa=p_fa, n_ref=n_ref)
+
     def test_profile_length_guard(self):
         with pytest.raises(ValueError):
             cfar_detect(np.ones(10), CfarConfig(n_ref=7, n_guard=1))
@@ -182,6 +231,12 @@ class TestDetectionCampaign:
         rng = np.random.default_rng(88)
         dp = detection_campaign(grids, 15.0, CfarConfig(), rng, n_targets=3)
         assert 0.0 <= dp <= 1.0
+
+    def test_no_targets_gives_zero(self):
+        assert sensing._draw_delays(np.random.default_rng(0), 64, 0).dtype == np.int64
+        grids = [self._grid(s) for s in range(3)]
+        rng = np.random.default_rng(83)
+        assert detection_campaign(grids, 10.0, CfarConfig(), rng, n_targets=0) == 0.0
 
 
 def reference_hits(grids, snr_db, cfar, rng, n_targets):
