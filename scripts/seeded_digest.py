@@ -31,8 +31,11 @@ Their digest covers the counts as int64.
 prints, per case, the largest entrywise |grid difference|, the largest
 |difference of psl_db_after| (dB) and the number of trials whose iteration
 count and stop reason agree; for ``sense`` and ``ber``, the number of
-counts that agree.  A change that is not bit-identical states its
-tolerance with this one command.  ``--trials N`` runs N trials in every case
+counts that agree.  It then exits 1 when any row differs (a nonzero grid
+or PSL difference, an iteration count or stop reason that disagrees, or a
+count that disagrees), naming those rows on stderr, and 0 when every row is
+identical.  A change that is not bit-identical states its tolerance with
+this one command.  ``--trials N`` runs N trials in every case
 instead of the case's fixed count; the digests then cover those trials.
 """
 
@@ -180,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         head += f" {'max|dgrid|':>10} {'max|dpsl|dB':>11} {'same_iter_stop':>14}"
     print(head)
     pairs = {}  # the default case's trials, per package
+    differ = []  # names of the rows that differ from --against
     for name, overrides, trials in CASES:
         trials = args.trials or trials
         out = run_case("pslwave", overrides, trials)
@@ -194,6 +198,8 @@ def main(argv: list[str] | None = None) -> int:
             other = run_case("pslwave_against", overrides, trials)
             d_grid, d_psl, same = difference(reports, [r for *_, r in other])
             line += f" {d_grid:10.1e} {d_psl:11.1e} {f'{same}/{trials}':>14}"
+            if d_grid != 0.0 or d_psl != 0.0 or same < trials:
+                differ.append(name)
             if name == "default":
                 pairs["pslwave_against"] = other
         print(line)
@@ -204,7 +210,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.against is not None:
             same = int(np.count_nonzero(mine == counts("pslwave_against", pairs["pslwave_against"])))
             line += f" {'-':>10} {'-':>11} {f'{same}/{mine.size}':>14}"
+            if same < mine.size:
+                differ.append(name)
         print(line)
+    if differ:
+        print(f"rows that differ from {args.against}: {', '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -218,8 +218,7 @@ def demodulate(
     entry's angle; the origin goes to sector 0), the higher level on that
     axis for QAM.  Labels map to bits through a cached table.
     """
-    symbols = grid.symbols if isinstance(grid, SymbolGrid) else np.asarray(grid)
-    z = np.swapaxes(symbols, -1, -2)[..., mask.used.T]
+    z = np.swapaxes(np.asarray(grid), -1, -2)[..., mask.used.T]
     # np.take on the small table is far cheaper than fancy indexing it
     bits = np.take(_label_bits(spec.bits_per_symbol), _slice_labels(z, spec), axis=0)
     return bits.reshape(*z.shape[:-1], -1)

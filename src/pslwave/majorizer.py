@@ -93,12 +93,12 @@ class MajorizerOutput:
     """One pass's results in the common r_bar**(p-2) scale.
 
     The pass fills ``qx`` and ``mu_bound``; ``mu_bar`` and ``y`` are computed
-    on first read from the kept ``grid``, ``lambda_bar``, ``v`` and ``blocks``.
+    on first read from the kept ``x``, ``lambda_bar``, ``v`` and ``blocks``.
     """
 
     qx: np.ndarray  # (N, M) product Q x, column m for antenna m
     mu_bound: float  # L = max_n lambda_max_bound(Q_n) >= mu_bar
-    grid: SymbolGrid = field(repr=False)  # the iterate x
+    x: np.ndarray = field(repr=False)  # (N, M) iterate
     lambda_bar: float = field(repr=False)
     v: np.ndarray = field(repr=False)  # (M, M, N) v fields
     blocks: np.ndarray = field(repr=False)  # (N, M, M) hermitian_blocks(v)
@@ -111,8 +111,8 @@ class MajorizerOutput:
     @cached_property
     def y(self) -> np.ndarray:
         """Length-MN MM direction (Q - 2*lambda_bar*x x^H - mu_bar*I) x."""
-        x = self.grid.symbols
-        y = self.qx - (2.0 * self.lambda_bar * self.grid.energy() + self.mu_bar) * x
+        x = self.x
+        y = self.qx - (2.0 * self.lambda_bar * float(np.vdot(x, x).real) + self.mu_bar) * x
         return y.reshape(-1, order="F")
 
 
@@ -190,7 +190,7 @@ def mu_bar(v: np.ndarray, _blocks: np.ndarray | None = None) -> float:
 
 
 def majorize_direction(
-    grid: SymbolGrid,
+    grid: SymbolGrid | np.ndarray,
     w: LagWeights,
     p: int,
     corr: CorrelationTensor | None = None,
@@ -202,11 +202,13 @@ def majorize_direction(
     direction y = (Q - 2*lambda_bar*x x^H - mu_bar*I) x are computed on first
     read.  Raises ``ZeroSidelobeError`` when the sidelobes in the lag window
     already vanish, and ``ValueError`` when the v fields are not finite.
-    ``corr`` may carry the already computed correlations of ``grid``.  Cost
-    O(M^2 N log N); reading mu_bar or y adds N small eigenproblems.
+    ``grid`` is a ``SymbolGrid`` or its (N, M) array; ``corr`` may carry its
+    correlations.  Cost O(M^2 N log N); reading mu_bar or y adds N small
+    eigenproblems.
     """
+    x = np.asarray(grid)
     if corr is None:
-        corr = cyclic_correlations(grid)
+        corr = cyclic_correlations(x)
     coeffs = coefficients(corr, w, p)
     lam = lambda_bar(coeffs, w)
     v = v_fields(corr, coeffs, w)
@@ -215,5 +217,5 @@ def majorize_direction(
     # a NaN or an infinity anywhere in v makes the bound non-finite
     if not math.isfinite(bound):
         raise ValueError("v fields must be finite")
-    qx = np.matmul(blocks, grid.symbols[:, :, None])[:, :, 0]
-    return MajorizerOutput(qx=qx, mu_bound=bound, grid=grid, lambda_bar=lam, v=v, blocks=blocks)
+    qx = np.matmul(blocks, x[:, :, None])[:, :, 0]
+    return MajorizerOutput(qx=qx, mu_bound=bound, x=x, lambda_bar=lam, v=v, blocks=blocks)

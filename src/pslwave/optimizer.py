@@ -10,7 +10,7 @@ first increase terminates and returns the previous iterate.
 (the direction y of ``majorizer.majorize_direction``) is a valid but very
 loose bound: lambda_bar bounds the quartic term over the whole sphere, s
 exceeds mu_bar by about five orders of magnitude at the default point, and the
-step -y/||y|| then moves the grid by about 3e-6 relative.  ``mm_step`` goes
+step -y/||y|| then moves the grid by about 3e-6 relative.  An MM step goes
 along y_c = Qx - STEP_C * L * x instead, with the sphere minimizer
 -sqrt(E) * y_c / ||y_c||.  That is a projected gradient step on the
 linearized surrogate x^H Q x with the fixed step 1/(STEP_C * L), where L is
@@ -55,17 +55,19 @@ with ``zero_sidelobe`` before a pass that has no surrogate.
 Each iteration takes the squared extrapolation (SQUAREM) of two MM steps:
 they give a step r and curvature v, and the one candidate of the iteration is
 the projection of x - 2*alpha*r + alpha**2 * v at alpha = -||r|| / ||v||,
-which the acceptance test takes or ends the run at.  r, v and the candidate
-are formed on the (N, M) symbol arrays themselves, with the norms from
-``np.vdot``.  When v vanishes the second step's grid is the candidate, and
-when the sidelobes of the first step's grid already vanish (the second step
-raises ``ZeroSidelobeError``) that grid is the candidate.
+which the acceptance test takes or ends the run at.  The norms come from
+``np.vdot``.  When v vanishes the second step's point is the candidate, and
+when the sidelobes of the first step's point already vanish (the second step
+raises ``ZeroSidelobeError``) that point is the candidate.
 
-Each quantity is computed once per run or once per iterate.  ``optimize``
-builds one ``projector.Projection`` of the reference per run, which every MM
-step and every SQUAREM candidate projects through and which carries the
-sphere radius sqrt(E).  The correlations of a grid are taken where its eta
-is, from one peak search that gives both eta and the normalized PSL, and the
+The loop runs on (N, M) symbol arrays and wraps one ``SymbolGrid``, the
+last accepted iterate in ``report.grid``.  Each quantity is computed once per
+run or once per iterate.  ``optimize`` builds one ``projector.Projection`` of
+the reference per run, which carries the sphere radius sqrt(E).  An MM step
+is the array function ``_step``: the pass at x gives Qx and L, and the sphere
+point -sqrt(E) * y_c / ||y_c|| goes through the plan, as every SQUAREM
+candidate does.  The correlations of an iterate are taken where its eta is,
+from one peak search that gives both eta and the normalized PSL, and the
 tensor keeps its window |r|; an accepted iterate carries the tensor into the
 first MM step of the next iteration.  The second MM step of an iteration
 computes its own, since x1 is never an accepted iterate.
@@ -79,6 +81,7 @@ import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask
 from .majorizer import ZeroSidelobeError, majorize_direction
+# project_grid is not called here; perfbench/tracer.py still wraps it at this site
 from .projector import Projection, project_grid
 from .spectrum import (
     CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db_of_peak,
@@ -136,41 +139,33 @@ class OptimizationReport:
         return self.psl_db_trace[-1]
 
 
-def _eta(grid: SymbolGrid, w: LagWeights) -> tuple[float, float, CorrelationTensor]:
-    """Peak sidelobe and normalized PSL of ``grid``, from one peak search, with
-    the correlations they came from, which the next majorization pass at an
-    accepted iterate reuses, window |r| and all."""
-    corr = cyclic_correlations(grid)
+def _eta(x: np.ndarray, w: LagWeights) -> tuple[float, float, CorrelationTensor]:
+    """Peak sidelobe and normalized PSL of the (N, M) array ``x``, from one peak
+    search, with the correlations they came from, which the next majorization
+    pass at an accepted iterate reuses, window |r| and all."""
+    corr = cyclic_correlations(x)
     eta = peak_sidelobe(corr, w)[0]
     return eta, psl_db_of_peak(eta, corr), corr
 
 
-def mm_step(
-    grid: SymbolGrid,
-    reference: SymbolGrid,
-    spec: ConstellationSpec,
-    mask: SubcarrierMask,
-    w: LagWeights,
-    p: int,
-    corr: CorrelationTensor | None = None,
-    projection: Projection | None = None,
-) -> SymbolGrid:
-    """One step along y_c = (Q - STEP_C * L * I) x, L = ``mu_bound`` >= mu_bar,
-    onto the sphere of ``reference``'s energy, then the projection.  Raises
-    ``ZeroSidelobeError`` when the sidelobes of ``grid`` already vanish.
-    ``corr`` may carry the already computed correlations of ``grid``, and
-    ``projection`` the run's ``Projection(reference, spec, mask)``; without
-    it the step projects through ``project_grid``.
-    """
-    out = majorize_direction(grid, w, p, corr=corr)
-    radius = np.sqrt(reference.energy()) if projection is None else projection.radius
+def _step(x: np.ndarray, w: LagWeights, p: int, projection: Projection,
+          corr: CorrelationTensor | None = None) -> np.ndarray:
+    """One MM step from the (N, M) array ``x`` (``corr`` may carry its correlations):
+    along y_c = (Q - STEP_C * L * I) x, L = ``mu_bound`` >= mu_bar, onto the
+    sphere of radius ``projection.radius``, then through ``projection``.  Raises
+    ``ZeroSidelobeError`` when the sidelobes of ``x`` already vanish."""
+    out = majorize_direction(x, w, p, corr=corr)
     # nonzero: x^H y_c <= (1 - STEP_C) * L * ||x||^2 < 0 (module docstring)
-    y_c = out.qx - STEP_C * out.mu_bound * grid.symbols
+    y_c = out.qx - STEP_C * out.mu_bound * x
     # sphere minimizer, scaled to the reference energy budget
-    candidate = -radius / float(np.linalg.norm(y_c)) * y_c
-    if projection is None:
-        return project_grid(SymbolGrid(candidate), reference, spec, mask)
-    return SymbolGrid(projection(candidate))
+    return projection(-projection.radius / float(np.linalg.norm(y_c)) * y_c)
+
+
+def mm_step(grid: SymbolGrid, reference: SymbolGrid, spec: ConstellationSpec,
+            mask: SubcarrierMask, w: LagWeights, p: int) -> SymbolGrid:
+    """``_step`` from ``grid`` once, through a ``Projection(reference, spec, mask)``
+    of its own."""
+    return SymbolGrid(_step(np.asarray(grid), w, p, Projection(reference, spec, mask)))
 
 
 def optimize(
@@ -188,8 +183,8 @@ def optimize(
     """
     config = config or OptimizerConfig()
     projection = Projection(reference, spec, mask)
-    current = reference.copy()
-    eta, psl, corr = _eta(current, w)
+    x = reference.symbols.copy()  # report.grid never shares the reference's array
+    eta, psl, corr = _eta(x, w)
     trace, psl_trace = [eta], [psl]
     reason = "max_iterations"
     for k in range(config.l_max):
@@ -197,27 +192,26 @@ def optimize(
             reason = "zero_sidelobe"
             break
         p = min(P_SCHEDULE[k], config.p) if k < len(P_SCHEDULE) else config.p
-        x1 = mm_step(current, reference, spec, mask, w, p, corr=corr, projection=projection)
+        x1 = _step(x, w, p, projection, corr)
         try:
-            x2 = mm_step(x1, reference, spec, mask, w, p, projection=projection)
+            x2 = _step(x1, w, p, projection)
         except ZeroSidelobeError:
             # x1 already has no sidelobes: take it, and the next iteration stops
             candidate = x1
         else:
             # the SQUAREM candidate (module docstring); x2 itself when v vanishes
-            x0 = current.symbols
-            r = x1.symbols - x0
-            v = x2.symbols - x1.symbols - r
+            r = x1 - x
+            v = x2 - x1 - r
             v_norm = np.sqrt(np.vdot(v, v).real)
             candidate = x2
             if v_norm > 0.0:
                 alpha = -np.sqrt(np.vdot(r, r).real) / v_norm
-                candidate = SymbolGrid(projection(x0 - 2.0 * alpha * r + alpha**2 * v))
+                candidate = projection(x - 2.0 * alpha * r + alpha**2 * v)
         eta_next, psl_next, corr_next = _eta(candidate, w)
         if eta_next > trace[-1] or psl_next > psl_trace[-1]:
             reason = "objective_increased"
             break
-        current, corr = candidate, corr_next
+        x, corr = candidate, corr_next
         trace.append(eta_next)
         psl_trace.append(psl_next)
         # vanished sidelobes gain inf dB here; the next iteration stops at zero_sidelobe
@@ -225,5 +219,5 @@ def optimize(
             reason = "small_gain"
             break
     return OptimizationReport(
-        grid=current, eta_trace=trace, psl_db_trace=psl_trace, stop_reason=reason
+        grid=SymbolGrid(x), eta_trace=trace, psl_db_trace=psl_trace, stop_reason=reason
     )

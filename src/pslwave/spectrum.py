@@ -61,6 +61,10 @@ class SymbolGrid:
         if not np.all(np.isfinite(self.symbols)):
             raise ValueError("symbols must be finite")
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The symbols, so that ``np.asarray`` reads a grid and an (N, M) array alike."""
+        return np.array(self.symbols, dtype=dtype, copy=copy)
+
     @property
     def n_subcarriers(self) -> int:
         return self.symbols.shape[0]
@@ -126,14 +130,14 @@ class LagWeights:
         self.mask[1 : self.n_cp] = True
 
 
-def cyclic_correlations(grid: SymbolGrid) -> CorrelationTensor:
+def cyclic_correlations(grid: SymbolGrid | np.ndarray) -> CorrelationTensor:
     """All M x M x N cyclic auto-/cross-correlations of the time-domain waveforms.
 
-    One IFFT per antenna pair; the N**2 scale keeps r equal to the stacked
-    quadratic form (see module docstring).
+    ``grid`` is a ``SymbolGrid`` or its (N, M) array.  One IFFT per antenna
+    pair; the N**2 scale keeps r equal to the stacked quadratic form.
     """
-    x = grid.symbols  # (N, M)
-    n = grid.n_subcarriers
+    x = np.asarray(grid)  # (N, M)
+    n = x.shape[0]
     # prod[m, k, :] = x_m * conj(x_k) over subcarriers
     prod = x.T[:, None, :] * np.conj(x.T)[None, :, :]
     values = n**2 * np.fft.ifft(prod, axis=2)

@@ -57,13 +57,24 @@ class TestMmStep:
                                            {"family": "qam", "order": 16, "n_subcarriers": 64,
                                             "n_antennas": 2, "n_cp": 16}])
     def test_a_plan_steps_as_project_grid_does(self, overrides):
+        # two steps through one reused plan, as optimize takes them, project each
+        # sphere point as project_grid does and match the one-shot mm_step
         spec, mask, ref, w, cfg = seeded_trial(1, **overrides)
-        plan = Projection(ref, spec, mask)
-        x1 = mm_step(ref, ref, spec, mask, w, 8)
-        assert np.array_equal(mm_step(ref, ref, spec, mask, w, 8, projection=plan).symbols,
-                              x1.symbols)
-        assert np.array_equal(mm_step(x1, ref, spec, mask, w, 8, projection=plan).symbols,
-                              mm_step(x1, ref, spec, mask, w, 8).symbols)
+        points = []
+
+        class RecordingPlan(Projection):
+            def __call__(self, z):
+                points.append(z)
+                return super().__call__(z)
+
+        plan = RecordingPlan(ref, spec, mask)
+        x1 = optimizer._step(ref.symbols, w, 8, plan)
+        x2 = optimizer._step(x1, w, 8, plan)
+        assert len(points) == 2
+        for z, out in zip(points, (x1, x2)):
+            assert np.array_equal(project_grid(SymbolGrid(z), ref, spec, mask).symbols, out)
+        assert np.array_equal(mm_step(ref, ref, spec, mask, w, 8).symbols, x1)
+        assert np.array_equal(mm_step(SymbolGrid(x1), ref, spec, mask, w, 8).symbols, x2)
 
     def test_zero_sidelobe_raises(self):
         spec = ConstellationSpec("psk", 4)
@@ -143,7 +154,7 @@ class TestRunSquarem:
     def test_one_plan_per_run(self, monkeypatch, overrides):
         # the projection is set up once per run and every step and candidate uses it
         spec, mask, ref, w, cfg = seeded_trial(0, **overrides)
-        plans, calls = [], []
+        plans, calls, steps = [], [], []
 
         class CountingPlan(Projection):
             def __init__(self, *args):
@@ -154,31 +165,36 @@ class TestRunSquarem:
                 calls.append(z)
                 return super().__call__(z)
 
-        def no_project_grid(*args):
-            raise AssertionError("optimize projected through project_grid")
+        def recording_step(x, w, p, projection, corr=None):
+            steps.append(projection)
+            return step(x, w, p, projection, corr)
 
+        step = optimizer._step
         monkeypatch.setattr(optimizer, "Projection", CountingPlan)
-        monkeypatch.setattr(optimizer, "project_grid", no_project_grid)
+        monkeypatch.setattr(optimizer, "_step", recording_step)
         report = optimize(ref, spec, mask, w, cfg.optimizer())
         assert len(plans) == 1
-        # two MM steps and the SQUAREM candidate per iteration run
+        # two MM steps through the run's plan and the SQUAREM candidate per iteration run
+        assert len(steps) == 2 * iterations_run(report)
+        assert all(plan is plans[0] for plan in steps)
         assert len(calls) == 3 * iterations_run(report)
 
     def test_first_step_without_sidelobes_is_the_candidate(self, monkeypatch):
         # x1 has no sidelobes, so the second step has no surrogate: x1 is taken,
         # and the next iteration stops at once
         spec, mask, ref, w = setup_problem()
-        flat = SymbolGrid(np.tile(spec.points[[0, 1]], (32, 1)))
+        flat = np.tile(spec.points[[0, 1]], (32, 1))
         steps = []
 
-        def first_step_flat(grid, *args, **kwargs):
-            steps.append(grid)
-            return flat if len(steps) == 1 else mm_step(grid, *args, **kwargs)
+        def first_step_flat(x, *args):
+            steps.append(x)
+            return flat if len(steps) == 1 else step(x, *args)
 
-        monkeypatch.setattr(optimizer, "mm_step", first_step_flat)
+        step = optimizer._step
+        monkeypatch.setattr(optimizer, "_step", first_step_flat)
         report = optimize(ref, spec, mask, w)
         assert steps[1] is flat
-        assert np.array_equal(report.grid.symbols, flat.symbols)
+        assert np.array_equal(report.grid.symbols, flat)
         assert report.psl_db_after == -np.inf
         assert report.stop_reason == "zero_sidelobe"
         assert report.iterations == 1
@@ -299,23 +315,7 @@ class TestStepRule:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_v_raises_before_a_step(self, monkeypatch, bad):
-        exact = majorizer.v_fields
-
-        def broken(corr, coeffs, w):
-            v = exact(corr, coeffs, w)
-            v[1, 0, 2] = bad
-            return v
-
-        projected = []
-        monkeypatch.setattr(majorizer, "v_fields", broken)
-        monkeypatch.setattr(optimizer, "project_grid", lambda *a: projected.append(a))
-        spec, mask, ref, w = setup_problem(seed=63)
-        with pytest.raises(ValueError, match="finite"):
-            mm_step(ref, ref, spec, mask, w, 50)
-        assert projected == []
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_v_raises_before_the_plan_projects(self, monkeypatch, bad):
+        # neither the one-shot mm_step nor a step through the run's plan projects
         exact = majorizer.v_fields
 
         def broken(corr, coeffs, w):
@@ -331,10 +331,12 @@ class TestStepRule:
                 return super().__call__(z)
 
         monkeypatch.setattr(majorizer, "v_fields", broken)
+        monkeypatch.setattr(optimizer, "Projection", RecordingPlan)
         spec, mask, ref, w = setup_problem(seed=63)
-        plan = RecordingPlan(ref, spec, mask)
         with pytest.raises(ValueError, match="finite"):
-            mm_step(ref, ref, spec, mask, w, 50, projection=plan)
+            mm_step(ref, ref, spec, mask, w, 50)
+        with pytest.raises(ValueError, match="finite"):
+            optimizer._step(ref.symbols, w, 50, RecordingPlan(ref, spec, mask))
         assert projected == []
 
     def test_psl_db_before_and_after_read_the_trace(self):
@@ -363,6 +365,26 @@ class TestOptimize:
         assert np.all(diffs <= 1e-12 * report.eta_trace[0])
         # every entry stays inside its similarity disc
         assert np.all(np.abs(report.grid.symbols - ref.symbols) <= spec.eps_r + 1e-9)
+
+    def test_one_symbol_grid_per_run(self, monkeypatch):
+        # the loop runs on (N, M) arrays and wraps only report.grid; a run that
+        # accepts no iteration (M = 1 trial 48) still returns a grid of its own
+        runs = [seeded_trial(t) for t in range(10)] + [seeded_trial(48, n_antennas=1)]
+        built = []
+        post_init = SymbolGrid.__post_init__
+
+        def counting(grid):
+            built.append(grid)
+            post_init(grid)
+
+        monkeypatch.setattr(SymbolGrid, "__post_init__", counting)
+        for spec, mask, ref, w, cfg in runs:
+            built.clear()
+            report = optimize(ref, spec, mask, w, cfg.optimizer())
+            assert len(built) == 1 and built[0] is report.grid
+        assert report.iterations == 0
+        assert np.array_equal(report.grid.symbols, ref.symbols)
+        assert not np.shares_memory(report.grid.symbols, ref.symbols)
 
     def test_report_counts_iterations(self):
         spec, mask, ref, w = setup_problem(seed=71)

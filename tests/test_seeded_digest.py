@@ -2,6 +2,7 @@
 that a change which is not bit-identical states its tolerance with."""
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,22 @@ def test_a_tree_against_itself_differs_by_nothing():
     for row, (name, n_counts) in zip(rows[N_CASES:], COUNT_ROWS.items()):
         assert row.split()[0] == name
         assert row.split()[-1] == f"{n_counts}/{n_counts}", row
+
+
+def test_a_changed_tree_exits_1(tmp_path):
+    # a copy of src/ whose MM step goes along another shift changes the seeded grids
+    shutil.copytree(ROOT / "src" / "pslwave", tmp_path / "pslwave",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    optimizer = tmp_path / "pslwave" / "optimizer.py"
+    text = optimizer.read_text()
+    assert text.count("\nSTEP_C = 5.0\n") == 1
+    optimizer.write_text(text.replace("\nSTEP_C = 5.0\n", "\nSTEP_C = 4.0\n"))
+    proc = run_digest("--against", str(tmp_path), "--trials", "1")
+    assert proc.returncode == 1, proc.stderr
+    rows = case_rows(proc.stdout)
+    assert len(rows) == N_CASES + len(COUNT_ROWS)
+    assert rows[0].split()[-3] != "0.0e+00", rows[0]
+    assert "default" in proc.stderr
 
 
 def test_zero_trials_is_a_usage_error():
