@@ -315,7 +315,7 @@ class TestStepRule:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_v_raises_before_a_step(self, monkeypatch, bad):
-        # neither the one-shot mm_step nor a step through the run's plan projects
+        # the one-shot mm_step raises before its own plan projects
         exact = majorizer.v_fields
 
         def broken(corr, coeffs, w):
@@ -335,8 +335,30 @@ class TestStepRule:
         spec, mask, ref, w = setup_problem(seed=63)
         with pytest.raises(ValueError, match="finite"):
             mm_step(ref, ref, spec, mask, w, 50)
+        assert projected == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_v_raises_before_the_plan_projects(self, monkeypatch, bad):
+        # a step through the run's own plan raises before that plan projects
+        exact = majorizer.v_fields
+
+        def broken(corr, coeffs, w):
+            v = exact(corr, coeffs, w)
+            v[1, 0, 2] = bad
+            return v
+
+        projected = []
+
+        class RecordingPlan(Projection):
+            def __call__(self, z):
+                projected.append(z)
+                return super().__call__(z)
+
+        monkeypatch.setattr(majorizer, "v_fields", broken)
+        spec, mask, ref, w = setup_problem(seed=63)
+        plan = RecordingPlan(ref, spec, mask)
         with pytest.raises(ValueError, match="finite"):
-            optimizer._step(ref.symbols, w, 50, RecordingPlan(ref, spec, mask))
+            optimizer._step(ref.symbols, w, 50, plan)
         assert projected == []
 
     def test_psl_db_before_and_after_read_the_trace(self):
