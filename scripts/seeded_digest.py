@@ -62,6 +62,8 @@ CASES = (
     ("p2-n64", {"p": 2, "n_subcarriers": 64, "n_cp": 16}, 6),
     ("p8", {"p": 8}, 6),
     ("unused0", {"unused_fraction": 0.0}, 6),
+    # N not a power of two: the N**2-scaled IFFT and N-scaled FFT round inexactly here
+    ("n96", {"n_subcarriers": 96, "n_cp": 24}, 6),
 )
 # the SNR grids of the evaluate workload (perfbench/workloads.py)
 SENSE_SNR_DB = tuple(float(s) for s in np.arange(-8.0, 2.5, 1.0))

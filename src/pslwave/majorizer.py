@@ -31,19 +31,24 @@ cancels in the normalized minimization step, leaving the direction vector y
 unchanged up to a positive scale.
 
 One pass computes each quantity once and returns Qx and L, the two values an
-optimizer step reads.  The exact mu_bar and the MM direction y are computed
-when first read (``MajorizerOutput``), from the blocks the pass keeps, so a
-step that never reads them runs no eigensolve.  The window magnitudes |r|
-(lags 1..N_cp-1, read as a slice) give r_bar and c_hat, which lives on the
-window lags only; the correlation tensor keeps them (``spectrum.window_abs``),
-so correlations passed in come with their |r|.  The product c_hat * r fills
-the window lags of the pass's one (M, M, N) array before the one FFT to v.
-The (N, M, M) block stack is built once and serves L, Qx and, when read, the
-eigensolve for mu_bar.  When the window sidelobes vanish
-(``spectrum.sidelobes_vanish``) there is no surrogate: ``coefficients``
-raises ``ZeroSidelobeError`` and the pass lets it through.  The pass itself
-keeps no state between calls; which tensor an accepted iterate carries into
-its next pass is the optimizer's choice.
+optimizer step reads.  It runs through an ``MMPlan``, set up once for the
+iterate shape (N, M) and the lag window: the window is the slice
+``1:N_cp`` of the lag axis, its lag count checked when the plan is built,
+and the plan's (M, M, N) work array, zero off the window, is the one input
+of the FFT to v.  ``plan.correlate(x)`` gives the correlations with their
+window magnitudes |r|, the window peak r_bar and the mean mainlobe, from one
+product and IFFT and no peak search; ``plan.direction`` turns them into
+c_hat (window lags only), v, the (N, M, M) block stack, L and Qx, each in one
+place.  ``optimize`` builds one plan per run; ``majorize_direction`` and
+``v_fields`` are one-shot wrappers that build one per call, and
+``majorize_direction`` keeps the blocks in a ``MajorizerOutput``, whose exact
+mu_bar and MM direction y are computed when first read, so a step that never
+reads them runs no eigensolve.  ``coefficients`` reads the window |r| that a
+``CorrelationTensor`` keeps (``spectrum.window_abs``) and the same c_hat
+formula.  When the window sidelobes vanish (``spectrum.sidelobes_vanish``)
+there is no surrogate: the pass raises ``ZeroSidelobeError``.  A plan keeps no
+state from one pass to the next; which correlations an accepted iterate
+carries into its next pass is the optimizer's choice.
 """
 
 from __future__ import annotations
@@ -54,15 +59,17 @@ from functools import cached_property
 
 import numpy as np
 
-# peak_sidelobe is not called here; perfbench/tracer.py still wraps it at this site
+# cyclic_correlations and peak_sidelobe are not called here; perfbench/tracer.py
+# still wraps them at this site
 from .spectrum import (
-    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, mean_mainlobe, peak_sidelobe,
-    sidelobes_vanish, window_abs, window_lags,
+    CorrelationTensor, LagWeights, SymbolGrid, correlation_values, cyclic_correlations,
+    mean_mainlobe, peak_sidelobe, sidelobes_vanish, window_abs,
 )
 
 __all__ = [
     "MajorizerCoeffs",
     "MajorizerOutput",
+    "MMPlan",
     "ZeroSidelobeError",
     "coefficients",
     "lambda_bar",
@@ -118,13 +125,20 @@ class MajorizerOutput:
 
 def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoeffs:
     """Linearized weights c = (p/2) * |r|^(p-2) on the lag window, in r_bar-factored form."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
     r_abs = window_abs(corr, w)
     r_bar = float(r_abs.max())
-    if sidelobes_vanish(r_bar, mean_mainlobe(corr)):
+    return MajorizerCoeffs(p=p, r_bar=r_bar,
+                           c_hat=_c_hat(r_abs, r_bar, mean_mainlobe(corr.values), p))
+
+
+def _c_hat(r_abs: np.ndarray, r_bar: float, mainlobe: float, p: int) -> np.ndarray:
+    """c_hat = 0.5 * p * (|r| / r_bar)^(p-2) on the window; ``ZeroSidelobeError``
+    when r_bar is round-off of zero sidelobes."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    if sidelobes_vanish(r_bar, mainlobe):
         raise ZeroSidelobeError("all correlations in the lag window are zero up to round-off")
-    return MajorizerCoeffs(p=p, r_bar=r_bar, c_hat=0.5 * p * (r_abs / r_bar) ** (p - 2))
+    return 0.5 * p * (r_abs / r_bar) ** (p - 2)
 
 
 def lambda_bar(coeffs: MajorizerCoeffs, w: LagWeights) -> float:
@@ -133,22 +147,19 @@ def lambda_bar(coeffs: MajorizerCoeffs, w: LagWeights) -> float:
     The largest quadratic coefficient a sits at the peak lag, where it equals
     its limit p(p-1)/2 * r_bar^(p-2) (module docstring, stage 1).
     """
-    return w.n_lags**3 * 0.5 * coeffs.p * (coeffs.p - 1)
+    return _lambda_bar(w.n_lags, coeffs.p)
+
+
+def _lambda_bar(n: int, p: int) -> float:
+    return n**3 * 0.5 * p * (p - 1)
 
 
 def v_fields(corr: CorrelationTensor, coeffs: MajorizerCoeffs, w: LagWeights) -> np.ndarray:
-    """Diagonal-block generators: v[m, k] = N * DFT(c_hat * r), zero-filled off the window."""
-    # The diagonal blocks Lambda_mk = Diag(v_mk + conj(v_km)) require v_mk to
-    # carry a factor N on top of the DFT of (c * r): expanding the diagonal
-    # of sum_i c (conj(r) Diag(N conj(F_i)) + h.c.) over window lags i entrywise
-    # gives N * [DFT(c r_mk)]_n + conj(N * [DFT(c r_km)]_n).  The dense-matrix
-    # oracle pins this constant; test_majorizer asserts it as a regression.
-    # N scales c_hat on the window lags, before the FFT, rather than the whole
-    # (M, M, N) result; for N a power of two the two orders round alike.
-    lags = window_lags(corr, w)
-    weighted = np.zeros(corr.values.shape, dtype=complex)
-    weighted[:, :, lags] = (corr.n_lags * coeffs.c_hat) * corr.values[:, :, lags]
-    return np.fft.fft(weighted, axis=2)
+    """Diagonal-block generators: v[m, k] = N * DFT(c_hat * r), zero-filled off the window.
+
+    One-shot: the FFT of a plan (``MMPlan.v``) set up for ``corr`` alone.
+    """
+    return MMPlan((corr.n_lags, corr.n_antennas), w).v(corr.values, coeffs.c_hat)
 
 
 def hermitian_blocks(v: np.ndarray) -> np.ndarray:
@@ -189,13 +200,77 @@ def mu_bar(v: np.ndarray, _blocks: np.ndarray | None = None) -> float:
     return float(np.max(np.linalg.eigvalsh(blocks)[:, -1]))
 
 
+class MMPlan:
+    """The majorization pass set up once for (N, M) iterates and one lag window.
+
+    It holds the window as the slice ``1:n_cp`` of the lag axis, whose lag
+    count N is checked against the iterate's shape here, once, and the
+    (M, M, N) work array of the FFT to v.  That array is zero off the window,
+    and every pass overwrites all of its window lags, so nothing of one pass
+    reaches the next.  ``optimize`` builds one plan per run; ``v_fields`` and
+    ``majorize_direction`` build one per call.
+
+    Correlations travel as the tuple (r, window |r|, eta, mean mainlobe) that
+    ``correlate`` returns, with r the (M, M, N) array and eta = r_bar the
+    window peak.
+    """
+
+    def __init__(self, shape: tuple[int, int], w: LagWeights):
+        n, m = shape
+        if n != w.n_lags:
+            raise ValueError(f"N = {n} and the weights (N = {w.n_lags}) disagree on lag count")
+        self.n_lags = n
+        self.lags = slice(1, w.n_cp)
+        self._work = np.zeros((m, m, n), dtype=complex)
+
+    def correlate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """(r, window |r|, eta, mean mainlobe) of the (N, M) array ``x``, from one
+        product and IFFT (``spectrum.correlation_values``)."""
+        values = correlation_values(x)
+        r_abs = np.abs(values[:, :, self.lags])
+        return values, r_abs, float(r_abs.max()), mean_mainlobe(values)
+
+    def v(self, values: np.ndarray, c_hat: np.ndarray) -> np.ndarray:
+        """v[m, k] = N * DFT(c_hat * r), from the window lags of the (M, M, N) array r."""
+        # The diagonal blocks Lambda_mk = Diag(v_mk + conj(v_km)) require v_mk to
+        # carry a factor N on top of the DFT of (c * r): expanding the diagonal
+        # of sum_i c (conj(r) Diag(N conj(F_i)) + h.c.) over window lags i entrywise
+        # gives N * [DFT(c r_mk)]_n + conj(N * [DFT(c r_km)]_n).  The dense-matrix
+        # oracle pins this constant; test_majorizer asserts it as a regression.
+        # N scales c_hat on the window lags, before the FFT, rather than the whole
+        # (M, M, N) result; for N a power of two the two orders round alike.
+        lags = self.lags
+        np.multiply(self.n_lags * c_hat, values[:, :, lags], out=self._work[:, :, lags])
+        return np.fft.fft(self._work, axis=2)
+
+    def direction(
+        self, x: np.ndarray, p: int,
+        corr: tuple[np.ndarray, np.ndarray, float, float] | None = None,
+    ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        """One pass at the (N, M) array ``x``: (Qx, L, v, blocks).
+
+        L = max_n ``lambda_max_bound(Q_n)`` >= mu_bar, in the common
+        r_bar**(p-2) scale.  ``corr`` may carry what ``correlate(x)`` returns.
+        Raises ``ZeroSidelobeError`` when the window sidelobes of ``x`` vanish,
+        and ``ValueError`` when the v fields are not finite.
+        """
+        values, r_abs, r_bar, mainlobe = self.correlate(x) if corr is None else corr
+        v = self.v(values, _c_hat(r_abs, r_bar, mainlobe, p))
+        blocks = hermitian_blocks(v)
+        bound = float(lambda_max_bound(blocks).max())
+        # a NaN or an infinity anywhere in v makes the bound non-finite
+        if not math.isfinite(bound):
+            raise ValueError("v fields must be finite")
+        return np.matmul(blocks, x[:, :, None])[:, :, 0], bound, v, blocks
+
+
 def majorize_direction(
     grid: SymbolGrid | np.ndarray,
     w: LagWeights,
     p: int,
     corr: CorrelationTensor | None = None,
 ) -> MajorizerOutput:
-    """Full majorization pass at the current iterate.
+    """Full majorization pass at the current iterate, through a plan of its own.
 
     Returns the product Qx and the bound L = max_n ``lambda_max_bound(Q_n)``
     >= mu_bar in the common r_bar**(p-2) scale; the exact mu_bar and the
@@ -207,15 +282,10 @@ def majorize_direction(
     eigenproblems.
     """
     x = np.asarray(grid)
-    if corr is None:
-        corr = cyclic_correlations(x)
-    coeffs = coefficients(corr, w, p)
-    lam = lambda_bar(coeffs, w)
-    v = v_fields(corr, coeffs, w)
-    blocks = hermitian_blocks(v)
-    bound = float(lambda_max_bound(blocks).max())
-    # a NaN or an infinity anywhere in v makes the bound non-finite
-    if not math.isfinite(bound):
-        raise ValueError("v fields must be finite")
-    qx = np.matmul(blocks, x[:, :, None])[:, :, 0]
-    return MajorizerOutput(qx=qx, mu_bound=bound, x=x, lambda_bar=lam, v=v, blocks=blocks)
+    plan = MMPlan(x.shape, w)
+    if corr is not None:
+        r_abs = window_abs(corr, w)
+        corr = (corr.values, r_abs, float(r_abs.max()), mean_mainlobe(corr.values))
+    qx, bound, v, blocks = plan.direction(x, p, corr)
+    return MajorizerOutput(qx=qx, mu_bound=bound, x=x, lambda_bar=_lambda_bar(w.n_lags, p),
+                           v=v, blocks=blocks)

@@ -14,11 +14,11 @@ step -y/||y|| then moves the grid by about 3e-6 relative.  An MM step goes
 along y_c = Qx - STEP_C * L * x instead, with the sphere minimizer
 -sqrt(E) * y_c / ||y_c||.  That is a projected gradient step on the
 linearized surrogate x^H Q x with the fixed step 1/(STEP_C * L), where L is
-the pass's closed-form bound ``mu_bound`` >= mu_bar = lambda_max(Q), the
-Lipschitz constant of the gradient; any constant at least mu_bar gives a valid
-step (Beck & Teboulle, SIAM J. Imaging Sci. 2009), and this one needs no
-eigensolve.  Since x^H Q x = 2 * sum c_hat * |r|^2 > 0 while a window sidelobe
-is nonzero, 0 < mu_bar <= L and
+the pass's closed-form bound (``MajorizerOutput.mu_bound``) >= mu_bar =
+lambda_max(Q), the Lipschitz constant of the gradient; any constant at least
+mu_bar gives a valid step (Beck & Teboulle, SIAM J. Imaging Sci. 2009), and
+this one needs no eigensolve.  Since x^H Q x = 2 * sum c_hat * |r|^2 > 0
+while a window sidelobe is nonzero, 0 < mu_bar <= L and
 
     x^H y_c <= (mu_bar - STEP_C * L) * ||x||^2 <= (1 - STEP_C) * L * ||x||^2 < 0,
 
@@ -62,15 +62,18 @@ raises ``ZeroSidelobeError``) that point is the candidate.
 
 The loop runs on (N, M) symbol arrays and wraps one ``SymbolGrid``, the
 last accepted iterate in ``report.grid``.  Each quantity is computed once per
-run or once per iterate.  ``optimize`` builds one ``projector.Projection`` of
-the reference per run, which carries the sphere radius sqrt(E).  An MM step
-is the array function ``_step``: the pass at x gives Qx and L, and the sphere
-point -sqrt(E) * y_c / ||y_c|| goes through the plan, as every SQUAREM
-candidate does.  The correlations of an iterate are taken where its eta is,
-from one peak search that gives both eta and the normalized PSL, and the
-tensor keeps its window |r|; an accepted iterate carries the tensor into the
-first MM step of the next iteration.  The second MM step of an iteration
-computes its own, since x1 is never an accepted iterate.
+run or once per iterate.  ``optimize`` builds two plans per run: one
+``majorizer.MMPlan``, which holds the lag window and the work array of the
+pass, and one ``projector.Projection`` of the reference, which carries the
+sphere radius sqrt(E).  An MM step is the array function ``_step``: the
+plan's pass at x gives Qx and L, and the sphere point
+-sqrt(E) * y_c / ||y_c|| goes through the projection, as every SQUAREM
+candidate does.  The eta and normalized PSL of a candidate come from its one
+``plan.correlate``, which also gives its correlations and window |r|; an
+accepted iterate carries them into the first MM step of the next iteration.
+The second MM step of an iteration correlates its own x1, since x1 is never
+an accepted iterate.  ``mm_step`` takes one step from a grid through plans of
+its own.
 """
 
 from __future__ import annotations
@@ -80,12 +83,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask
-from .majorizer import ZeroSidelobeError, majorize_direction
+# majorize_direction is not called here; perfbench/tracer.py still wraps it at this site
+from .majorizer import MMPlan, ZeroSidelobeError, majorize_direction
 # project_grid is not called here; perfbench/tracer.py still wraps it at this site
 from .projector import Projection, project_grid
-from .spectrum import (
-    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db_of_peak,
-)
+# cyclic_correlations and peak_sidelobe are not called here; perfbench/tracer.py
+# still wraps them at this site
+from .spectrum import LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db_of_peak
 
 __all__ = [
     "MIN_GAIN_DB", "P_SCHEDULE", "STEP_C",
@@ -139,33 +143,35 @@ class OptimizationReport:
         return self.psl_db_trace[-1]
 
 
-def _eta(x: np.ndarray, w: LagWeights) -> tuple[float, float, CorrelationTensor]:
-    """Peak sidelobe and normalized PSL of the (N, M) array ``x``, from one peak
-    search, with the correlations they came from, which the next majorization
-    pass at an accepted iterate reuses, window |r| and all."""
-    corr = cyclic_correlations(x)
-    eta = peak_sidelobe(corr, w)[0]
-    return eta, psl_db_of_peak(eta, corr), corr
+def _eta(x: np.ndarray, plan: MMPlan) -> tuple[float, float, tuple]:
+    """Peak sidelobe and normalized PSL of the (N, M) array ``x``, with the
+    correlations they came from (``plan.correlate(x)``), which the next
+    majorization pass at an accepted iterate reuses, window |r| and all."""
+    corr = plan.correlate(x)
+    eta = corr[2]
+    return eta, psl_db_of_peak(eta, corr[3]), corr
 
 
-def _step(x: np.ndarray, w: LagWeights, p: int, projection: Projection,
-          corr: CorrelationTensor | None = None) -> np.ndarray:
-    """One MM step from the (N, M) array ``x`` (``corr`` may carry its correlations):
-    along y_c = (Q - STEP_C * L * I) x, L = ``mu_bound`` >= mu_bar, onto the
-    sphere of radius ``projection.radius``, then through ``projection``.  Raises
-    ``ZeroSidelobeError`` when the sidelobes of ``x`` already vanish."""
-    out = majorize_direction(x, w, p, corr=corr)
+def _step(x: np.ndarray, p: int, plan: MMPlan, projection: Projection,
+          corr: tuple | None = None) -> np.ndarray:
+    """One MM step from the (N, M) array ``x`` (``corr`` may carry its
+    correlations): along y_c = (Q - STEP_C * L * I) x, L = the pass's bound
+    >= mu_bar, onto the sphere of radius ``projection.radius``, then through
+    ``projection``.  Raises ``ZeroSidelobeError`` when the sidelobes of ``x``
+    already vanish."""
+    qx, bound, _, _ = plan.direction(x, p, corr)
     # nonzero: x^H y_c <= (1 - STEP_C) * L * ||x||^2 < 0 (module docstring)
-    y_c = out.qx - STEP_C * out.mu_bound * x
+    y_c = qx - STEP_C * bound * x
     # sphere minimizer, scaled to the reference energy budget
     return projection(-projection.radius / float(np.linalg.norm(y_c)) * y_c)
 
 
 def mm_step(grid: SymbolGrid, reference: SymbolGrid, spec: ConstellationSpec,
             mask: SubcarrierMask, w: LagWeights, p: int) -> SymbolGrid:
-    """``_step`` from ``grid`` once, through a ``Projection(reference, spec, mask)``
-    of its own."""
-    return SymbolGrid(_step(np.asarray(grid), w, p, Projection(reference, spec, mask)))
+    """``_step`` from ``grid`` once, through an ``MMPlan`` and a
+    ``Projection(reference, spec, mask)`` of its own."""
+    x = np.asarray(grid)
+    return SymbolGrid(_step(x, p, MMPlan(x.shape, w), Projection(reference, spec, mask)))
 
 
 def optimize(
@@ -182,9 +188,10 @@ def optimize(
     ``config.l_max`` iterations (module docstring).
     """
     config = config or OptimizerConfig()
+    plan = MMPlan(reference.symbols.shape, w)
     projection = Projection(reference, spec, mask)
     x = reference.symbols.copy()  # report.grid never shares the reference's array
-    eta, psl, corr = _eta(x, w)
+    eta, psl, corr = _eta(x, plan)
     trace, psl_trace = [eta], [psl]
     reason = "max_iterations"
     for k in range(config.l_max):
@@ -192,9 +199,9 @@ def optimize(
             reason = "zero_sidelobe"
             break
         p = min(P_SCHEDULE[k], config.p) if k < len(P_SCHEDULE) else config.p
-        x1 = _step(x, w, p, projection, corr)
+        x1 = _step(x, p, plan, projection, corr)
         try:
-            x2 = _step(x1, w, p, projection)
+            x2 = _step(x1, p, plan, projection)
         except ZeroSidelobeError:
             # x1 already has no sidelobes: take it, and the next iteration stops
             candidate = x1
@@ -207,7 +214,7 @@ def optimize(
             if v_norm > 0.0:
                 alpha = -np.sqrt(np.vdot(r, r).real) / v_norm
                 candidate = projection(x - 2.0 * alpha * r + alpha**2 * v)
-        eta_next, psl_next, corr_next = _eta(candidate, w)
+        eta_next, psl_next, corr_next = _eta(candidate, plan)
         if eta_next > trace[-1] or psl_next > psl_trace[-1]:
             reason = "objective_increased"
             break

@@ -17,6 +17,10 @@ majorizer assume.
 
 A correlation tensor keeps its window |r| once ``window_abs`` has taken it,
 so the peak search, ``psl_db`` and the majorizer's weights share one array.
+The arithmetic of the correlations (``correlation_values``), of the mean
+mainlobe and of the normalized PSL (``psl_db_of_peak``) also runs on plain
+arrays and floats, which the majorizer's per-run plan
+(``majorizer.MMPlan``) reads without building a tensor.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ __all__ = [
     "CorrelationTensor",
     "LagWeights",
     "cyclic_correlations",
-    "window_lags",
+    "correlation_values",
     "window_abs",
     "peak_sidelobe",
     "ZERO_SIDELOBE_EPS",
@@ -50,9 +54,14 @@ _ZERO_SIDELOBE_TOL = ZERO_SIDELOBE_EPS * np.finfo(float).eps
 
 @dataclass
 class SymbolGrid:
-    """N x M frequency-domain data symbols; column m belongs to antenna m."""
+    """N x M frequency-domain data symbols; column m belongs to antenna m.
+
+    Treated as a value (nothing writes into ``symbols``), so it can keep the
+    energy that ``energy`` takes on first read.
+    """
 
     symbols: np.ndarray
+    _energy: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.symbols = np.asarray(self.symbols, dtype=complex)
@@ -86,7 +95,10 @@ class SymbolGrid:
         return cls(x.reshape(n_subcarriers, m, order="F"))
 
     def energy(self) -> float:
-        return float(np.vdot(self.symbols, self.symbols).real)
+        """||x||^2, taken once and kept."""
+        if self._energy is None:
+            self._energy = float(np.vdot(self.symbols, self.symbols).real)
+        return self._energy
 
     def copy(self) -> "SymbolGrid":
         return SymbolGrid(self.symbols.copy())
@@ -116,7 +128,8 @@ class CorrelationTensor:
 class LagWeights:
     """The cyclic-prefix lag window: ``mask`` is True on lags [1, n_cp - 1], never the zero lag.
 
-    The fast paths read the window as the slice ``window_lags(corr, w)``.
+    The fast paths read the window as the slice ``1:n_cp`` of the lag axis
+    (``window_abs``, ``majorizer.MMPlan``).
     """
 
     n_lags: int
@@ -136,35 +149,33 @@ def cyclic_correlations(grid: SymbolGrid | np.ndarray) -> CorrelationTensor:
     ``grid`` is a ``SymbolGrid`` or its (N, M) array.  One IFFT per antenna
     pair; the N**2 scale keeps r equal to the stacked quadratic form.
     """
-    x = np.asarray(grid)  # (N, M)
+    return CorrelationTensor(correlation_values(np.asarray(grid)))
+
+
+def correlation_values(x: np.ndarray) -> np.ndarray:
+    """The (M, M, N) array r of ``cyclic_correlations`` of the (N, M) array ``x``."""
     n = x.shape[0]
-    # prod[m, k, :] = x_m * conj(x_k) over subcarriers
-    prod = x.T[:, None, :] * np.conj(x.T)[None, :, :]
-    values = n**2 * np.fft.ifft(prod, axis=2)
-    return CorrelationTensor(values)
-
-
-def window_lags(corr: CorrelationTensor, w: LagWeights) -> slice:
-    """The lag window 1..n_cp-1 of ``corr`` as a slice of its lag axis.
-
-    Raises ValueError when ``corr`` and ``w`` disagree on the lag count N, where
-    the slice alone would silently read a window of the wrong length.
-    """
-    if corr.n_lags != w.n_lags:
-        raise ValueError("correlation tensor and weights disagree on lag count")
-    return slice(1, w.n_cp)
+    # prod[m, k, :] = x_m * conj(x_k) over subcarriers, from a contiguous (M, N)
+    # copy: the product runs on unit strides, entrywise the same arithmetic
+    xt = x.T.copy()
+    prod = xt[:, None, :] * xt.conj()[None, :, :]
+    values = np.fft.ifft(prod, axis=2)
+    values *= n**2  # in place: rounds as n**2 * ifft(prod)
+    return values
 
 
 def window_abs(corr: CorrelationTensor, w: LagWeights) -> np.ndarray:
     """(M, M, n_cp - 1) magnitudes |r| on the lag window; index j holds lag j + 1.
 
     Taken once and kept on ``corr``; a window of another length takes and
-    keeps its own.  The lag count is checked on every read.
+    keeps its own.  The lag count N is checked on every read (ValueError), since
+    the slice 1:n_cp alone would silently read a window of another N.
     """
-    lags = window_lags(corr, w)
+    if corr.n_lags != w.n_lags:
+        raise ValueError("correlation tensor and weights disagree on lag count")
     r_abs = corr._window_abs
     if r_abs is None or r_abs.shape[2] != w.n_cp - 1:
-        r_abs = corr._window_abs = np.abs(corr.values[:, :, lags])
+        r_abs = corr._window_abs = np.abs(corr.values[:, :, 1 : w.n_cp])
     return r_abs
 
 
@@ -176,9 +187,9 @@ def peak_sidelobe(corr: CorrelationTensor, w: LagWeights) -> tuple[float, tuple[
     return float(r_abs[m, k, j]), (int(m), int(k), int(j) + 1)
 
 
-def mean_mainlobe(corr: CorrelationTensor) -> float:
-    """Zero-lag autocorrelation r[m, m, 0] averaged over the antennas."""
-    return float(corr.values[:, :, 0].real.diagonal().sum()) / corr.n_antennas
+def mean_mainlobe(values: np.ndarray) -> float:
+    """Zero-lag autocorrelation r[m, m, 0] of an (M, M, N) array r, averaged over the antennas."""
+    return float(values[:, :, 0].real.diagonal().sum()) / values.shape[0]
 
 
 def sidelobes_vanish(eta: float, mainlobe: float) -> bool:
@@ -188,12 +199,11 @@ def sidelobes_vanish(eta: float, mainlobe: float) -> bool:
 
 def psl_db(corr: CorrelationTensor, w: LagWeights) -> float:
     """Peak sidelobe in dB relative to the mean zero-lag autocorrelation; -inf when they vanish."""
-    return psl_db_of_peak(peak_sidelobe(corr, w)[0], corr)
+    return psl_db_of_peak(peak_sidelobe(corr, w)[0], mean_mainlobe(corr.values))
 
 
-def psl_db_of_peak(eta: float, corr: CorrelationTensor) -> float:
-    """``psl_db`` of ``corr`` from its window peak ``eta``, as ``peak_sidelobe`` returned it."""
-    mainlobe = mean_mainlobe(corr)
+def psl_db_of_peak(eta: float, mainlobe: float) -> float:
+    """``psl_db`` from a window peak ``eta`` and its ``mean_mainlobe``."""
     if mainlobe <= 0:
         raise ValueError("zero mainlobe; cannot normalize")
     if sidelobes_vanish(eta, mainlobe):

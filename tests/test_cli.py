@@ -336,8 +336,9 @@ class TestCliCommands:
         assert "FAIL step bound L / dense mu_bar (p=2)" in capsys.readouterr().out
 
     def test_verify_fails_on_a_wrong_fast_majorizer(self, tmp_path, capsys, monkeypatch):
-        exact = majorizer.lambda_bar
-        monkeypatch.setattr(majorizer, "lambda_bar", lambda c, w: 1.01 * exact(c, w))
+        # the one lambda_bar formula, which lambda_bar and the pass's y both read
+        exact = majorizer._lambda_bar
+        monkeypatch.setattr(majorizer, "_lambda_bar", lambda n, p: 1.01 * exact(n, p))
         code = main(["verify", "--out", str(tmp_path / "res"), "--seed", "0", "--no-timestamp"])
         assert code == 2
         out = capsys.readouterr().out

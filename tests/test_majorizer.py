@@ -11,7 +11,8 @@ import pytest
 from pslwave import majorizer, oracle
 from pslwave.constellation import ConstellationSpec
 from pslwave.spectrum import (
-    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe,
+    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, mean_mainlobe,
+    peak_sidelobe, window_abs,
 )
 
 
@@ -278,14 +279,14 @@ class TestLambdaMaxBound:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     def test_non_finite_v_raises(self, monkeypatch, bad):
-        exact = majorizer.v_fields
+        exact = majorizer.MMPlan.v
 
-        def broken(corr, coeffs, w):
-            v = exact(corr, coeffs, w)
+        def broken(plan, values, c_hat):
+            v = exact(plan, values, c_hat)
             v[0, 1, 3] = bad
             return v
 
-        monkeypatch.setattr(majorizer, "v_fields", broken)
+        monkeypatch.setattr(majorizer.MMPlan, "v", broken)
         with pytest.raises(ValueError, match="finite"):
             majorizer.majorize_direction(noisy_grid(8, 2, 132), LagWeights(8, 4), 4)
 
@@ -363,6 +364,45 @@ class TestDirection:
         grid = SymbolGrid(np.ones((8, 1)))
         with pytest.raises(majorizer.ZeroSidelobeError):
             majorizer.majorize_direction(grid, LagWeights(8, 4), 50)
+
+
+class TestPlan:
+    """One ``MMPlan`` serves every pass of a run: reusing it changes nothing."""
+
+    # M = 1, N not a power of two, n_cp = N and p = 2 among the cells
+    @pytest.mark.parametrize("n,m,n_cp,p", [(16, 1, 4, 50), (96, 4, 24, 50), (12, 2, 12, 2),
+                                            (32, 3, 32, 8), (20, 1, 20, 2)])
+    def test_a_reused_plan_is_stateless(self, n, m, n_cp, p):
+        w = LagWeights(n, n_cp)
+        x_a, x_b = noisy_grid(n, m, 70 + n).symbols, noisy_grid(n, m, 71 + n).symbols
+        plan = majorizer.MMPlan(x_a.shape, w)
+        _, _, v_a, _ = plan.direction(x_a, p)
+        kept = v_a.copy()
+        qx, bound, v, blocks = plan.direction(x_b, p)
+        out = majorizer.majorize_direction(x_b, w, p)
+        assert np.array_equal(qx, out.qx)
+        assert bound == out.mu_bound
+        assert np.array_equal(v, out.v) and np.array_equal(blocks, out.blocks)
+        assert np.array_equal(v_a, kept)  # the second pass wrote nothing the first returned
+        assert not np.any(plan._work[:, :, ~w.mask])  # zero off the window
+
+    @pytest.mark.parametrize("n,m,n_cp", [(16, 1, 4), (96, 4, 24), (12, 2, 12)])
+    def test_correlate_matches_the_tensor_route(self, n, m, n_cp):
+        # r, window |r|, eta and the mainlobe equal what cyclic_correlations,
+        # window_abs and peak_sidelobe give, bit for bit
+        w = LagWeights(n, n_cp)
+        grid = noisy_grid(n, m, 72 + n)
+        values, r_abs, eta, mainlobe = majorizer.MMPlan(grid.symbols.shape, w).correlate(
+            grid.symbols)
+        corr = cyclic_correlations(grid)
+        assert np.array_equal(values, corr.values)
+        assert np.array_equal(r_abs, window_abs(corr, w))
+        assert eta == peak_sidelobe(corr, w)[0]
+        assert mainlobe == mean_mainlobe(corr.values)
+
+    def test_lag_count_is_checked_when_the_plan_is_built(self):
+        with pytest.raises(ValueError, match="lag count"):
+            majorizer.MMPlan((128, 2), LagWeights(64, 16))
 
 
 def unfused_direction(grid: SymbolGrid, w: LagWeights, p: int) -> np.ndarray:

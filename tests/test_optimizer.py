@@ -5,12 +5,12 @@ import pytest
 
 from pslwave import config, majorizer, optimizer, spectrum
 from pslwave.constellation import ConstellationSpec, SubcarrierMask, random_reference_grid
-from pslwave.majorizer import ZeroSidelobeError, coefficients, majorize_direction
+from pslwave.majorizer import MMPlan, ZeroSidelobeError, coefficients, majorize_direction
 from pslwave.optimizer import (
     MIN_GAIN_DB, P_SCHEDULE, STEP_C, OptimizerConfig, mm_step, optimize,
 )
 from pslwave.projector import Projection, project_grid
-from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db
+from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations, psl_db, psl_db_of_peak
 
 
 def setup_problem(n=32, m=2, seed=60, unused=0.0):
@@ -67,9 +67,9 @@ class TestMmStep:
                 points.append(z)
                 return super().__call__(z)
 
-        plan = RecordingPlan(ref, spec, mask)
-        x1 = optimizer._step(ref.symbols, w, 8, plan)
-        x2 = optimizer._step(x1, w, 8, plan)
+        plan, mm = RecordingPlan(ref, spec, mask), MMPlan(ref.symbols.shape, w)
+        x1 = optimizer._step(ref.symbols, 8, mm, plan)
+        x2 = optimizer._step(x1, 8, mm, plan)
         assert len(points) == 2
         for z, out in zip(points, (x1, x2)):
             assert np.array_equal(project_grid(SymbolGrid(z), ref, spec, mask).symbols, out)
@@ -117,44 +117,69 @@ class TestRunSquarem:
 
     @pytest.mark.parametrize("overrides", [{}, {"n_antennas": 1}])
     def test_one_candidate_per_iteration(self, monkeypatch, overrides):
-        # one correlation pass for the reference and one per iteration run: no
-        # backtracking in alpha and no fallback to the double step (the M = 1 trial
-        # drops the candidate of its second iteration)
+        # outside the MM steps, one correlation pass of the run's plan for the
+        # reference and one per iteration run: no backtracking in alpha and no
+        # fallback to the double step (the M = 1 trial drops the candidate of its
+        # second iteration); inside them, only the second step correlates its x1
         spec, mask, ref, w, cfg = seeded_trial(0, **overrides)
-        grids = []
+        grids, in_steps, stepping = [], [], []
+        correlate, step = MMPlan.correlate, optimizer._step
 
-        def recording(grid):
-            grids.append(grid)
-            return cyclic_correlations(grid)
+        def recording(plan, x):
+            (in_steps if stepping else grids).append(x)
+            return correlate(plan, x)
 
-        monkeypatch.setattr(optimizer, "cyclic_correlations", recording)
+        def flagged_step(*args):
+            stepping.append(True)
+            try:
+                return step(*args)
+            finally:
+                stepping.pop()
+
+        monkeypatch.setattr(MMPlan, "correlate", recording)
+        monkeypatch.setattr(optimizer, "_step", flagged_step)
         report = optimize(ref, spec, mask, w, cfg.optimizer())
         assert len(grids) == 1 + iterations_run(report)
+        assert len(in_steps) == iterations_run(report)
 
     def test_one_peak_search_per_candidate(self, monkeypatch):
-        # eta and the PSL of an iterate come from one peak_sidelobe call; psl_db,
-        # which would search again, is not called
+        # eta and the PSL of an iterate come from its one correlation pass: the
+        # PSL reads that pass's eta and mainlobe, and no argmax peak search
+        # (peak_sidelobe, or psl_db through it) runs
         spec, mask, ref, w, cfg = seeded_trial(0)
-        searched = []
+        passes, read = [], []
+        correlate = MMPlan.correlate
 
-        def recording(corr, w):
-            searched.append(corr)
-            return peak_sidelobe(corr, w)
+        def recording(plan, x):
+            passes.append(correlate(plan, x))
+            return passes[-1]
 
-        def no_second_search(*args):
-            raise AssertionError("the PSL took a second peak search")
+        def recording_psl(eta, mainlobe):
+            read.append(next(c for c in passes if c[2] is eta and c[3] is mainlobe))
+            return psl_db_of_peak(eta, mainlobe)
 
-        monkeypatch.setattr(optimizer, "peak_sidelobe", recording)
-        monkeypatch.setattr(spectrum, "peak_sidelobe", no_second_search)
+        def no_search(*args):
+            raise AssertionError("a peak search ran")
+
+        monkeypatch.setattr(MMPlan, "correlate", recording)
+        monkeypatch.setattr(optimizer, "psl_db_of_peak", recording_psl)
+        monkeypatch.setattr(optimizer, "peak_sidelobe", no_search)
+        monkeypatch.setattr(spectrum, "peak_sidelobe", no_search)
         report = optimize(ref, spec, mask, w, cfg.optimizer())
-        assert len(searched) == 1 + iterations_run(report)
-        assert len({id(c) for c in searched}) == len(searched)
+        assert len(read) == 1 + iterations_run(report)
+        assert len({id(c) for c in read}) == len(read)
 
     @pytest.mark.parametrize("overrides", [{}, {"n_antennas": 1}])
     def test_one_plan_per_run(self, monkeypatch, overrides):
-        # the projection is set up once per run and every step and candidate uses it
+        # the MM plan and the projection are set up once per run, and every step
+        # and candidate uses them
         spec, mask, ref, w, cfg = seeded_trial(0, **overrides)
-        plans, calls, steps = [], [], []
+        plans, calls, steps, mm_plans = [], [], [], []
+
+        class CountingMMPlan(MMPlan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                mm_plans.append(self)
 
         class CountingPlan(Projection):
             def __init__(self, *args):
@@ -165,18 +190,19 @@ class TestRunSquarem:
                 calls.append(z)
                 return super().__call__(z)
 
-        def recording_step(x, w, p, projection, corr=None):
-            steps.append(projection)
-            return step(x, w, p, projection, corr)
+        def recording_step(x, p, mm, projection, corr=None):
+            steps.append((mm, projection))
+            return step(x, p, mm, projection, corr)
 
         step = optimizer._step
         monkeypatch.setattr(optimizer, "Projection", CountingPlan)
+        monkeypatch.setattr(optimizer, "MMPlan", CountingMMPlan)
         monkeypatch.setattr(optimizer, "_step", recording_step)
         report = optimize(ref, spec, mask, w, cfg.optimizer())
-        assert len(plans) == 1
-        # two MM steps through the run's plan and the SQUAREM candidate per iteration run
+        assert len(plans) == 1 and len(mm_plans) == 1
+        # two MM steps through the run's plans and the SQUAREM candidate per iteration run
         assert len(steps) == 2 * iterations_run(report)
-        assert all(plan is plans[0] for plan in steps)
+        assert all(mm is mm_plans[0] and plan is plans[0] for mm, plan in steps)
         assert len(calls) == 3 * iterations_run(report)
 
     def test_first_step_without_sidelobes_is_the_candidate(self, monkeypatch):
@@ -224,12 +250,13 @@ class TestRunSquarem:
 def recorded_ps(monkeypatch) -> list[int]:
     """The p of every majorization pass the optimizer makes from now on."""
     ps = []
+    direction = MMPlan.direction
 
-    def recording(grid, w, p, corr=None):
+    def recording(plan, x, p, corr=None):
         ps.append(p)
-        return majorize_direction(grid, w, p, corr=corr)
+        return direction(plan, x, p, corr)
 
-    monkeypatch.setattr(optimizer, "majorize_direction", recording)
+    monkeypatch.setattr(MMPlan, "direction", recording)
     return ps
 
 
@@ -316,10 +343,10 @@ class TestStepRule:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_v_raises_before_a_step(self, monkeypatch, bad):
         # the one-shot mm_step raises before its own plan projects
-        exact = majorizer.v_fields
+        exact = MMPlan.v
 
-        def broken(corr, coeffs, w):
-            v = exact(corr, coeffs, w)
+        def broken(plan, values, c_hat):
+            v = exact(plan, values, c_hat)
             v[1, 0, 2] = bad
             return v
 
@@ -330,7 +357,7 @@ class TestStepRule:
                 projected.append(z)
                 return super().__call__(z)
 
-        monkeypatch.setattr(majorizer, "v_fields", broken)
+        monkeypatch.setattr(MMPlan, "v", broken)
         monkeypatch.setattr(optimizer, "Projection", RecordingPlan)
         spec, mask, ref, w = setup_problem(seed=63)
         with pytest.raises(ValueError, match="finite"):
@@ -340,10 +367,10 @@ class TestStepRule:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_v_raises_before_the_plan_projects(self, monkeypatch, bad):
         # a step through the run's own plan raises before that plan projects
-        exact = majorizer.v_fields
+        exact = MMPlan.v
 
-        def broken(corr, coeffs, w):
-            v = exact(corr, coeffs, w)
+        def broken(plan, values, c_hat):
+            v = exact(plan, values, c_hat)
             v[1, 0, 2] = bad
             return v
 
@@ -354,11 +381,11 @@ class TestStepRule:
                 projected.append(z)
                 return super().__call__(z)
 
-        monkeypatch.setattr(majorizer, "v_fields", broken)
+        monkeypatch.setattr(MMPlan, "v", broken)
         spec, mask, ref, w = setup_problem(seed=63)
         plan = RecordingPlan(ref, spec, mask)
         with pytest.raises(ValueError, match="finite"):
-            optimizer._step(ref.symbols, w, 50, plan)
+            optimizer._step(ref.symbols, 50, MMPlan(ref.symbols.shape, w), plan)
         assert projected == []
 
     def test_psl_db_before_and_after_read_the_trace(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "seeded_digest.py"
-N_CASES = 7
+N_CASES = 8
 # the sense and ber rows: 11 SNR points x 2 arms of counts per pair
 COUNT_ROWS = {"sense": 22, "ber": 22}
 

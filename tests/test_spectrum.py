@@ -53,6 +53,18 @@ class TestSymbolGrid:
         assert isinstance(g.energy(), float)
         assert abs(g.energy() - direct) <= 1e-12 * direct
 
+    def test_energy_is_taken_once_and_kept(self, monkeypatch):
+        # a grid is a value: its second energy() read returns the kept float
+        calls = []
+        vdot = np.vdot
+        monkeypatch.setattr(np, "vdot", lambda a, b: calls.append(1) or vdot(a, b))
+        g = frozen_grid()
+        first = g.energy()
+        assert g.energy() is first
+        assert len(calls) == 1
+        assert g.copy().energy() == first and len(calls) == 2  # a copy takes its own
+        assert "_energy" not in repr(g)
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_stacked_is_a_copy(self, m):
         rng = np.random.default_rng(m)
