@@ -282,7 +282,7 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
         dense = oracle.chain_values(x_l, x_l, slow, w, p)
         coeffs = majorizer.coefficients(corr, w, p)
         unscale = coeffs.r_bar ** (p - 2)
-        out = majorizer.majorize_direction(grid, w, p, corr=corr)
+        out = majorizer.majorize_direction(grid, w, p)
         fast = {
             "lambda_bar": unscale * majorizer.lambda_bar(coeffs, w),
             "mu_bar": unscale * out.mu_bar,

@@ -33,22 +33,23 @@ unchanged up to a positive scale.
 One pass computes each quantity once and returns Qx and L, the two values an
 optimizer step reads.  It runs through an ``MMPlan``, set up once for the
 iterate shape (N, M) and the lag window: the window is the slice
-``1:N_cp`` of the lag axis, its lag count checked when the plan is built,
-and the plan's (M, M, N) work array, zero off the window, is the one input
-of the FFT to v.  ``plan.correlate(x)`` gives the correlations with their
-window magnitudes |r|, the window peak r_bar and the mean mainlobe, from one
-product and IFFT and no peak search; ``plan.direction`` turns them into
-c_hat (window lags only), v, the (N, M, M) block stack, L and Qx, each in one
-place.  ``optimize`` builds one plan per run; ``majorize_direction`` and
-``v_fields`` are one-shot wrappers that build one per call, and
-``majorize_direction`` keeps the blocks in a ``MajorizerOutput``, whose exact
-mu_bar and MM direction y are computed when first read, so a step that never
-reads them runs no eigensolve.  ``coefficients`` reads the window |r| that a
-``CorrelationTensor`` keeps (``spectrum.window_abs``) and the same c_hat
-formula.  When the window sidelobes vanish (``spectrum.sidelobes_vanish``)
-there is no surrogate: the pass raises ``ZeroSidelobeError``.  A plan keeps no
-state from one pass to the next; which correlations an accepted iterate
-carries into its next pass is the optimizer's choice.
+``LagWeights.lags`` (``1:N_cp``) of the lag axis, its lag count checked when
+the plan is built, and the plan's (M, M, N) work array, zero off the window,
+is the one input of the FFT to v.  ``plan.correlate(x)`` gives the
+correlations with their window magnitudes |r|, the window peak r_bar and the
+mean mainlobe, from one product and IFFT and no peak search;
+``plan.direction`` turns them into c_hat (window lags only), v, the (N, M, M)
+block stack, L and Qx, each in one place.  ``optimize`` builds one plan per
+run and carries the correlations of an accepted iterate into its next pass.
+``majorize_direction`` and ``v_fields`` are one-shot wrappers that build one
+per call; ``majorize_direction`` keeps x and v in a ``MajorizerOutput``,
+whose exact mu_bar and MM direction y are computed when first read, so a step
+that never reads them runs no eigensolve.  ``coefficients`` takes the window
+|r| of a ``CorrelationTensor`` (``spectrum.window_abs``) and applies the same
+c_hat formula.  When the window sidelobes vanish
+(``spectrum.sidelobes_vanish``) there is no surrogate: ``_c_hat`` raises
+``ZeroSidelobeError``.  Neither a plan nor a tensor keeps anything from one
+read or pass to the next.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class MajorizerOutput:
     """One pass's results in the common r_bar**(p-2) scale.
 
     The pass fills ``qx`` and ``mu_bound``; ``mu_bar`` and ``y`` are computed
-    on first read from the kept ``x``, ``lambda_bar``, ``v`` and ``blocks``.
+    on first read from the kept ``x``, ``lambda_bar`` and ``v``.
     """
 
     qx: np.ndarray  # (N, M) product Q x, column m for antenna m
@@ -108,12 +109,11 @@ class MajorizerOutput:
     x: np.ndarray = field(repr=False)  # (N, M) iterate
     lambda_bar: float = field(repr=False)
     v: np.ndarray = field(repr=False)  # (M, M, N) v fields
-    blocks: np.ndarray = field(repr=False)  # (N, M, M) hermitian_blocks(v)
 
     @cached_property
     def mu_bar(self) -> float:
         """lambda_max(Q), through the module-level ``mu_bar`` (one eigensolve)."""
-        return mu_bar(self.v, _blocks=self.blocks)
+        return mu_bar(self.v)
 
     @cached_property
     def y(self) -> np.ndarray:
@@ -185,27 +185,25 @@ def lambda_max_bound(blocks: np.ndarray) -> np.ndarray:
     return mean + np.sqrt((m - 1) * np.maximum(frob2 / m - mean * mean, 0.0))
 
 
-def mu_bar(v: np.ndarray, _blocks: np.ndarray | None = None) -> float:
+def mu_bar(v: np.ndarray) -> float:
     """max_n lambda_max(Q_n) over the Hermitian per-subcarrier blocks, exactly.
 
     One batched LAPACK Hermitian eigensolve (``eigvalsh``, ascending
     eigenvalues) over the (N, M, M) block stack.  The blocks are Hermitian by
     construction; ``v`` is checked to be finite first, since a NaN or an
-    infinity would otherwise pass through as a bound.  ``_blocks`` may carry
-    the already built ``hermitian_blocks(v)``.
+    infinity would otherwise pass through as a bound.
     """
     if not np.all(np.isfinite(v)):
         raise ValueError("v fields must be finite")
-    blocks = hermitian_blocks(v) if _blocks is None else _blocks
-    return float(np.max(np.linalg.eigvalsh(blocks)[:, -1]))
+    return float(np.max(np.linalg.eigvalsh(hermitian_blocks(v))[:, -1]))
 
 
 class MMPlan:
     """The majorization pass set up once for (N, M) iterates and one lag window.
 
-    It holds the window as the slice ``1:n_cp`` of the lag axis, whose lag
-    count N is checked against the iterate's shape here, once, and the
-    (M, M, N) work array of the FFT to v.  That array is zero off the window,
+    It holds the window's slice ``LagWeights.lags``, whose lag count N is
+    checked against the iterate's shape here, once, and the (M, M, N) work
+    array of the FFT to v.  That array is zero off the window,
     and every pass overwrites all of its window lags, so nothing of one pass
     reaches the next.  ``optimize`` builds one plan per run; ``v_fields`` and
     ``majorize_direction`` build one per call.
@@ -217,10 +215,9 @@ class MMPlan:
 
     def __init__(self, shape: tuple[int, int], w: LagWeights):
         n, m = shape
-        if n != w.n_lags:
-            raise ValueError(f"N = {n} and the weights (N = {w.n_lags}) disagree on lag count")
+        w.check_lags(n)
         self.n_lags = n
-        self.lags = slice(1, w.n_cp)
+        self.lags = w.lags
         self._work = np.zeros((m, m, n), dtype=complex)
 
     def correlate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -246,8 +243,8 @@ class MMPlan:
     def direction(
         self, x: np.ndarray, p: int,
         corr: tuple[np.ndarray, np.ndarray, float, float] | None = None,
-    ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-        """One pass at the (N, M) array ``x``: (Qx, L, v, blocks).
+    ) -> tuple[np.ndarray, float, np.ndarray]:
+        """One pass at the (N, M) array ``x``: (Qx, L, v).
 
         L = max_n ``lambda_max_bound(Q_n)`` >= mu_bar, in the common
         r_bar**(p-2) scale.  ``corr`` may carry what ``correlate(x)`` returns.
@@ -261,14 +258,13 @@ class MMPlan:
         # a NaN or an infinity anywhere in v makes the bound non-finite
         if not math.isfinite(bound):
             raise ValueError("v fields must be finite")
-        return np.matmul(blocks, x[:, :, None])[:, :, 0], bound, v, blocks
+        return np.matmul(blocks, x[:, :, None])[:, :, 0], bound, v
 
 
 def majorize_direction(
     grid: SymbolGrid | np.ndarray,
     w: LagWeights,
     p: int,
-    corr: CorrelationTensor | None = None,
 ) -> MajorizerOutput:
     """Full majorization pass at the current iterate, through a plan of its own.
 
@@ -277,15 +273,9 @@ def majorize_direction(
     direction y = (Q - 2*lambda_bar*x x^H - mu_bar*I) x are computed on first
     read.  Raises ``ZeroSidelobeError`` when the sidelobes in the lag window
     already vanish, and ``ValueError`` when the v fields are not finite.
-    ``grid`` is a ``SymbolGrid`` or its (N, M) array; ``corr`` may carry its
-    correlations.  Cost O(M^2 N log N); reading mu_bar or y adds N small
-    eigenproblems.
+    ``grid`` is a ``SymbolGrid`` or its (N, M) array.  Cost O(M^2 N log N);
+    reading mu_bar or y adds N small eigenproblems.
     """
     x = np.asarray(grid)
-    plan = MMPlan(x.shape, w)
-    if corr is not None:
-        r_abs = window_abs(corr, w)
-        corr = (corr.values, r_abs, float(r_abs.max()), mean_mainlobe(corr.values))
-    qx, bound, v, blocks = plan.direction(x, p, corr)
-    return MajorizerOutput(qx=qx, mu_bound=bound, x=x, lambda_bar=_lambda_bar(w.n_lags, p),
-                           v=v, blocks=blocks)
+    qx, bound, v = MMPlan(x.shape, w).direction(x, p)
+    return MajorizerOutput(qx=qx, mu_bound=bound, x=x, lambda_bar=_lambda_bar(w.n_lags, p), v=v)

@@ -14,7 +14,7 @@ step -y/||y|| then moves the grid by about 3e-6 relative.  An MM step goes
 along y_c = Qx - STEP_C * L * x instead, with the sphere minimizer
 -sqrt(E) * y_c / ||y_c||.  That is a projected gradient step on the
 linearized surrogate x^H Q x with the fixed step 1/(STEP_C * L), where L is
-the pass's closed-form bound (``MajorizerOutput.mu_bound``) >= mu_bar =
+the closed-form bound of the pass (``majorizer.MMPlan.direction``) >= mu_bar =
 lambda_max(Q), the Lipschitz constant of the gradient; any constant at least
 mu_bar gives a valid step (Beck & Teboulle, SIAM J. Imaging Sci. 2009), and
 this one needs no eigensolve.  Since x^H Q x = 2 * sum c_hat * |r|^2 > 0
@@ -48,8 +48,8 @@ falls by less than MIN_GAIN_DB, the run stops with reason ``small_gain``.  It
 also stops when a candidate raises eta or the PSL (``objective_increased``),
 or after ``config.l_max`` iterations (``max_iterations``).  An iteration
 starts only while the last accepted PSL is finite: ``psl_db`` is -inf exactly
-when ``spectrum.sidelobes_vanish`` holds, the same test on which
-``majorizer.coefficients`` raises ``ZeroSidelobeError``, so the loop stops
+when ``spectrum.sidelobes_vanish`` holds, the same test on which the pass's
+``majorizer._c_hat`` raises ``ZeroSidelobeError``, so the loop stops
 with ``zero_sidelobe`` before a pass that has no surrogate.
 
 Each iteration takes the squared extrapolation (SQUAREM) of two MM steps:
@@ -69,8 +69,9 @@ sphere radius sqrt(E).  An MM step is the array function ``_step``: the
 plan's pass at x gives Qx and L, and the sphere point
 -sqrt(E) * y_c / ||y_c|| goes through the projection, as every SQUAREM
 candidate does.  The eta and normalized PSL of a candidate come from its one
-``plan.correlate``, which also gives its correlations and window |r|; an
-accepted iterate carries them into the first MM step of the next iteration.
+``plan.correlate``, which also gives its correlations and window |r| as plain
+arrays (no ``CorrelationTensor``); an accepted iterate carries that tuple into
+the first MM step of the next iteration.
 The second MM step of an iteration correlates its own x1, since x1 is never
 an accepted iterate.  ``mm_step`` takes one step from a grid through plans of
 its own.
@@ -159,7 +160,7 @@ def _step(x: np.ndarray, p: int, plan: MMPlan, projection: Projection,
     >= mu_bar, onto the sphere of radius ``projection.radius``, then through
     ``projection``.  Raises ``ZeroSidelobeError`` when the sidelobes of ``x``
     already vanish."""
-    qx, bound, _, _ = plan.direction(x, p, corr)
+    qx, bound, _ = plan.direction(x, p, corr)
     # nonzero: x^H y_c <= (1 - STEP_C) * L * ||x||^2 < 0 (module docstring)
     y_c = qx - STEP_C * bound * x
     # sphere minimizer, scaled to the reference energy budget

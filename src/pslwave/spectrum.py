@@ -15,9 +15,10 @@ relative to the plain pointwise-product IDFT keeps the correlation equal to
 that quadratic form exactly, which is what the eigenvalue bounds in the
 majorizer assume.
 
-A correlation tensor keeps its window |r| once ``window_abs`` has taken it,
-so the peak search, ``psl_db`` and the majorizer's weights share one array.
-The arithmetic of the correlations (``correlation_values``), of the mean
+The lag window is written once, in ``LagWeights``: its slice ``lags`` and
+its lag-count check.  A correlation tensor holds its values and nothing
+else; each read takes the window |r| afresh (``window_abs``).  The
+arithmetic of the correlations (``correlation_values``), of the mean
 mainlobe and of the normalized PSL (``psl_db_of_peak``) also runs on plain
 arrays and floats, which the majorizer's per-run plan
 (``majorizer.MMPlan``) reads without building a tensor.
@@ -106,14 +107,9 @@ class SymbolGrid:
 
 @dataclass
 class CorrelationTensor:
-    """values[m, k, i] = cyclic correlation r of antennas (m, k) at lag i.
-
-    Treated as a value (nothing writes into ``values``), so it can keep the
-    window |r| that ``window_abs`` takes.
-    """
+    """values[m, k, i] = cyclic correlation r of antennas (m, k) at lag i."""
 
     values: np.ndarray
-    _window_abs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_antennas(self) -> int:
@@ -126,21 +122,30 @@ class CorrelationTensor:
 
 @dataclass
 class LagWeights:
-    """The cyclic-prefix lag window: ``mask`` is True on lags [1, n_cp - 1], never the zero lag.
+    """The cyclic-prefix lag window: lags [1, n_cp - 1], never the zero lag.
 
-    The fast paths read the window as the slice ``1:n_cp`` of the lag axis
-    (``window_abs``, ``majorizer.MMPlan``).
+    ``lags`` is the window as the slice ``1:n_cp`` of the lag axis, which the
+    fast paths read (``window_abs``, ``majorizer.MMPlan``) after
+    ``check_lags``; ``mask`` is True on the same lags.
     """
 
     n_lags: int
     n_cp: int
+    lags: slice = field(init=False)
     mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not 2 <= self.n_cp <= self.n_lags:
             raise ValueError(f"need 2 <= n_cp <= n_lags = {self.n_lags}, got n_cp = {self.n_cp}")
+        self.lags = slice(1, self.n_cp)
         self.mask = np.zeros(self.n_lags, dtype=bool)
-        self.mask[1 : self.n_cp] = True
+        self.mask[self.lags] = True
+
+    def check_lags(self, n: int) -> None:
+        """ValueError unless ``n`` lags, those of a tensor or an iterate, are this
+        window's N; the slice ``lags`` alone would silently read a window of another N."""
+        if n != self.n_lags:
+            raise ValueError(f"N = {n} and the weights (N = {self.n_lags}) disagree on lag count")
 
 
 def cyclic_correlations(grid: SymbolGrid | np.ndarray) -> CorrelationTensor:
@@ -167,16 +172,10 @@ def correlation_values(x: np.ndarray) -> np.ndarray:
 def window_abs(corr: CorrelationTensor, w: LagWeights) -> np.ndarray:
     """(M, M, n_cp - 1) magnitudes |r| on the lag window; index j holds lag j + 1.
 
-    Taken once and kept on ``corr``; a window of another length takes and
-    keeps its own.  The lag count N is checked on every read (ValueError), since
-    the slice 1:n_cp alone would silently read a window of another N.
+    The lag count N is checked first (``LagWeights.check_lags``).
     """
-    if corr.n_lags != w.n_lags:
-        raise ValueError("correlation tensor and weights disagree on lag count")
-    r_abs = corr._window_abs
-    if r_abs is None or r_abs.shape[2] != w.n_cp - 1:
-        r_abs = corr._window_abs = np.abs(corr.values[:, :, 1 : w.n_cp])
-    return r_abs
+    w.check_lags(corr.n_lags)
+    return np.abs(corr.values[:, :, w.lags])
 
 
 def peak_sidelobe(corr: CorrelationTensor, w: LagWeights) -> tuple[float, tuple[int, int, int]]:

@@ -10,6 +10,7 @@ loaded by path, unchanged.
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -44,6 +45,33 @@ def test_exported_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def exported_callables(module):
+    """(label, function) for each function in ``__all__`` and, for each class
+    there, its ``__init__``, ``__call__`` and public methods."""
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        if inspect.isclass(obj):
+            for attr in vars(obj):
+                if attr in ("__init__", "__call__") or not attr.startswith("_"):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+        else:
+            yield name, obj
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_no_exported_name_takes_an_underscore_parameter(module_name):
+    # a private keyword on a public call is a side channel (carried arrays,
+    # precomputed radii) that the signature hides from its readers
+    found = [
+        f"{label}({param})"
+        for label, func in exported_callables(importlib.import_module(module_name))
+        if inspect.isfunction(func) or inspect.ismethod(func)
+        for param in inspect.signature(func).parameters
+        if param.startswith("_")
+    ]
+    assert found == []
 
 
 def test_workload_input_records_build(monkeypatch):

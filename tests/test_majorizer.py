@@ -314,27 +314,6 @@ class TestDirection:
         assert abs(corr.values[m, k, i]) == pytest.approx(eta)
         assert majorizer.coefficients(corr, w, 50).r_bar == eta
 
-    def test_precomputed_correlations_give_identical_output(self):
-        grid = noisy_grid(16, 3, 26)
-        w = LagWeights(16, 8)
-        plain = majorizer.majorize_direction(grid, w, 50)
-        reused = majorizer.majorize_direction(grid, w, 50, corr=cyclic_correlations(grid))
-        assert np.array_equal(plain.y, reused.y)
-        assert np.array_equal(plain.qx, reused.qx)
-        assert plain.mu_bar == reused.mu_bar
-
-    @pytest.mark.parametrize("m,p", [(1, 50), (2, 2), (3, 8), (4, 50)])
-    def test_carried_window_gives_identical_output(self, m, p):
-        grid = noisy_grid(32, m, 27 + m)
-        w = LagWeights(32, 8)
-        corr = cyclic_correlations(grid)
-        peak_sidelobe(corr, w)  # the tensor keeps the window |r| this read takes
-        fresh = majorizer.majorize_direction(grid, w, p)
-        carried = majorizer.majorize_direction(grid, w, p, corr=corr)
-        assert np.array_equal(fresh.y, carried.y)
-        assert np.array_equal(fresh.qx, carried.qx)
-        assert fresh.mu_bar == carried.mu_bar
-
     @pytest.mark.parametrize("m,p", [(1, 50), (2, 4), (4, 50), (8, 8)])
     def test_one_pass_matches_the_unfused_chain(self, m, p):
         # the pass builds the Hermitian blocks once, reads the window as a
@@ -376,13 +355,13 @@ class TestPlan:
         w = LagWeights(n, n_cp)
         x_a, x_b = noisy_grid(n, m, 70 + n).symbols, noisy_grid(n, m, 71 + n).symbols
         plan = majorizer.MMPlan(x_a.shape, w)
-        _, _, v_a, _ = plan.direction(x_a, p)
+        _, _, v_a = plan.direction(x_a, p)
         kept = v_a.copy()
-        qx, bound, v, blocks = plan.direction(x_b, p)
+        qx, bound, v = plan.direction(x_b, p)
         out = majorizer.majorize_direction(x_b, w, p)
         assert np.array_equal(qx, out.qx)
         assert bound == out.mu_bound
-        assert np.array_equal(v, out.v) and np.array_equal(blocks, out.blocks)
+        assert np.array_equal(v, out.v)
         assert np.array_equal(v_a, kept)  # the second pass wrote nothing the first returned
         assert not np.any(plan._work[:, :, ~w.mask])  # zero off the window
 
@@ -440,8 +419,8 @@ class TestLagCountCheck:
 
     @pytest.mark.parametrize("call", ["peak_sidelobe", "coefficients", "majorize_direction"])
     def test_mismatch_raises_after_a_matching_read(self, call):
-        # the tensor keeps a 15-lag window |r| from LagWeights(128, 16); the
-        # N = 64 window has the same length and must still be rejected
+        # a read through LagWeights(128, 16) comes first; the N = 64 window
+        # has the same length and must still be rejected
         grid = noisy_grid(128, 2, 52)
         corr = cyclic_correlations(grid)
         peak_sidelobe(corr, LagWeights(128, 16))
@@ -449,7 +428,7 @@ class TestLagCountCheck:
         calls = {
             "peak_sidelobe": lambda: peak_sidelobe(corr, w),
             "coefficients": lambda: majorizer.coefficients(corr, w, 50),
-            "majorize_direction": lambda: majorizer.majorize_direction(grid, w, 50, corr=corr),
+            "majorize_direction": lambda: majorizer.majorize_direction(grid, w, 50),
         }
         with pytest.raises(ValueError, match="lag count"):
             calls[call]()

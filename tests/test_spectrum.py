@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pslwave import majorizer
 from pslwave.constellation import ConstellationSpec
 from pslwave.spectrum import (
     CorrelationTensor,
@@ -163,7 +164,7 @@ class TestPeakSidelobe:
 
 
 class TestKeptWindow:
-    """The window |r| a tensor keeps is the one of the window it is read through."""
+    """Each read takes the |r| of the window it is read through, whatever an earlier read used."""
 
     def test_each_read_matches_its_window(self):
         rng = np.random.default_rng(64)
@@ -172,6 +173,26 @@ class TestKeptWindow:
         for n_cp in (16, 8, 16):
             r_abs = window_abs(corr, LagWeights(64, n_cp))
             assert np.array_equal(r_abs, np.abs(vals[:, :, 1:n_cp]))
+
+
+class TestReadsFollowValues:
+    """A read of a tensor sees its current ``values``, whatever an earlier read took."""
+
+    @pytest.mark.parametrize("change", ["rebind", "write"])
+    def test_reads_after_a_change_match_a_fresh_tensor(self, change):
+        w = LagWeights(8, 4)
+        vals = cyclic_correlations(frozen_grid()).values
+        corr = CorrelationTensor(vals.copy())
+        peak_sidelobe(corr, w)
+        if change == "rebind":
+            corr.values = vals * 0.5
+        else:
+            corr.values *= 0.5
+        fresh = CorrelationTensor(vals * 0.5)
+        assert peak_sidelobe(corr, w) == peak_sidelobe(fresh, w)
+        assert psl_db(corr, w) == psl_db(fresh, w)
+        r_bar = majorizer.coefficients(corr, w, 50).r_bar
+        assert r_bar == majorizer.coefficients(fresh, w, 50).r_bar
 
 
 def mask_peak_sidelobe(corr: CorrelationTensor, w: LagWeights) -> tuple[float, tuple]:
@@ -189,7 +210,7 @@ class TestSlicedWindowMatchesMask:
     def assert_same(vals: np.ndarray, w: LagWeights):
         corr = CorrelationTensor(vals)
         assert peak_sidelobe(corr, w) == mask_peak_sidelobe(corr, w)
-        # the second read finds the window |r| the first one kept on the tensor
+        # a second read takes the window |r| again and finds the same peak
         assert peak_sidelobe(corr, w) == mask_peak_sidelobe(corr, w)
 
     @pytest.mark.parametrize("m,n,n_cp", [(1, 8, 2), (2, 16, 5), (4, 128, 32), (3, 64, 64)])
