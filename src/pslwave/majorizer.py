@@ -38,11 +38,13 @@ the plan is built, and the plan's (M, M, N) work array, zero off the window,
 is the one input of the FFT to v.  ``plan.correlate(x)`` gives the
 correlations with their window magnitudes |r|, the window peak r_bar and the
 mean mainlobe, from one product and IFFT and no peak search;
-``plan.direction`` turns them into c_hat (window lags only), v, the (N, M, M)
-block stack, L and Qx, each in one place.  ``optimize`` builds one plan per
-run and carries the correlations of an accepted iterate into its next pass.
+``plan.direction(x, corr, p)`` takes that record of x as a required input
+and turns it into c_hat (window lags only), v, the (N, M, M) block stack, L
+and Qx, each in one place.  ``optimize`` builds one plan per run and
+correlates each point once, passing its record to the pass.
 ``majorize_direction`` and ``v_fields`` are one-shot wrappers that build one
-per call; ``majorize_direction`` keeps x and v in a ``MajorizerOutput``,
+per call; ``majorize_direction`` correlates its grid through its plan and
+keeps x and v in a ``MajorizerOutput``,
 whose exact mu_bar and MM direction y are computed when first read, so a step
 that never reads them runs no eigensolve.  ``coefficients`` takes the window
 |r| of a ``CorrelationTensor`` (``spectrum.window_abs``) and applies the same
@@ -208,9 +210,9 @@ class MMPlan:
     reaches the next.  ``optimize`` builds one plan per run; ``v_fields`` and
     ``majorize_direction`` build one per call.
 
-    Correlations travel as the tuple (r, window |r|, eta, mean mainlobe) that
+    Correlations travel as the record (r, window |r|, eta, mean mainlobe) that
     ``correlate`` returns, with r the (M, M, N) array and eta = r_bar the
-    window peak.
+    window peak; ``direction`` takes the record of its point and never correlates.
     """
 
     def __init__(self, shape: tuple[int, int], w: LagWeights):
@@ -241,17 +243,17 @@ class MMPlan:
         return np.fft.fft(self._work, axis=2)
 
     def direction(
-        self, x: np.ndarray, p: int,
-        corr: tuple[np.ndarray, np.ndarray, float, float] | None = None,
+        self, x: np.ndarray, corr: tuple[np.ndarray, np.ndarray, float, float], p: int,
     ) -> tuple[np.ndarray, float, np.ndarray]:
-        """One pass at the (N, M) array ``x``: (Qx, L, v).
+        """One pass at the (N, M) array ``x`` with its record ``corr =
+        correlate(x)``: (Qx, L, v).
 
         L = max_n ``lambda_max_bound(Q_n)`` >= mu_bar, in the common
-        r_bar**(p-2) scale.  ``corr`` may carry what ``correlate(x)`` returns.
-        Raises ``ZeroSidelobeError`` when the window sidelobes of ``x`` vanish,
-        and ``ValueError`` when the v fields are not finite.
+        r_bar**(p-2) scale.  Raises ``ZeroSidelobeError`` when the window
+        sidelobes of ``x`` vanish, and ``ValueError`` when the v fields are
+        not finite.
         """
-        values, r_abs, r_bar, mainlobe = self.correlate(x) if corr is None else corr
+        values, r_abs, r_bar, mainlobe = corr
         v = self.v(values, _c_hat(r_abs, r_bar, mainlobe, p))
         blocks = hermitian_blocks(v)
         bound = float(lambda_max_bound(blocks).max())
@@ -277,5 +279,6 @@ def majorize_direction(
     reading mu_bar or y adds N small eigenproblems.
     """
     x = np.asarray(grid)
-    qx, bound, v = MMPlan(x.shape, w).direction(x, p)
+    plan = MMPlan(x.shape, w)
+    qx, bound, v = plan.direction(x, plan.correlate(x), p)
     return MajorizerOutput(qx=qx, mu_bound=bound, x=x, lambda_bar=_lambda_bar(w.n_lags, p), v=v)

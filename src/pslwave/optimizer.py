@@ -47,9 +47,9 @@ early moves; the growing p then closes in on the peak.
 falls by less than MIN_GAIN_DB, the run stops with reason ``small_gain``.  It
 also stops when a candidate raises eta or the PSL (``objective_increased``),
 or after ``config.l_max`` iterations (``max_iterations``).  An iteration
-starts only while the last accepted PSL is finite: ``psl_db`` is -inf exactly
-when ``spectrum.sidelobes_vanish`` holds, the same test on which the pass's
-``majorizer._c_hat`` raises ``ZeroSidelobeError``, so the loop stops
+starts only while ``spectrum.sidelobes_vanish`` is false on the record of the
+last accepted iterate (its PSL is then finite); it is the test on which the
+pass's ``majorizer._c_hat`` raises ``ZeroSidelobeError``, so the loop stops
 with ``zero_sidelobe`` before a pass that has no surrogate.
 
 Each iteration takes the squared extrapolation (SQUAREM) of two MM steps:
@@ -57,23 +57,23 @@ they give a step r and curvature v, and the one candidate of the iteration is
 the projection of x - 2*alpha*r + alpha**2 * v at alpha = -||r|| / ||v||,
 which the acceptance test takes or ends the run at.  The norms come from
 ``np.vdot``.  When v vanishes the second step's point is the candidate, and
-when the sidelobes of the first step's point already vanish (the second step
-raises ``ZeroSidelobeError``) that point is the candidate.
+when ``sidelobes_vanish`` holds on the record of the first step's point x1,
+there is no second pass: x1 is the candidate, with that record.
 
 The loop runs on (N, M) symbol arrays and wraps one ``SymbolGrid``, the
 last accepted iterate in ``report.grid``.  Each quantity is computed once per
 run or once per iterate.  ``optimize`` builds two plans per run: one
 ``majorizer.MMPlan``, which holds the lag window and the work array of the
 pass, and one ``projector.Projection`` of the reference, which carries the
-sphere radius sqrt(E).  An MM step is the array function ``_step``: the
+sphere radius sqrt(E).  The loop body correlates each point once: the
+reference, and per iteration x1 and the candidate, each by one
+``plan.correlate``, whose record (r, window |r|, eta, mean mainlobe) holds
+plain arrays (no ``CorrelationTensor``).  Eta, the normalized PSL and the
+zero-sidelobe test are read off that record, and an MM step receives the
+record of its point.  An MM step is the array function ``_step``: the
 plan's pass at x gives Qx and L, and the sphere point
 -sqrt(E) * y_c / ||y_c|| goes through the projection, as every SQUAREM
-candidate does.  The eta and normalized PSL of a candidate come from its one
-``plan.correlate``, which also gives its correlations and window |r| as plain
-arrays (no ``CorrelationTensor``); an accepted iterate carries that tuple into
-the first MM step of the next iteration.
-The second MM step of an iteration correlates its own x1, since x1 is never
-an accepted iterate.  ``mm_step`` takes one step from a grid through plans of
+candidate does.  ``mm_step`` takes one step from a grid through plans of
 its own.
 """
 
@@ -85,12 +85,14 @@ import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask
 # majorize_direction is not called here; perfbench/tracer.py still wraps it at this site
-from .majorizer import MMPlan, ZeroSidelobeError, majorize_direction
+from .majorizer import MMPlan, majorize_direction
 # project_grid is not called here; perfbench/tracer.py still wraps it at this site
 from .projector import Projection, project_grid
 # cyclic_correlations and peak_sidelobe are not called here; perfbench/tracer.py
 # still wraps them at this site
-from .spectrum import LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db_of_peak
+from .spectrum import (
+    LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db_of_peak, sidelobes_vanish,
+)
 
 __all__ = [
     "MIN_GAIN_DB", "P_SCHEDULE", "STEP_C",
@@ -144,23 +146,14 @@ class OptimizationReport:
         return self.psl_db_trace[-1]
 
 
-def _eta(x: np.ndarray, plan: MMPlan) -> tuple[float, float, tuple]:
-    """Peak sidelobe and normalized PSL of the (N, M) array ``x``, with the
-    correlations they came from (``plan.correlate(x)``), which the next
-    majorization pass at an accepted iterate reuses, window |r| and all."""
-    corr = plan.correlate(x)
-    eta = corr[2]
-    return eta, psl_db_of_peak(eta, corr[3]), corr
-
-
-def _step(x: np.ndarray, p: int, plan: MMPlan, projection: Projection,
-          corr: tuple | None = None) -> np.ndarray:
-    """One MM step from the (N, M) array ``x`` (``corr`` may carry its
-    correlations): along y_c = (Q - STEP_C * L * I) x, L = the pass's bound
-    >= mu_bar, onto the sphere of radius ``projection.radius``, then through
-    ``projection``.  Raises ``ZeroSidelobeError`` when the sidelobes of ``x``
-    already vanish."""
-    qx, bound, _ = plan.direction(x, p, corr)
+def _step(x: np.ndarray, corr: tuple, p: int, plan: MMPlan,
+          projection: Projection) -> np.ndarray:
+    """One MM step from the (N, M) array ``x`` with its record ``corr =
+    plan.correlate(x)``: along y_c = (Q - STEP_C * L * I) x, L = the pass's
+    bound >= mu_bar, onto the sphere of radius ``projection.radius``, then
+    through ``projection``.  Raises ``ZeroSidelobeError`` when the sidelobes
+    of ``x`` already vanish."""
+    qx, bound, _ = plan.direction(x, corr, p)
     # nonzero: x^H y_c <= (1 - STEP_C) * L * ||x||^2 < 0 (module docstring)
     y_c = qx - STEP_C * bound * x
     # sphere minimizer, scaled to the reference energy budget
@@ -172,7 +165,8 @@ def mm_step(grid: SymbolGrid, reference: SymbolGrid, spec: ConstellationSpec,
     """``_step`` from ``grid`` once, through an ``MMPlan`` and a
     ``Projection(reference, spec, mask)`` of its own."""
     x = np.asarray(grid)
-    return SymbolGrid(_step(x, p, MMPlan(x.shape, w), Projection(reference, spec, mask)))
+    plan = MMPlan(x.shape, w)
+    return SymbolGrid(_step(x, plan.correlate(x), p, plan, Projection(reference, spec, mask)))
 
 
 def optimize(
@@ -192,21 +186,21 @@ def optimize(
     plan = MMPlan(reference.symbols.shape, w)
     projection = Projection(reference, spec, mask)
     x = reference.symbols.copy()  # report.grid never shares the reference's array
-    eta, psl, corr = _eta(x, plan)
-    trace, psl_trace = [eta], [psl]
+    corr = plan.correlate(x)  # the record (r, window |r|, eta, mean mainlobe) of x
+    trace, psl_trace = [corr[2]], [psl_db_of_peak(*corr[2:])]
     reason = "max_iterations"
     for k in range(config.l_max):
-        if psl_trace[-1] == -np.inf:
+        if sidelobes_vanish(*corr[2:]):
             reason = "zero_sidelobe"
             break
         p = min(P_SCHEDULE[k], config.p) if k < len(P_SCHEDULE) else config.p
-        x1 = _step(x, p, plan, projection, corr)
-        try:
-            x2 = _step(x1, p, plan, projection)
-        except ZeroSidelobeError:
-            # x1 already has no sidelobes: take it, and the next iteration stops
-            candidate = x1
+        x1 = _step(x, corr, p, plan, projection)
+        corr1 = plan.correlate(x1)
+        if sidelobes_vanish(*corr1[2:]):
+            # no sidelobes, no surrogate: x1 is the candidate, record and all
+            candidate, corr_next = x1, corr1
         else:
+            x2 = _step(x1, corr1, p, plan, projection)
             # the SQUAREM candidate (module docstring); x2 itself when v vanishes
             r = x1 - x
             v = x2 - x1 - r
@@ -215,7 +209,8 @@ def optimize(
             if v_norm > 0.0:
                 alpha = -np.sqrt(np.vdot(r, r).real) / v_norm
                 candidate = projection(x - 2.0 * alpha * r + alpha**2 * v)
-        eta_next, psl_next, corr_next = _eta(candidate, plan)
+            corr_next = plan.correlate(candidate)
+        eta_next, psl_next = corr_next[2], psl_db_of_peak(*corr_next[2:])
         if eta_next > trace[-1] or psl_next > psl_trace[-1]:
             reason = "objective_increased"
             break

@@ -355,9 +355,9 @@ class TestPlan:
         w = LagWeights(n, n_cp)
         x_a, x_b = noisy_grid(n, m, 70 + n).symbols, noisy_grid(n, m, 71 + n).symbols
         plan = majorizer.MMPlan(x_a.shape, w)
-        _, _, v_a = plan.direction(x_a, p)
+        _, _, v_a = plan.direction(x_a, plan.correlate(x_a), p)
         kept = v_a.copy()
-        qx, bound, v = plan.direction(x_b, p)
+        qx, bound, v = plan.direction(x_b, plan.correlate(x_b), p)
         out = majorizer.majorize_direction(x_b, w, p)
         assert np.array_equal(qx, out.qx)
         assert bound == out.mu_bound

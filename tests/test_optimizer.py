@@ -68,8 +68,8 @@ class TestMmStep:
                 return super().__call__(z)
 
         plan, mm = RecordingPlan(ref, spec, mask), MMPlan(ref.symbols.shape, w)
-        x1 = optimizer._step(ref.symbols, 8, mm, plan)
-        x2 = optimizer._step(x1, 8, mm, plan)
+        x1 = optimizer._step(ref.symbols, mm.correlate(ref.symbols), 8, mm, plan)
+        x2 = optimizer._step(x1, mm.correlate(x1), 8, mm, plan)
         assert len(points) == 2
         for z, out in zip(points, (x1, x2)):
             assert np.array_equal(project_grid(SymbolGrid(z), ref, spec, mask).symbols, out)
@@ -117,30 +117,42 @@ class TestRunSquarem:
 
     @pytest.mark.parametrize("overrides", [{}, {"n_antennas": 1}])
     def test_one_candidate_per_iteration(self, monkeypatch, overrides):
-        # outside the MM steps, one correlation pass of the run's plan for the
-        # reference and one per iteration run: no backtracking in alpha and no
-        # fallback to the double step (the M = 1 trial drops the candidate of its
-        # second iteration); inside them, only the second step correlates its x1
+        # the loop correlates each point once, outside the MM steps: the reference,
+        # then per iteration run its x1 and its one candidate (no backtracking in
+        # alpha, no fallback to the double step; the M = 1 trial drops the
+        # candidate of its second iteration), and every step receives the record
+        # of its own point
         spec, mask, ref, w, cfg = seeded_trial(0, **overrides)
-        grids, in_steps, stepping = [], [], []
+        records, in_steps, steps, stepping = [], [], [], []
         correlate, step = MMPlan.correlate, optimizer._step
 
         def recording(plan, x):
-            (in_steps if stepping else grids).append(x)
-            return correlate(plan, x)
+            record = correlate(plan, x)
+            (in_steps if stepping else records).append((x, record))
+            return record
 
-        def flagged_step(*args):
+        def flagged_step(x, corr, *args):
+            steps.append((x, corr))
             stepping.append(True)
             try:
-                return step(*args)
+                return step(x, corr, *args)
             finally:
                 stepping.pop()
 
         monkeypatch.setattr(MMPlan, "correlate", recording)
         monkeypatch.setattr(optimizer, "_step", flagged_step)
         report = optimize(ref, spec, mask, w, cfg.optimizer())
-        assert len(grids) == 1 + iterations_run(report)
-        assert len(in_steps) == iterations_run(report)
+        n = iterations_run(report)
+        assert len(records) == 1 + 2 * n
+        assert in_steps == []
+        assert len({id(x) for x, _ in records}) == len(records)
+        assert len(steps) == 2 * n
+        for k in range(n):
+            # iteration k steps from the reference or the candidate accepted at
+            # k - 1, then from its x1, each with that point's one record
+            for (x, corr), (x_rec, corr_rec) in zip(steps[2 * k:2 * k + 2],
+                                                    records[2 * k:2 * k + 2]):
+                assert x is x_rec and corr is corr_rec
 
     def test_one_peak_search_per_candidate(self, monkeypatch):
         # eta and the PSL of an iterate come from its one correlation pass: the
@@ -190,9 +202,9 @@ class TestRunSquarem:
                 calls.append(z)
                 return super().__call__(z)
 
-        def recording_step(x, p, mm, projection, corr=None):
+        def recording_step(x, corr, p, mm, projection):
             steps.append((mm, projection))
-            return step(x, p, mm, projection, corr)
+            return step(x, corr, p, mm, projection)
 
         step = optimizer._step
         monkeypatch.setattr(optimizer, "Projection", CountingPlan)
@@ -206,20 +218,27 @@ class TestRunSquarem:
         assert len(calls) == 3 * iterations_run(report)
 
     def test_first_step_without_sidelobes_is_the_candidate(self, monkeypatch):
-        # x1 has no sidelobes, so the second step has no surrogate: x1 is taken,
-        # and the next iteration stops at once
+        # x1 has no sidelobes, so a second step would have no surrogate: x1 is
+        # taken with its one record, and the next iteration stops at once
         spec, mask, ref, w = setup_problem()
         flat = np.tile(spec.points[[0, 1]], (32, 1))
-        steps = []
+        steps, correlated = [], []
+        correlate = MMPlan.correlate
 
         def first_step_flat(x, *args):
             steps.append(x)
             return flat if len(steps) == 1 else step(x, *args)
 
+        def recording(plan, x):
+            correlated.append(x)
+            return correlate(plan, x)
+
         step = optimizer._step
         monkeypatch.setattr(optimizer, "_step", first_step_flat)
+        monkeypatch.setattr(MMPlan, "correlate", recording)
         report = optimize(ref, spec, mask, w)
-        assert steps[1] is flat
+        assert len(steps) == 1
+        assert sum(x is flat for x in correlated) == 1
         assert np.array_equal(report.grid.symbols, flat)
         assert report.psl_db_after == -np.inf
         assert report.stop_reason == "zero_sidelobe"
@@ -252,9 +271,9 @@ def recorded_ps(monkeypatch) -> list[int]:
     ps = []
     direction = MMPlan.direction
 
-    def recording(plan, x, p, corr=None):
+    def recording(plan, x, corr, p):
         ps.append(p)
-        return direction(plan, x, p, corr)
+        return direction(plan, x, corr, p)
 
     monkeypatch.setattr(MMPlan, "direction", recording)
     return ps
@@ -383,9 +402,9 @@ class TestStepRule:
 
         monkeypatch.setattr(MMPlan, "v", broken)
         spec, mask, ref, w = setup_problem(seed=63)
-        plan = RecordingPlan(ref, spec, mask)
+        plan, mm = RecordingPlan(ref, spec, mask), MMPlan(ref.symbols.shape, w)
         with pytest.raises(ValueError, match="finite"):
-            optimizer._step(ref.symbols, 50, MMPlan(ref.symbols.shape, w), plan)
+            optimizer._step(ref.symbols, mm.correlate(ref.symbols), 50, mm, plan)
         assert projected == []
 
     def test_psl_db_before_and_after_read_the_trace(self):
