@@ -95,9 +95,14 @@ def ber_campaign(
     one complex array, each part times 1/sqrt(2): the rounding of
     (re + 1j*im) / sqrt(2).
     The two arms' stacks are equalized together, (2, S, N, K), so each
-    channel draw costs one pseudoinverse.
+    channel draw costs one pseudoinverse.  An empty ``pairs`` or
+    ``snr_db_list`` is a ``ValueError``: there is no rate to report.
     """
+    if len(pairs) == 0:
+        raise ValueError("ber_campaign needs at least one grid pair")
     n_snr = len(snr_db_list)
+    if n_snr == 0:
+        raise ValueError("ber_campaign needs at least one SNR point")
     n_bits_total = sum(b.size for _, _, b in pairs)
     errors = {"original": np.zeros(n_snr), "optimized": np.zeros(n_snr)}
     for ref, opt, bits in pairs:

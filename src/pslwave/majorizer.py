@@ -40,7 +40,10 @@ correlations with their window magnitudes |r|, the window peak r_bar and the
 mean mainlobe, from one product and IFFT and no peak search;
 ``plan.direction(x, corr, p)`` takes that record of x as a required input
 and turns it into c_hat (window lags only), v, the (N, M, M) block stack, L
-and Qx, each in one place.  ``optimize`` builds one plan per run and
+and Qx, each in one place.  Within a pass c_hat is formed in place in its
+own array, the blocks are one C-contiguous (M, M, N) array
+Q = conj(v^T) + v whose pair axes ``lambda_max_bound`` reads contiguously,
+and nothing of x or its record is written.  ``optimize`` builds one plan per run and
 correlates each point once, passing its record to the pass.
 ``majorize_direction`` and ``v_fields`` are one-shot wrappers that build one
 per call; ``majorize_direction`` correlates its grid through its plan and
@@ -134,13 +137,17 @@ def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoe
 
 
 def _c_hat(r_abs: np.ndarray, r_bar: float, mainlobe: float, p: int) -> np.ndarray:
-    """c_hat = 0.5 * p * (|r| / r_bar)^(p-2) on the window; ``ZeroSidelobeError``
-    when r_bar is round-off of zero sidelobes."""
+    """c_hat = 0.5 * p * (|r| / r_bar)^(p-2) on the window, built in place in a
+    new array (``r_abs`` is only read); ``ZeroSidelobeError`` when r_bar is
+    round-off of zero sidelobes."""
     if p < 2:
         raise ValueError("p must be >= 2")
     if sidelobes_vanish(r_bar, mainlobe):
         raise ZeroSidelobeError("all correlations in the lag window are zero up to round-off")
-    return 0.5 * p * (r_abs / r_bar) ** (p - 2)
+    c = r_abs / r_bar
+    c **= p - 2
+    c *= 0.5 * p
+    return c
 
 
 def lambda_bar(coeffs: MajorizerCoeffs, w: LagWeights) -> float:
@@ -165,8 +172,15 @@ def v_fields(corr: CorrelationTensor, coeffs: MajorizerCoeffs, w: LagWeights) ->
 
 
 def hermitian_blocks(v: np.ndarray) -> np.ndarray:
-    """(N, M, M) stack of per-subcarrier blocks Q_n[m, k] = v_mk[n] + conj(v_km[n])."""
-    return (v + v.transpose(1, 0, 2).conj()).transpose(2, 0, 1)
+    """(N, M, M) stack of per-subcarrier blocks Q_n[m, k] = v_mk[n] + conj(v_km[n]).
+
+    Q is formed as one C-contiguous (M, M, N) array, conj(v^T) + v, and the
+    stack is its transposed view, so each block pair (m, k) is one contiguous
+    run of N values.
+    """
+    pairs = np.conjugate(v.transpose(1, 0, 2), order="C")
+    pairs += v
+    return pairs.transpose(2, 0, 1)
 
 
 def lambda_max_bound(blocks: np.ndarray) -> np.ndarray:
@@ -180,10 +194,16 @@ def lambda_max_bound(blocks: np.ndarray) -> np.ndarray:
     eigenvalue is the mean, or two sit symmetric about it) and for rank-one
     blocks.  The variance is clipped at 0 against round-off.  A non-finite
     block gives a non-finite bound.
+
+    Both sums run over the (M, M, N) view of the stack, whose pair axes come
+    first: for a ``hermitian_blocks`` stack that view is contiguous, and f
+    adds M^2 contiguous rows of N.  |Q|^2 is ``np.square(np.abs(.))``; the
+    cheaper Re^2 + Im^2 rounds differently.
     """
-    m = blocks.shape[-1]
-    mean = blocks.trace(axis1=1, axis2=2).real / m
-    frob2 = np.square(np.abs(blocks)).sum(axis=(1, 2))
+    n, _, m = blocks.shape
+    pairs = blocks.transpose(1, 2, 0)
+    mean = pairs.real.trace() / m
+    frob2 = np.add.reduce(np.square(np.abs(pairs)).reshape(m * m, n), axis=0)
     return mean + np.sqrt((m - 1) * np.maximum(frob2 / m - mean * mean, 0.0))
 
 

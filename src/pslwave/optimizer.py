@@ -75,6 +75,12 @@ plan's pass at x gives Qx and L, and the sphere point
 -sqrt(E) * y_c / ||y_c|| goes through the projection, as every SQUAREM
 candidate does.  ``mm_step`` takes one step from a grid through plans of
 its own.
+
+A step and a candidate write only arrays of their own.  The step turns the
+pass's fresh Qx into y_c and then into the sphere point in place; the
+candidate x - 2*alpha*r + alpha**2 * v is formed in place in r and v, with
+the operations in the formula's order, so it rounds as the expression does.
+x, its record and the reference are never written.
 """
 
 from __future__ import annotations
@@ -153,11 +159,12 @@ def _step(x: np.ndarray, corr: tuple, p: int, plan: MMPlan,
     bound >= mu_bar, onto the sphere of radius ``projection.radius``, then
     through ``projection``.  Raises ``ZeroSidelobeError`` when the sidelobes
     of ``x`` already vanish."""
-    qx, bound, _ = plan.direction(x, corr, p)
+    y_c, bound, _ = plan.direction(x, corr, p)  # Qx, fresh from the pass, becomes y_c
     # nonzero: x^H y_c <= (1 - STEP_C) * L * ||x||^2 < 0 (module docstring)
-    y_c = qx - STEP_C * bound * x
+    y_c -= STEP_C * bound * x
     # sphere minimizer, scaled to the reference energy budget
-    return projection(-projection.radius / float(np.linalg.norm(y_c)) * y_c)
+    y_c *= -projection.radius / float(np.linalg.norm(y_c))
+    return projection(y_c)
 
 
 def mm_step(grid: SymbolGrid, reference: SymbolGrid, spec: ConstellationSpec,
@@ -203,12 +210,18 @@ def optimize(
             x2 = _step(x1, corr1, p, plan, projection)
             # the SQUAREM candidate (module docstring); x2 itself when v vanishes
             r = x1 - x
-            v = x2 - x1 - r
+            v = x2 - x1
+            v -= r
             v_norm = np.sqrt(np.vdot(v, v).real)
             candidate = x2
             if v_norm > 0.0:
                 alpha = -np.sqrt(np.vdot(r, r).real) / v_norm
-                candidate = projection(x - 2.0 * alpha * r + alpha**2 * v)
+                # x - 2*alpha*r + alpha**2 * v, in the same order, in r and v
+                r *= 2.0 * alpha
+                np.subtract(x, r, out=r)
+                v *= alpha**2
+                r += v
+                candidate = projection(r)
             corr_next = plan.correlate(candidate)
         eta_next, psl_next = corr_next[2], psl_db_of_peak(*corr_next[2:])
         if eta_next > trace[-1] or psl_next > psl_trace[-1]:

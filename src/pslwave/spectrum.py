@@ -89,6 +89,8 @@ class SymbolGrid:
 
     @classmethod
     def from_stacked(cls, x: np.ndarray, n_subcarriers: int) -> "SymbolGrid":
+        if n_subcarriers < 1:
+            raise ValueError("n_subcarriers must be >= 1")
         x = np.asarray(x, dtype=complex).ravel()
         if x.size % n_subcarriers:
             raise ValueError("stacked length not divisible by n_subcarriers")

@@ -166,6 +166,21 @@ class TestBerStatistics:
         out = ber_campaign([(grid, grid.copy(), bits)], [0.0], spec, mask, rng, n_rx=2)
         assert 0.0 <= out["original"][0] <= 1.0
 
+    def test_campaign_rejects_an_empty_pair_list(self):
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.all_used(32, 2)
+        with pytest.raises(ValueError, match="pair"):
+            ber_campaign([], [0.0, 10.0], spec, mask, np.random.default_rng(103), n_rx=2)
+
+    @pytest.mark.parametrize("snr_db", [[], np.array([])], ids=["list", "array"])
+    def test_campaign_rejects_an_empty_snr_list(self, snr_db):
+        rng = np.random.default_rng(104)
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.all_used(32, 2)
+        grid, bits = random_reference_grid(rng, spec, mask)
+        with pytest.raises(ValueError, match="SNR"):
+            ber_campaign([(grid, grid.copy(), bits)], snr_db, spec, mask, rng, n_rx=2)
+
     def test_campaign_rejects_fewer_receive_than_transmit_antennas(self):
         rng = np.random.default_rng(102)
         spec = ConstellationSpec("psk", 4)

@@ -384,6 +384,42 @@ class TestPlan:
             majorizer.MMPlan((128, 2), LagWeights(64, 16))
 
 
+class TestInputsAreNotWritten:
+    """The pass builds c, Q and Qx in place in its own arrays, never in its inputs."""
+
+    @pytest.mark.parametrize("n,m,n_cp,p", [(16, 1, 4, 50), (32, 4, 8, 2), (96, 3, 24, 8)])
+    def test_direction_leaves_x_and_its_record_unchanged(self, n, m, n_cp, p):
+        w = LagWeights(n, n_cp)
+        x = noisy_grid(n, m, 80 + n).symbols
+        plan = majorizer.MMPlan(x.shape, w)
+        corr = plan.correlate(x)
+        kept_x, kept = x.copy(), [np.copy(item) for item in corr]
+        plan.direction(x, corr, p)
+        assert np.array_equal(x, kept_x)
+        for item, copy in zip(corr, kept):
+            assert np.array_equal(item, copy)
+
+    def test_coefficients_and_v_fields_leave_their_inputs_unchanged(self, monkeypatch):
+        w = LagWeights(32, 8)
+        corr = cyclic_correlations(noisy_grid(32, 3, 83))
+        kept_values = corr.values.copy()
+        seen = []
+
+        def recording(*args):
+            r_abs = window_abs(*args)
+            seen.append((r_abs, r_abs.copy()))
+            return r_abs
+
+        monkeypatch.setattr(majorizer, "window_abs", recording)
+        coeffs = majorizer.coefficients(corr, w, 50)
+        kept_c = coeffs.c_hat.copy()
+        majorizer.v_fields(corr, coeffs, w)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0][0], seen[0][1])
+        assert np.array_equal(coeffs.c_hat, kept_c)
+        assert np.array_equal(corr.values, kept_values)
+
+
 def unfused_direction(grid: SymbolGrid, w: LagWeights, p: int) -> np.ndarray:
     """Direction y computed step by step with boolean-mask windows, a weighted
     product on every lag, the block stack built twice and Qx by einsum."""

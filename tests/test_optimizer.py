@@ -10,7 +10,9 @@ from pslwave.optimizer import (
     MIN_GAIN_DB, P_SCHEDULE, STEP_C, OptimizerConfig, mm_step, optimize,
 )
 from pslwave.projector import Projection, project_grid
-from pslwave.spectrum import LagWeights, SymbolGrid, cyclic_correlations, psl_db, psl_db_of_peak
+from pslwave.spectrum import (
+    LagWeights, SymbolGrid, cyclic_correlations, peak_sidelobe, psl_db, psl_db_of_peak,
+)
 
 
 def setup_problem(n=32, m=2, seed=60, unused=0.0):
@@ -76,6 +78,23 @@ class TestMmStep:
         assert np.array_equal(mm_step(ref, ref, spec, mask, w, 8).symbols, x1)
         assert np.array_equal(mm_step(SymbolGrid(x1), ref, spec, mask, w, 8).symbols, x2)
 
+    @pytest.mark.parametrize("overrides", [{}, {"n_antennas": 1},
+                                           {"family": "qam", "order": 16, "n_subcarriers": 64,
+                                            "n_antennas": 2, "n_cp": 16}])
+    def test_a_step_leaves_x_and_its_record_unchanged(self, overrides):
+        # the step turns the pass's own Qx into y_c and the sphere point in place
+        spec, mask, ref, w, cfg = seeded_trial(2, **overrides)
+        plan, mm = Projection(ref, spec, mask), MMPlan(ref.symbols.shape, w)
+        x = ref.symbols.copy()
+        for p in (8, 50):
+            corr = mm.correlate(x)
+            kept_x, kept = x.copy(), [np.copy(item) for item in corr]
+            x_next = optimizer._step(x, corr, p, mm, plan)
+            assert np.array_equal(x, kept_x)
+            for item, copy in zip(corr, kept):
+                assert np.array_equal(item, copy)
+            x = x_next
+
     def test_zero_sidelobe_raises(self):
         spec = ConstellationSpec("psk", 4)
         mask = SubcarrierMask.all_used(8, 1)
@@ -86,6 +105,24 @@ class TestMmStep:
 
 
 class TestRunSquarem:
+    @pytest.mark.parametrize("overrides", [{}, {"n_antennas": 1}], ids=["default", "m1"])
+    def test_a_run_writes_neither_the_reference_nor_an_accepted_iterate(self, overrides):
+        # the SQUAREM candidate is formed in place in its own r and v: the
+        # returned grid is the iterate whose eta and PSL the traces end on, also
+        # when a dropped candidate ends the run (most M = 1 runs)
+        reasons = set()
+        for trial in range(4):
+            spec, mask, ref, w, cfg = seeded_trial(trial, **overrides)
+            kept = ref.symbols.copy()
+            report = optimize(ref, spec, mask, w, cfg.optimizer())
+            reasons.add(report.stop_reason)
+            assert np.array_equal(ref.symbols, kept)
+            corr = cyclic_correlations(report.grid)
+            assert report.eta_trace[-1] == peak_sidelobe(corr, w)[0]
+            assert report.psl_db_after == psl_db(corr, w)
+        if overrides:
+            assert "objective_increased" in reasons
+
     def test_trace_non_increasing(self):
         for seed in (62, 65):
             spec, mask, ref, w = setup_problem(seed=seed)

@@ -57,6 +57,12 @@ class TestPskProjector:
         twice = psk_project(once, xr, EPS_P, EPS_A)
         assert np.allclose(twice, once, atol=1e-9)
 
+    def test_a_scalar_projects_as_a_one_entry_array(self):
+        z, xr = 2.0 - 0.5j, np.exp(0.3j)
+        out = psk_project(z, xr, EPS_P, EPS_A)
+        assert np.ndim(out) == 0
+        assert out == psk_project(np.array([z]), np.array([xr]), EPS_P, EPS_A)[0]
+
     def test_origin_maps_to_inner_radius(self):
         out = psk_project_one(0.0 + 0.0j)
         assert abs(out) == pytest.approx(1.0 - EPS_A)
@@ -342,6 +348,20 @@ class TestProjectionPlan:
         assert abs(out[0, 0] - expected) <= 1e-15
         assert out[0, 0] == psk_project(np.array([complex(-0.0, 0.0)]), np.array([xr]),
                                         spec.eps_p, spec.eps_a)[0]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_inputs_are_not_written(self, case):
+        # the sector is built in its own arrays: z and the references stay as they were
+        spec, mask, ref, rng = self.seeded(self.CASES[case], 0)
+        z = self.special_points(spec, ref, rng)
+        kept, kept_ref = z.copy(), ref.symbols.copy()
+        Projection(ref, spec, mask)(z)
+        clamp_unused(z, spec)
+        if spec.family == "psk":
+            psk_project(z, ref.symbols, spec.eps_p, spec.eps_a)
+        # bytes, so that a -0.0 written over as +0.0 shows
+        assert z.tobytes() == kept.tobytes()
+        assert ref.symbols.tobytes() == kept_ref.tobytes()
 
     @pytest.mark.parametrize("eps_p", [0.5 * np.pi, 2.0, -0.1])
     def test_phase_tolerance_outside_the_tangent_domain(self, eps_p):

@@ -38,6 +38,11 @@ class TestSymbolGrid:
         back = SymbolGrid.from_stacked(g.stacked(), 5)
         assert np.array_equal(back.symbols, g.symbols)
 
+    @pytest.mark.parametrize("n_subcarriers", [0, -2])
+    def test_from_stacked_rejects_fewer_than_one_subcarrier(self, n_subcarriers):
+        with pytest.raises(ValueError, match="n_subcarriers must be >= 1"):
+            SymbolGrid.from_stacked(np.ones(4, dtype=complex), n_subcarriers)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SymbolGrid(np.array([[np.inf, 0.0]]))
