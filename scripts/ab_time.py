@@ -1,16 +1,28 @@
-"""In-process A/B timing of default optimize trials: this tree against another.
+"""In-process A/B timing of default optimize trials and detection sweeps: this tree against another.
 
     python3 scripts/ab_time.py --against DIR [--src DIR]
 
 Both ``pslwave`` packages are imported side by side in one process
-(``seeded_digest.load_package``).  After one untimed warm-up block per
-side, the script runs BLOCKS pairs of blocks.  In pair b each side runs the
-same TRIALS seeded trials at the default point, t = b*TRIALS ..
-(b+1)*TRIALS - 1, each as ``pslwave optimize`` runs it: ``trial_rng(0, t)``,
-mask, reference grid, ``optimize``.  The side that goes first alternates
-from pair to pair.  It prints each side's min and median time per trial
-(µs) over its blocks, and the median over the pairs of the ratio
-(this tree / DIR), which is below 1 when this tree is faster.
+(``seeded_digest.load_package``).  Two timings run in the same blocks:
+
+* ``optimize``: TRIALS seeded trials at the default point per block, each
+  as ``pslwave optimize`` runs it: ``trial_rng(0, t)``, mask, reference
+  grid, ``optimize``; block b runs t = b*TRIALS .. (b+1)*TRIALS - 1.
+* ``sweep``: SWEEPS detection sweeps per block over one pair, as the
+  ``evaluate`` benchmark workload sweeps it: 11 sensing SNRs from -8 to
+  2 dB times the arms original, optimized and orthogonal, one
+  ``detection_campaign`` each from ``SeedSequence(0, spawn_key=(j, si))``
+  for sweep j and SNR index si.  The pair is trial 0's reference grid, its
+  optimized grid and an orthogonal baseline, built by each side's own
+  package before timing.
+
+After one untimed warm-up block per side, the script runs BLOCKS pairs of
+blocks; in each block a side runs its optimize trials, then its sweeps.
+The side that goes first alternates from pair to pair.  It prints one row
+per timing: each side's min and median time (µs per trial or per sweep)
+over its blocks, the median over the pairs of the ratio (this tree / DIR),
+which is below 1 when this tree is faster, and the number of pairs in
+which this tree was faster.
 
 The block counts are fixed.  Both sides share one process and take turns,
 so they see the same host state: separate processes on a shared host can
@@ -30,10 +42,13 @@ import numpy as np
 
 from seeded_digest import SRC, load_package
 
-# pairs of timed blocks, and trials per block
+# pairs of timed blocks, and optimize trials and detection sweeps per block
 BLOCKS = 40
 TRIALS = 100
+SWEEPS = 20
 SIDES = ("pslwave", "pslwave_against")
+# the evaluate workload's sensing SNRs (dB)
+SENSE_SNR_DB = tuple(float(s) for s in np.arange(-8.0, 2.5, 1.0))
 
 
 def trial_runner(package: str):
@@ -54,6 +69,33 @@ def trial_runner(package: str):
     return run
 
 
+def sweep_runner(package: str):
+    """A function that runs detection sweeps j0 .. j0 + n - 1 of ``package`` over one pair."""
+    config = importlib.import_module(f"{package}.config")
+    constellation = importlib.import_module(f"{package}.constellation")
+    optimizer = importlib.import_module(f"{package}.optimizer")
+    sensing = importlib.import_module(f"{package}.sensing")
+    cfg = config.ExperimentConfig()
+    spec, cfar = cfg.constellation(), cfg.cfar()
+    rng = config.trial_rng(0, 0)
+    mask = cfg.mask(rng)
+    reference, _ = constellation.random_reference_grid(rng, spec, mask)
+    report = optimizer.optimize(reference, spec, mask, cfg.lag_weights(), cfg.optimizer())
+    orthogonal = constellation.orthogonal_interleaved_grid(
+        rng, spec, cfg.n_subcarriers, cfg.n_antennas
+    )
+    arms = (reference, report.grid, orthogonal)
+
+    def run(j0: int, n: int) -> None:
+        for j in range(j0, j0 + n):
+            for si, snr_db in enumerate(SENSE_SNR_DB):
+                for grid in arms:
+                    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(j, si)))
+                    sensing.detection_campaign([grid], snr_db, cfar, rng, n_targets=cfg.n_targets)
+
+    return run
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=SRC, help="directory holding pslwave")
@@ -62,22 +104,33 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     load_package(args.src, SIDES[0])
     load_package(args.against, SIDES[1])
-    runners = [trial_runner(name) for name in SIDES]
-    for run in runners:
-        run(0, TRIALS)
-    per_trial = np.zeros((BLOCKS, 2))  # µs per trial, (pair, side)
+    # per side: (timing name, unit, runner, calls per block)
+    timings = [
+        [("optimize", "trial", trial_runner(name), TRIALS),
+         ("sweep", "sweep", sweep_runner(name), SWEEPS)]
+        for name in SIDES
+    ]
+    for side in timings:
+        for _, _, run, count in side:
+            run(0, count)
+    per_call = np.zeros((2, BLOCKS, 2))  # µs per trial or sweep, (timing, pair, side)
     for b in range(BLOCKS):
         for side in ((0, 1) if b % 2 == 0 else (1, 0)):
-            start = perf_counter()
-            runners[side](b * TRIALS, TRIALS)
-            per_trial[b, side] = (perf_counter() - start) / TRIALS * 1e6
-    print(f"{'side':<8} {'min_us':>9} {'median_us':>9}  tree")
-    for side, tree in enumerate((args.src, args.against)):
-        times = per_trial[:, side]
-        print(f"{('this', 'against')[side]:<8} {times.min():9.1f} {np.median(times):9.1f}  {tree}")
-    ratio = per_trial[:, 0] / per_trial[:, 1]
-    print(f"median paired ratio (this / against): {np.median(ratio):.3f} over {BLOCKS} pairs"
-          f" of {TRIALS} trials; this faster in {int(np.sum(ratio < 1.0))}")
+            for i, (_, _, run, count) in enumerate(timings[side]):
+                start = perf_counter()
+                run(b * count, count)
+                per_call[i, b, side] = (perf_counter() - start) / count * 1e6
+    print(f"this:    {args.src}")
+    print(f"against: {args.against}")
+    print(f"{'timing':<9} {'per':<6} {'this_min':>9} {'this_med':>9} {'vs_min':>9} {'vs_med':>9}"
+          f" {'ratio':>6} {'faster':>6}")
+    for i, (name, per, _, _) in enumerate(timings[0]):
+        this, against = per_call[i, :, 0], per_call[i, :, 1]
+        ratio = this / against
+        print(f"{name:<9} {per:<6} {this.min():9.1f} {np.median(this):9.1f} {against.min():9.1f}"
+              f" {np.median(against):9.1f} {np.median(ratio):6.3f} {int(np.sum(ratio < 1.0)):6d}")
+    print(f"µs per call; ratio is the median of this / against over {BLOCKS} pairs of blocks"
+          f" of {TRIALS} trials and {SWEEPS} sweeps; faster counts the pairs this tree won")
     return 0
 
 

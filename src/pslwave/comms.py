@@ -96,13 +96,16 @@ def ber_campaign(
     (re + 1j*im) / sqrt(2).
     The two arms' stacks are equalized together, (2, S, N, K), so each
     channel draw costs one pseudoinverse.  An empty ``pairs`` or
-    ``snr_db_list`` is a ``ValueError``: there is no rate to report.
+    ``snr_db_list`` is a ``ValueError``: there is no rate to report.  So is a
+    NaN or infinite SNR point.
     """
     if len(pairs) == 0:
         raise ValueError("ber_campaign needs at least one grid pair")
     n_snr = len(snr_db_list)
     if n_snr == 0:
         raise ValueError("ber_campaign needs at least one SNR point")
+    if not np.all(np.isfinite(snr_db_list)):
+        raise ValueError(f"SNR points must be finite, got {list(snr_db_list)}")
     n_bits_total = sum(b.size for _, _, b in pairs)
     errors = {"original": np.zeros(n_snr), "optimized": np.zeros(n_snr)}
     for ref, opt, bits in pairs:

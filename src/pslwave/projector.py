@@ -15,12 +15,12 @@ ring).
 All projectors are written as vectorized array operations.  ``Projection``
 is the plan of one run: it takes once what does not change between calls
 (the used mask, the reference rotation and its conjugate, the per-entry
-phase limit and inner radius of a PSK sector, and the sphere radius sqrt(E)
-of the reference) and projects a whole (N, M) array with full-grid
-arithmetic, without boolean indexing.  For PSK used and unused entries go
-through one call of the sector projection; QAM takes the disc or the square
-clamp per entry.  ``project_grid`` is the one-shot form: build a plan, apply
-it once.
+phase limit, its negation and inner radius of a PSK sector, and the sphere
+radius sqrt(E) of the reference) and projects a whole (N, M) array with
+full-grid arithmetic, without boolean indexing.  For PSK used and unused
+entries go through one call of the sector projection; QAM takes the disc
+or the square clamp per entry.  ``project_grid`` is the one-shot form:
+build a plan, apply it once.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _check_psk(eps_p: float, eps_a: float) -> None:
         raise ValueError("eps_a must lie in [0, 1]")
 
 
-def _sector(u: np.ndarray, eps, inner) -> np.ndarray:
+def _sector(u: np.ndarray, eps, inner, _lower=None) -> np.ndarray:
     """Exact projection onto the annular sector |angle(u)| <= eps, inner <= |u| <= 1.
 
     The nearest point lies on the ray at the phase of u clipped to [-eps, eps]:
@@ -51,6 +51,8 @@ def _sector(u: np.ndarray, eps, inner) -> np.ndarray:
     ``+ 0.0`` makes Im u = -0.0 positive, so the whole negative real axis goes
     to the upper edge.  ``eps`` and ``inner`` are scalars or per-entry arrays;
     clamps are minimum(maximum()), np.clip's values at a lower cost per call.
+    ``_lower``, when given, is -eps held by the caller, so a plan does not
+    negate its per-entry limits on every call.
 
     ``u`` is only read.  The phase is clipped in place, the edge e^{i*phase}
     is cos and sin written into the real and imaginary views of one complex
@@ -60,7 +62,7 @@ def _sector(u: np.ndarray, eps, inner) -> np.ndarray:
     """
     edge = np.empty(np.shape(u), dtype=complex)
     phase = np.arctan2(u.imag + 0.0, u.real, out=np.empty(edge.shape))
-    np.maximum(phase, -eps, out=phase)
+    np.maximum(phase, -eps if _lower is None else _lower, out=phase)
     np.minimum(phase, eps, out=phase)
     np.cos(phase, out=edge.real)
     np.sin(phase, out=edge.imag)
@@ -125,6 +127,7 @@ class Projection:
             self._rot = np.where(used, xr, 1.0)
             self._conj_rot = np.conj(self._rot)
             self._eps = np.where(used, spec.eps_p, np.pi)
+            self._neg_eps = -self._eps
             self._inner = np.where(used, 1.0 - spec.eps_a, 0.0)
         else:
             self._xr = xr
@@ -134,7 +137,7 @@ class Projection:
             raise ValueError("grid, reference and mask shapes disagree")
         spec = self._spec
         if spec.family == "psk":
-            return _sector(z * self._conj_rot, self._eps, self._inner) * self._rot
+            return _sector(z * self._conj_rot, self._eps, self._inner, self._neg_eps) * self._rot
         return np.where(self._used, qam_project(z, self._xr, spec.eps_r), clamp_unused(z, spec))
 
 

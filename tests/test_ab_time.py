@@ -8,10 +8,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 # the script's block counts are fixed; this run shrinks them to two pairs of one
-# trial by setting the module constants before main
+# trial and one sweep by setting the module constants before main
 RUN = (
     "import sys; sys.path.insert(0, sys.argv[1]); import ab_time; "
-    "ab_time.BLOCKS, ab_time.TRIALS = 2, 1; "
+    "ab_time.BLOCKS, ab_time.TRIALS, ab_time.SWEEPS = 2, 1, 1; "
     "raise SystemExit(ab_time.main(sys.argv[2:]))"
 )
 
@@ -23,11 +23,17 @@ def test_a_tree_against_itself():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split()[:3] == ["side", "min_us", "median_us"]
-    for line, side in zip(lines[1:3], ("this", "against")):
-        name, low, mid, _ = line.split()
-        assert name == side
-        assert 0.0 < float(low) <= float(mid)
-    assert lines[3].startswith("median paired ratio (this / against): ")
-    assert "over 2 pairs of 1 trials" in lines[3]
-
+    assert lines[0].split() == ["this:", str(ROOT / "src")]
+    assert lines[1].split() == ["against:", str(ROOT / "src")]
+    assert lines[2].split() == [
+        "timing", "per", "this_min", "this_med", "vs_min", "vs_med", "ratio", "faster"
+    ]
+    # one row per timing: optimize trials, then the detection sweeps
+    for line, timing in zip(lines[3:5], (("optimize", "trial"), ("sweep", "sweep"))):
+        name, per, this_min, this_med, vs_min, vs_med, ratio, faster = line.split()
+        assert (name, per) == timing
+        assert 0.0 < float(this_min) <= float(this_med)
+        assert 0.0 < float(vs_min) <= float(vs_med)
+        assert float(ratio) > 0.0
+        assert 0 <= int(faster) <= 2
+    assert "over 2 pairs of blocks of 1 trials and 1 sweeps" in lines[5]

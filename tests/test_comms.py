@@ -181,6 +181,17 @@ class TestBerStatistics:
         with pytest.raises(ValueError, match="SNR"):
             ber_campaign([(grid, grid.copy(), bits)], snr_db, spec, mask, rng, n_rx=2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_campaign_rejects_a_non_finite_snr_point(self, bad):
+        rng = np.random.default_rng(105)
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.all_used(32, 2)
+        grid, bits = random_reference_grid(rng, spec, mask)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="SNR"):
+            ber_campaign([(grid, grid.copy(), bits)], [10.0, bad], spec, mask, rng, n_rx=2)
+        assert rng.bit_generator.state == state  # rejected before any draw
+
     def test_campaign_rejects_fewer_receive_than_transmit_antennas(self):
         rng = np.random.default_rng(102)
         spec = ConstellationSpec("psk", 4)

@@ -69,6 +69,12 @@ class TestEcho:
         y = synthesize_echo(grid, [5], [1.0], 0.5, rng)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.25, rel=0.1)
 
+    @pytest.mark.parametrize("noise_std", [float("nan"), -0.5, -1e-300])
+    def test_rejects_a_nan_or_negative_noise_std(self, noise_std):
+        grid = SymbolGrid(np.ones((32, 2), dtype=complex))
+        with pytest.raises(ValueError, match="noise_std"):
+            synthesize_echo(grid, [3], [1.0], noise_std, np.random.default_rng(75))
+
     def test_one_gain_per_delay(self):
         grid = SymbolGrid(np.ones((32, 2), dtype=complex))
         rng = np.random.default_rng(76)
@@ -287,3 +293,115 @@ class TestDetectionMatchesReference:
             for g in grids
         ]
         assert got == expect
+
+
+def full_chain_hits(grids, snr_db, cfar, rng, n_targets):
+    """Per grid, the hits of the full chain on the stream ``detection_campaign``
+    draws: the echo, every cell of the per-antenna matched filter, the mean
+    |z|^2 profile, CFAR on all of it, then the mask at d - 1, d, (d + 1) mod N."""
+    hits = []
+    for grid in grids:
+        n, m = grid.symbols.shape
+        cfar.check_profile_length(n)
+        es_avg = grid.energy() / grid.symbols.size
+        sigma = float(np.sqrt(m * es_avg / (10.0 ** (snr_db / 10.0))))
+        delays = sensing._draw_delays(rng, n, n_targets)
+        gains = np.exp(2j * np.pi * rng.random(n_targets))
+        y = synthesize_echo(grid, delays, gains, sigma, rng)
+        profile = np.mean(np.abs(matched_filter(y, grid)) ** 2, axis=1)
+        det = cfar_detect(profile, cfar)
+        hits.append(sum(bool(det[d - 1] or det[d] or det[(d + 1) % n]) for d in delays))
+    return hits
+
+
+# the default window, no guard cells, the shortest window, a wide guard
+WINDOW_CONFIGS = [
+    CfarConfig(),
+    CfarConfig(n_guard=0),
+    CfarConfig(p_fa=1e-2, n_ref=1, n_guard=0),
+    CfarConfig(p_fa=1e-3, n_ref=3, n_guard=2),
+]
+WINDOW_IDS = [f"ref{c.n_ref}-guard{c.n_guard}" for c in WINDOW_CONFIGS]
+SWEEP_DB = (-30.0, -20.0, -10.0, -6.0, -3.0, 0.0, 3.0, 6.0, 10.0, 20.0, 30.0)
+
+
+class TestWindowedReceiver:
+    """``detection_campaign`` filters and tests only the 2h + 1 cells around each
+    delay, h = n_guard + n_ref + 1; its decisions are those of the full chain."""
+
+    @staticmethod
+    def _grids(rng, n, m, count):
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.random(rng, n, m, 0.05)
+        return [random_reference_grid(rng, spec, mask)[0] for _ in range(count)]
+
+    def _check(self, grids, cfar, n_targets, seed):
+        """Per grid and over the whole list: the stream continues across grids."""
+        total = 0
+        for snr_db in SWEEP_DB:
+            expect = full_chain_hits(grids, snr_db, cfar, np.random.default_rng(seed), n_targets)
+            stream = np.random.default_rng(seed)
+            got = [
+                round(detection_campaign([g], snr_db, cfar, stream, n_targets) * n_targets)
+                for g in grids
+            ]
+            assert got == expect, snr_db
+            dp = detection_campaign(grids, snr_db, cfar, np.random.default_rng(seed), n_targets)
+            assert round(dp * len(grids) * n_targets) == sum(expect), snr_db
+            total += sum(expect)
+        return total
+
+    @pytest.mark.parametrize("cfar", WINDOW_CONFIGS, ids=WINDOW_IDS)
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_hits_equal_the_full_chain(self, cfar, m):
+        rng = np.random.default_rng(300 + m)
+        grids = self._grids(rng, 128, m, 12)
+        total = sum(self._check(grids, cfar, k, seed=10 * m + k) for k in (1, 2, 3))
+        # the sweep decides both ways
+        assert 0 < total < len(SWEEP_DB) * len(grids) * (1 + 2 + 3)
+
+    @pytest.mark.parametrize("cfar", WINDOW_CONFIGS, ids=WINDOW_IDS)
+    def test_smallest_profile(self, cfar):
+        # N = 2(n_ref + n_guard) + 1: the window of 2h + 1 cells wraps past N
+        n = 2 * (cfar.n_ref + cfar.n_guard) + 1
+        rng = np.random.default_rng(400 + n)
+        grids = self._grids(rng, n, 2, 40)
+        counts = range(1, min(3, n // sensing.MIN_SEPARATION) + 1)
+        total = sum(self._check(grids, cfar, k, seed=k) for k in counts)
+        assert 0 < total < len(SWEEP_DB) * len(grids) * sum(counts)
+
+    @pytest.mark.parametrize("cfar", WINDOW_CONFIGS, ids=WINDOW_IDS)
+    @pytest.mark.parametrize("delays", [[0], [1], [126], [127], [127, 0, 64]])
+    def test_delays_at_the_ends_of_the_profile(self, monkeypatch, cfar, delays):
+        fixed = np.array(delays, dtype=np.int64)
+        monkeypatch.setattr(sensing, "_draw_delays", lambda rng, n, k: fixed)
+        rng = np.random.default_rng(500 + delays[0])
+        grids = self._grids(rng, 128, 4, 30)
+        total = self._check(grids, cfar, len(delays), seed=delays[0])
+        assert 0 < total < len(SWEEP_DB) * len(grids) * len(delays)
+
+    def test_no_full_profile_is_formed(self, monkeypatch):
+        def full_chain(*args, **kwargs):
+            raise AssertionError("the full chain ran")
+
+        monkeypatch.setattr(np.fft, "ifft", full_chain)
+        monkeypatch.setattr(sensing, "matched_filter", full_chain)
+        monkeypatch.setattr(sensing, "cfar_detect", full_chain)
+        grids = self._grids(np.random.default_rng(93), 128, 4, 3)
+        dp = detection_campaign(grids, 10.0, CfarConfig(), np.random.default_rng(94), 2)
+        assert 0.0 <= dp <= 1.0
+
+    def test_profile_too_short(self):
+        cfar = CfarConfig()
+        n = 2 * (cfar.n_ref + cfar.n_guard)
+        grid = SymbolGrid(np.ones((n, 2), dtype=complex))
+        rng = np.random.default_rng(90)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="too short"):
+            detection_campaign([grid], 10.0, cfar, rng)
+        assert rng.bit_generator.state == state  # checked before the draws
+
+    def test_nan_snr_raises(self):
+        grid = self._grids(np.random.default_rng(91), 64, 2, 1)[0]
+        with pytest.raises(ValueError, match="noise_std"):
+            detection_campaign([grid], float("nan"), CfarConfig(), np.random.default_rng(92))
