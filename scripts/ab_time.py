@@ -1,9 +1,9 @@
-"""In-process A/B timing of default optimize trials and detection sweeps: this tree against another.
+"""In-process A/B timing of optimize trials, detection sweeps and BER campaigns: two trees.
 
     python3 scripts/ab_time.py --against DIR [--src DIR]
 
 Both ``pslwave`` packages are imported side by side in one process
-(``seeded_digest.load_package``).  Two timings run in the same blocks:
+(``seeded_digest.load_package``).  Three timings run in the same blocks:
 
 * ``optimize``: TRIALS seeded trials at the default point per block, each
   as ``pslwave optimize`` runs it: ``trial_rng(0, t)``, mask, reference
@@ -12,17 +12,23 @@ Both ``pslwave`` packages are imported side by side in one process
   ``evaluate`` benchmark workload sweeps it: 11 sensing SNRs from -8 to
   2 dB times the arms original, optimized and orthogonal, one
   ``detection_campaign`` each from ``SeedSequence(0, spawn_key=(j, si))``
-  for sweep j and SNR index si.  The pair is trial 0's reference grid, its
-  optimized grid and an orthogonal baseline, built by each side's own
-  package before timing.
+  for sweep j and SNR index si.
+* ``ber``: CAMPAIGNS BER campaigns per block over the same pair, as the
+  ``evaluate`` workload runs them: one ``ber_campaign`` of the original and
+  optimized arms at 11 BER SNRs from 16 to 36 dB, from
+  ``SeedSequence(0, spawn_key=(j, 10**6))`` for campaign j.
+
+The pair is trial 0's reference grid, its optimized grid and an orthogonal
+baseline, built by each side's own package before timing, so both halves of
+an ``evaluate`` unit are timed in one process.
 
 After one untimed warm-up block per side, the script runs BLOCKS pairs of
-blocks; in each block a side runs its optimize trials, then its sweeps.
-The side that goes first alternates from pair to pair.  It prints one row
-per timing: each side's min and median time (µs per trial or per sweep)
-over its blocks, the median over the pairs of the ratio (this tree / DIR),
-which is below 1 when this tree is faster, and the number of pairs in
-which this tree was faster.
+blocks; in each block a side runs its optimize trials, its sweeps, then its
+BER campaigns.  The side that goes first alternates from pair to pair.  It
+prints one row per timing: each side's min and median time (µs per trial,
+sweep or campaign) over its blocks, the median over the pairs of the ratio
+(this tree / DIR), which is below 1 when this tree is faster, and the number
+of pairs in which this tree was faster.
 
 The block counts are fixed.  Both sides share one process and take turns,
 so they see the same host state: separate processes on a shared host can
@@ -40,15 +46,14 @@ from time import perf_counter
 
 import numpy as np
 
-from seeded_digest import SRC, load_package
+from seeded_digest import BER_SNR_DB, SENSE_SNR_DB, SRC, load_package
 
-# pairs of timed blocks, and optimize trials and detection sweeps per block
+# pairs of timed blocks, and optimize trials, detection sweeps and BER campaigns per block
 BLOCKS = 40
 TRIALS = 100
 SWEEPS = 20
+CAMPAIGNS = 20
 SIDES = ("pslwave", "pslwave_against")
-# the evaluate workload's sensing SNRs (dB)
-SENSE_SNR_DB = tuple(float(s) for s in np.arange(-8.0, 2.5, 1.0))
 
 
 def trial_runner(package: str):
@@ -69,22 +74,28 @@ def trial_runner(package: str):
     return run
 
 
-def sweep_runner(package: str):
-    """A function that runs detection sweeps j0 .. j0 + n - 1 of ``package`` over one pair."""
+def default_pair(package: str):
+    """(config, mask, bits, reference, optimized, orthogonal) of trial 0 at the default point."""
     config = importlib.import_module(f"{package}.config")
     constellation = importlib.import_module(f"{package}.constellation")
     optimizer = importlib.import_module(f"{package}.optimizer")
-    sensing = importlib.import_module(f"{package}.sensing")
     cfg = config.ExperimentConfig()
-    spec, cfar = cfg.constellation(), cfg.cfar()
+    spec = cfg.constellation()
     rng = config.trial_rng(0, 0)
     mask = cfg.mask(rng)
-    reference, _ = constellation.random_reference_grid(rng, spec, mask)
+    reference, bits = constellation.random_reference_grid(rng, spec, mask)
     report = optimizer.optimize(reference, spec, mask, cfg.lag_weights(), cfg.optimizer())
     orthogonal = constellation.orthogonal_interleaved_grid(
         rng, spec, cfg.n_subcarriers, cfg.n_antennas
     )
-    arms = (reference, report.grid, orthogonal)
+    return cfg, mask, bits, reference, report.grid, orthogonal
+
+
+def sweep_runner(package: str):
+    """A function that runs detection sweeps j0 .. j0 + n - 1 of ``package`` over one pair."""
+    sensing = importlib.import_module(f"{package}.sensing")
+    cfg, _, _, *arms = default_pair(package)
+    cfar = cfg.cfar()
 
     def run(j0: int, n: int) -> None:
         for j in range(j0, j0 + n):
@@ -92,6 +103,20 @@ def sweep_runner(package: str):
                 for grid in arms:
                     rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(j, si)))
                     sensing.detection_campaign([grid], snr_db, cfar, rng, n_targets=cfg.n_targets)
+
+    return run
+
+
+def ber_runner(package: str):
+    """A function that runs BER campaigns j0 .. j0 + n - 1 of ``package`` over one pair."""
+    comms = importlib.import_module(f"{package}.comms")
+    cfg, mask, bits, reference, optimized, _ = default_pair(package)
+    spec, pairs, snr = cfg.constellation(), [(reference, optimized, bits)], list(BER_SNR_DB)
+
+    def run(j0: int, n: int) -> None:
+        for j in range(j0, j0 + n):
+            rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(j, 10**6)))
+            comms.ber_campaign(pairs, snr, spec, mask, rng, n_rx=cfg.n_rx)
 
     return run
 
@@ -107,13 +132,14 @@ def main(argv: list[str] | None = None) -> int:
     # per side: (timing name, unit, runner, calls per block)
     timings = [
         [("optimize", "trial", trial_runner(name), TRIALS),
-         ("sweep", "sweep", sweep_runner(name), SWEEPS)]
+         ("sweep", "sweep", sweep_runner(name), SWEEPS),
+         ("ber", "campaign", ber_runner(name), CAMPAIGNS)]
         for name in SIDES
     ]
     for side in timings:
         for _, _, run, count in side:
             run(0, count)
-    per_call = np.zeros((2, BLOCKS, 2))  # µs per trial or sweep, (timing, pair, side)
+    per_call = np.zeros((len(timings[0]), BLOCKS, 2))  # µs per call, (timing, pair, side)
     for b in range(BLOCKS):
         for side in ((0, 1) if b % 2 == 0 else (1, 0)):
             for i, (_, _, run, count) in enumerate(timings[side]):
@@ -122,15 +148,16 @@ def main(argv: list[str] | None = None) -> int:
                 per_call[i, b, side] = (perf_counter() - start) / count * 1e6
     print(f"this:    {args.src}")
     print(f"against: {args.against}")
-    print(f"{'timing':<9} {'per':<6} {'this_min':>9} {'this_med':>9} {'vs_min':>9} {'vs_med':>9}"
+    print(f"{'timing':<9} {'per':<8} {'this_min':>9} {'this_med':>9} {'vs_min':>9} {'vs_med':>9}"
           f" {'ratio':>6} {'faster':>6}")
     for i, (name, per, _, _) in enumerate(timings[0]):
         this, against = per_call[i, :, 0], per_call[i, :, 1]
         ratio = this / against
-        print(f"{name:<9} {per:<6} {this.min():9.1f} {np.median(this):9.1f} {against.min():9.1f}"
+        print(f"{name:<9} {per:<8} {this.min():9.1f} {np.median(this):9.1f} {against.min():9.1f}"
               f" {np.median(against):9.1f} {np.median(ratio):6.3f} {int(np.sum(ratio < 1.0)):6d}")
     print(f"µs per call; ratio is the median of this / against over {BLOCKS} pairs of blocks"
-          f" of {TRIALS} trials and {SWEEPS} sweeps; faster counts the pairs this tree won")
+          f" of {TRIALS} trials, {SWEEPS} sweeps and {CAMPAIGNS} campaigns;"
+          f" faster counts the pairs this tree won")
     return 0
 
 

@@ -21,6 +21,8 @@ with seed 0:
 * ``sense``: the hit count of one ``detection_campaign`` trial per pair,
   sensing SNR and arm, each from ``SeedSequence(0, spawn_key=(j, si))``
   for pair j and SNR index si;
+* ``sense-k3``: the same with three targets per trial, so the other
+  targets' echoes enter each target's window;
 * ``ber``: the bit-error count per pair, BER SNR and arm of one
   ``ber_campaign`` per pair, from ``SeedSequence(0, spawn_key=(j, 10**6))``.
 
@@ -30,11 +32,11 @@ Their digest covers the counts as int64.
 ``DIR`` as well (both trees are imported side by side in one process) and
 prints, per case, the largest entrywise |grid difference|, the largest
 |difference of psl_db_after| (dB) and the number of trials whose iteration
-count and stop reason agree; for ``sense`` and ``ber``, the number of
-counts that agree.  It then exits 1 when any row differs (a nonzero grid
-or PSL difference, an iteration count or stop reason that disagrees, or a
-count that disagrees), naming those rows on stderr, and 0 when every row is
-identical.  A change that is not bit-identical states its tolerance with
+count and stop reason agree; for ``sense``, ``sense-k3`` and ``ber``,
+the number of counts that agree.  It then exits 1 when any row differs (a
+nonzero grid or PSL difference, an iteration count or stop reason that
+disagrees, or a count that disagrees), naming those rows on stderr, and 0
+when every row is identical.  A change that is not bit-identical states its tolerance with
 this one command.  ``--trials N`` runs N trials in every case
 instead of the case's fixed count; the digests then cover those trials.
 """
@@ -110,19 +112,18 @@ def stream(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(0, spawn_key=key))
 
 
-def sense_counts(package: str, trials: list[tuple]) -> np.ndarray:
-    """Hit counts, (pair, sensing SNR, arm), of default-point pairs."""
+def sense_counts(package: str, trials: list[tuple], n_targets: int = 1) -> np.ndarray:
+    """Hit counts, (pair, sensing SNR, arm), of default-point pairs with ``n_targets`` targets."""
     config = importlib.import_module(f"{package}.config")
     sensing = importlib.import_module(f"{package}.sensing")
-    cfg = config.ExperimentConfig()
-    cfar = cfg.cfar()
+    cfar = config.ExperimentConfig().cfar()
     counts = np.zeros((len(trials), len(SENSE_SNR_DB), 2), dtype=np.int64)
     for j, (_, reference, _, report) in enumerate(trials):
         for si, snr_db in enumerate(SENSE_SNR_DB):
             for ai, grid in enumerate((reference, report.grid)):
                 dp = sensing.detection_campaign([grid], snr_db, cfar, stream(j, si),
-                                                n_targets=cfg.n_targets)
-                counts[j, si, ai] = round(dp * cfg.n_targets)
+                                                n_targets=n_targets)
+                counts[j, si, ai] = round(dp * n_targets)
     return counts
 
 
@@ -205,7 +206,12 @@ def main(argv: list[str] | None = None) -> int:
             if name == "default":
                 pairs["pslwave_against"] = other
         print(line)
-    for name, counts in (("sense", sense_counts), ("ber", ber_counts)):
+    count_rows = (
+        ("sense", sense_counts),
+        ("sense-k3", lambda package, trials: sense_counts(package, trials, n_targets=3)),
+        ("ber", ber_counts),
+    )
+    for name, counts in count_rows:
         mine = counts("pslwave", pairs["pslwave"])
         sha = hashlib.sha256(mine.tobytes()).hexdigest()
         line = f"{name:<12} {mine.shape[0]:>2} {sha} {'-':>7} {'-':>5} {'-':>4}"

@@ -8,7 +8,11 @@ where Es_avg is the average energy of the grid's nonzero entries.
 
 BER campaigns compare a reference grid against its sidelobe-optimized
 counterpart on the same channel draw and the same noise realization, so the
-measured SNR penalty reflects only the symbol perturbation.
+measured SNR penalty reflects only the symbol perturbation.  Each step of a
+pair runs once for both arms: one ``channel_apply`` on the (2, 1, N, M) stack
+of the arms scales the shared unit noise once, per SNR point, and adds it
+to both noiseless receptions; one ``zf_equalize`` and one ``bit_errors``
+(a one-pass slicer, ``constellation.demodulate``) follow.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask, demodulate
-from .spectrum import SymbolGrid
+from .spectrum import SymbolGrid, snr_ratio
 
 __all__ = [
     "draw_channel",
@@ -35,16 +39,18 @@ def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:
 
 
 def channel_apply(
-    grid: SymbolGrid, h: np.ndarray, noise_std: float | np.ndarray, noise: np.ndarray
+    grid: SymbolGrid | np.ndarray, h: np.ndarray, noise_std: float | np.ndarray, noise: np.ndarray
 ) -> np.ndarray:
     """Received (..., N, K) array: per-subcarrier H @ x plus ``noise_std * noise``.
 
-    The noiseless H @ x is computed once and broadcast against ``noise_std``
-    and the unit-variance ``noise``: an (S, 1, 1) ``noise_std`` with (S, N, K)
-    noise gives S noisy copies.  The caller draws the noise, so the arms of a
-    comparison can share it.
+    ``grid`` is a ``SymbolGrid`` or an (..., N, M) stack of grids.  The
+    noiseless H @ x and ``noise_std * noise`` are each computed once and
+    broadcast against each other: an (S, 1, 1) ``noise_std`` with (S, N, K)
+    noise gives S noisy copies, and a (2, 1, N, M) stack of two grids with
+    them gives (2, S, N, K), both grids under the same scaled noise.  The
+    caller draws the noise, so the arms of a comparison can share it.
     """
-    return grid.symbols @ h.T + noise_std * noise
+    return np.asarray(grid) @ h.T + noise_std * noise
 
 
 def zf_equalize(received: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -94,18 +100,20 @@ def ber_campaign(
     The unit noise is written straight into the real and imaginary views of
     one complex array, each part times 1/sqrt(2): the rounding of
     (re + 1j*im) / sqrt(2).
-    The two arms' stacks are equalized together, (2, S, N, K), so each
-    channel draw costs one pseudoinverse.  An empty ``pairs`` or
-    ``snr_db_list`` is a ``ValueError``: there is no rate to report.  So is a
-    NaN or infinite SNR point.
+    Both arms go through one ``channel_apply`` as a (2, 1, N, M) stack, so
+    the noise is scaled once and each channel draw costs one pseudoinverse.
+    An empty ``pairs`` or ``snr_db_list`` is a ``ValueError``: there is no
+    rate to report.  So is an SNR point without a finite positive power
+    ratio (a NaN or infinite point, or one outside about -3230 .. 3080 dB), or one
+    whose noise level overflows.
     """
     if len(pairs) == 0:
         raise ValueError("ber_campaign needs at least one grid pair")
     n_snr = len(snr_db_list)
     if n_snr == 0:
         raise ValueError("ber_campaign needs at least one SNR point")
-    if not np.all(np.isfinite(snr_db_list)):
-        raise ValueError(f"SNR points must be finite, got {list(snr_db_list)}")
+    # scalar powers: numpy's array power can differ from them in the last bit
+    ratios = [snr_ratio(s) for s in snr_db_list]
     n_bits_total = sum(b.size for _, _, b in pairs)
     errors = {"original": np.zeros(n_snr), "optimized": np.zeros(n_snr)}
     for ref, opt, bits in pairs:
@@ -113,16 +121,16 @@ def ber_campaign(
         if n_rx < m:
             raise ValueError("zero forcing needs n_rx >= the number of transmit antennas")
         es_avg = ref.energy() / mask.n_used
+        sigma = np.array([np.sqrt(es_avg / r) for r in ratios])
+        if sigma.max() == np.inf:
+            raise ValueError(f"SNR point {min(snr_db_list)} dB gives an infinite noise level")
         h = draw_channel(rng, n_rx, m)
-        # scalar powers: numpy's array power can differ from them in the last bit
-        sigma = np.array([np.sqrt(es_avg / 10.0 ** (s / 10.0)) for s in snr_db_list])
         gauss = rng.standard_normal((n_snr, 2, n, n_rx))
         noise = np.empty((n_snr, n, n_rx), dtype=complex)
         np.multiply(gauss[:, 0], _INV_SQRT2, out=noise.real)
         np.multiply(gauss[:, 1], _INV_SQRT2, out=noise.imag)
-        rx = np.stack([
-            channel_apply(grid, h, sigma[:, None, None], noise) for grid in (ref, opt)
-        ])
+        arms = np.stack((ref.symbols, opt.symbols))[:, None]
+        rx = channel_apply(arms, h, sigma[:, None, None], noise)  # (2, S, N, K)
         counts = bit_errors(zf_equalize(rx, h), bits, spec, mask)  # (2, S)
         errors["original"] += counts[0]
         errors["optimized"] += counts[1]

@@ -11,7 +11,7 @@ import numpy as np
 from .constellation import ConstellationSpec, SubcarrierMask
 from .optimizer import OptimizerConfig
 from .sensing import MIN_SEPARATION, CfarConfig
-from .spectrum import LagWeights
+from .spectrum import LagWeights, snr_ratio
 
 __all__ = ["ExperimentConfig", "load_config", "trial_rng", "ConfigError"]
 
@@ -67,8 +67,13 @@ class ExperimentConfig:
             raise ConfigError("n_rx must be >= 1")
         for name in ("sense_snr_db", "ber_snr_db"):
             snr = getattr(self, name)
-            if len(snr) == 0 or not np.all(np.isfinite(snr)):
-                raise ConfigError(f"{name} must be a non-empty list of finite values")
+            if len(snr) == 0:
+                raise ConfigError(f"{name} must be a non-empty list")
+            for point in snr:
+                try:
+                    snr_ratio(point)  # a NaN or an infinity, or outside about -3230 .. 3080 dB
+                except ValueError as exc:
+                    raise ConfigError(f"{name}: {exc}") from exc
         n = self.n_subcarriers
         # SubcarrierMask.random leaves round(f * N) carriers of each antenna unused
         if not (0.0 <= self.unused_fraction < 1.0 and round(self.unused_fraction * n) < n):

@@ -14,12 +14,21 @@ reproducible:
 QAM points are left unnormalized (odd-integer coordinates) so the disc
 projector's radius ``eps_r = 2*rho`` applies literally; average-power scaling
 happens only where a transmit SNR is defined.
+
+Hard decisions (``demodulate``) take one pass: a closed-form slicer gives
+each entry the index of its decision region, and one cached region-to-bits
+table per (family, order) maps that index straight to bits.  The Gray step
+and the wrap of the PSK sector are folded into the table: its rows are the
+PSK sectors k = -Q/2 .. Q/2, offset by Q/2 (the first and last, the angles
+-pi and pi, carry the same bits), or the QAM level pairs, l_I * sqrt(Q) +
+l_Q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -149,26 +158,24 @@ def _bits_to_labels(bits: np.ndarray, bps: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _label_bits(bps: int) -> np.ndarray:
-    """Read-only (2**bps, bps) table: row l holds the bits of label l, MSB first."""
-    labels = np.arange(1 << bps)
+def _region_bits(family: str, order: int) -> np.ndarray:
+    """Read-only table of the bits, MSB first, that each decision region carries.
+
+    PSK has Q + 1 rows: row i is the sector k = i - Q/2, whose centre point
+    at 2*pi*(k + 0.5)/Q has the Gray label of k mod Q (rows 0 and Q, the
+    angles -pi and pi, are the same sector).  Square QAM has Q rows: row
+    l_I * sqrt(Q) + l_Q is the level pair (l_I, l_Q), labelled with the Gray
+    label of l_I on the high half of the bits and of l_Q on the low half.
+    """
+    bps = order.bit_length() - 1
+    if family == "psk":
+        labels = _gray((np.arange(order + 1) - order // 2) % order)
+    else:
+        levels = _gray(np.arange(isqrt(order)))
+        labels = ((levels[:, None] << (bps // 2)) | levels).ravel()
     bits = ((labels[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.int8)
     bits.setflags(write=False)
     return bits
-
-
-def _slice_labels(z: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
-    """Gray labels of the decision regions that hold the entries of z (see ``demodulate``)."""
-    q = spec.order
-    if spec.family == "psk":
-        # sector k, angles [2*pi*k/Q, 2*pi*(k+1)/Q), holds the point at 2*pi*(k+0.5)/Q
-        k = np.floor(np.arctan2(z.imag, z.real) * (q / (2.0 * np.pi))).astype(np.int64) % q
-        return _gray(k)
-    root = int(round(np.sqrt(q)))
-    # level l, at 2*l - (root-1), decides the axis interval [2*l - root, 2*l - root + 2)
-    levels = np.clip(np.floor((np.stack((z.real, z.imag)) + root) * 0.5), 0, root - 1)
-    li, lq = _gray(levels.astype(np.int64))
-    return (li << (spec.bits_per_symbol // 2)) | lq
 
 
 def modulate(
@@ -206,21 +213,36 @@ def demodulate(
 
     * PSK: the points have unit modulus, so the nearest one is the nearest
       in angle.  The entry's phase picks the sector
-      k = floor(angle * Q / (2*pi)) mod Q, whose centre is the point at
-      2*pi*(k + 0.5)/Q.
+      k = floor(angle * Q / (2*pi)), -Q/2 <= k <= Q/2, whose centre is the
+      point at 2*pi*(k + 0.5)/Q; its table row is k + Q/2.
     * Square QAM: the squared distance is a sum of one term per axis, so
       the nearest point takes the nearest PAM level on each axis,
-      l = clip(floor((x + sqrt(Q)) / 2), 0, sqrt(Q) - 1).
+      l = clip(floor((x + sqrt(Q)) / 2), 0, sqrt(Q) - 1); the pair's table
+      row is l_I * sqrt(Q) + l_Q.
 
     Both give the minimum-distance decision.  An exact tie, an entry
     on a decision boundary, goes to the higher region: the sector
     counterclockwise of the boundary for PSK (up to the round-off of the
-    entry's angle; the origin goes to sector 0), the higher level on that
-    axis for QAM.  Labels map to bits through a cached table.
+    entry's angle; the origin goes to the sector of angle 0, and the
+    negative real axis to the sector at pi whatever the sign of its zero
+    imaginary part), the higher level on that axis for QAM.  The region's
+    row of a cached region-to-bits table gives the bits.  A NaN entry has no
+    region: its index is out of the table's range and ``np.take`` raises
+    ``IndexError``.
     """
     z = np.swapaxes(np.asarray(grid), -1, -2)[..., mask.used.T]
+    q = spec.order
+    if spec.family == "psk":
+        region = np.arctan2(z.imag, z.real)
+        region *= q / (2.0 * np.pi)
+        np.floor(region, out=region)
+        region += q // 2
+    else:
+        root = isqrt(q)
+        levels = np.clip(np.floor((np.stack((z.real, z.imag)) + root) * 0.5), 0, root - 1)
+        region = levels[0] * root + levels[1]
     # np.take on the small table is far cheaper than fancy indexing it
-    bits = np.take(_label_bits(spec.bits_per_symbol), _slice_labels(z, spec), axis=0)
+    bits = np.take(_region_bits(spec.family, q), region.astype(np.intp), axis=0)
     return bits.reshape(*z.shape[:-1], -1)
 
 

@@ -35,17 +35,29 @@ cost per call is kept low:
   decide a hit: 19 at the default ``CfarConfig()``.  Per (N, p_fa, n_ref,
   n_guard) one cached table holds the inverse-DFT rows of the cells -h ..
   N - 1 + h, so the rows of a window are one zero-copy slice, and the three
-  CFAR kernels placed at the window's cells d - 1, d and d + 1.  A target
-  then costs one (2h + 1, N) x (N, M) product, the power of 2h + 1 cells and
-  a (3, 2h + 1) threshold product, instead of an N-point inverse FFT per
-  antenna and a full-profile CFAR.  The decision does not depend on the
-  profile's scale, so the rows omit the inverse DFT's 1/N and the power is
-  summed, not averaged, over the antennas.
-* ``matched_filter`` and ``cfar_detect`` are the full chain over all N
-  cells: the whole per-antenna delay profile and the detection mask of a
-  whole profile.  ``cfar_detect`` serves the false-alarm checks of
-  ``pslwave verify`` and acceptance criterion 6, and both are the reference
-  the tests hold the windowed receiver to.  ``cfar_detect`` keeps, per
+  CFAR kernels placed at the window's cells d - 1, d and d + 1.  The
+  decision does not depend on the profile's scale, so the rows omit the
+  inverse DFT's 1/N and the power is summed, not averaged, over the
+  antennas.
+* The receiver splits the filter of y = sum_t g_t * b(d_t) * beam + n by
+  linearity.  Over the window of its own delay d, a target's echo gives
+  g * W with W = rows[0 : 2h + 1] @ (beam[:, None] * conj(X)): the steering
+  b(d) only shifts the window, so W, (2h + 1) x M entries, is the same for
+  every delay and every trial of a grid.  The grid builds W on first use
+  and keeps it per h, as it keeps its energy (``SymbolGrid.copy`` starts
+  without it); nothing keeps X or conj(X).  A trial draws the stream of
+  ``synthesize_echo`` (delays, gains, then the (2, N) normals when the noise
+  level is nonzero) but filters only the noise, one (2h + 1, N) x (N, M)
+  product per target, and adds g * W: no beam, steering or echo per call.
+  With several targets, each target's filtered vector is the noise plus the
+  other targets' echoes.  An SNR point whose power ratio is not finite and
+  positive (``spectrum.snr_ratio``) is rejected before any draw.
+* ``synthesize_echo``, ``matched_filter`` and ``cfar_detect`` are the full
+  chain over all N cells: the whole received vector, the whole per-antenna
+  delay profile and the detection mask of a whole profile.
+  ``cfar_detect`` serves the false-alarm checks of ``pslwave verify`` and
+  acceptance criterion 6, and the three are the reference the tests hold
+  the windowed receiver to.  ``cfar_detect`` keeps, per
   (p_fa, n_ref, n_guard), the reference-window kernel already scaled by
   beta/(2*n_ref), so one convolution gives the threshold of every cell.
 """
@@ -58,7 +70,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import SymbolGrid
+from .spectrum import SymbolGrid, snr_ratio
 
 __all__ = [
     "CfarConfig",
@@ -215,6 +227,22 @@ def _window_tables(n: int, p_fa: float, n_ref: int, n_guard: int) -> tuple[np.nd
     return rows, thr
 
 
+def _echo_window(grid: SymbolGrid, h: int, rows: np.ndarray) -> np.ndarray:
+    """Read-only W = rows[0 : 2h + 1] @ (beam[:, None] * conj(X)), built once per grid and h.
+
+    ``rows[0 : 2h + 1]`` are the cells -h .. h, so W is the window of a unit
+    echo at delay 0, and of a unit echo at any delay d around d.
+    """
+    window = grid._echo_windows.get(h)
+    if window is None:
+        x = grid.symbols
+        beam = x @ _ones(x.shape[1])  # as synthesize_echo forms it
+        window = rows[: 2 * h + 1] @ (beam[:, None] * np.conj(x))
+        window.setflags(write=False)
+        grid._echo_windows[h] = window
+    return window
+
+
 def detection_campaign(
     grids: list[SymbolGrid],
     snr_db: float,
@@ -226,31 +254,52 @@ def detection_campaign(
 
     Each trial draws uniform target delays (pairwise separation at least
     MIN_SEPARATION bins, cyclically), then one unit-modulus random-phase gain
-    per target, and synthesizes the broadside echo at the given sensing SNR.
+    per target, and the noise of the broadside echo at the given sensing SNR.
     A target counts as detected when CA-CFAR on the noncoherent sum of the
     per-antenna matched-filter power profiles fires within one bin of its
     true delay.  Only the 2h + 1 cells around the delay that this decision
-    reads are filtered and tested (see the module docstring); the decisions
-    are those of ``matched_filter`` and ``cfar_detect`` on the whole profile.
+    reads are filtered and tested, and only the noise and the other targets'
+    echoes are filtered per trial (see the module docstring); the decisions
+    are those of ``synthesize_echo``, ``matched_filter`` and ``cfar_detect``
+    on the whole profile.  An SNR point without a finite positive power
+    ratio, or whose noise level overflows, is a ``ValueError``.
     Returns detections / (trials * n_targets).
     """
+    ratio = snr_ratio(snr_db)
     h = cfar.n_guard + cfar.n_ref + 1
+    span = 2 * h + 1
     hits = 0
     for grid in grids:
-        n, m = grid.symbols.shape
+        x = grid.symbols
+        n, m = x.shape
         cfar.check_profile_length(n)
         rows, thr = _window_tables(n, cfar.p_fa, cfar.n_ref, cfar.n_guard)
-        es_avg = grid.energy() / grid.symbols.size
-        sigma2 = m * es_avg / (10.0 ** (snr_db / 10.0))
+        window = _echo_window(grid, h, rows)
+        noise_std = float(np.sqrt(m * (grid.energy() / x.size) / ratio))
+        if noise_std == np.inf:
+            raise ValueError(f"SNR point {snr_db} dB gives an infinite noise level")
         delays = _draw_delays(rng, n, n_targets)
         # one draw of n_targets uniforms: the stream of n_targets scalar draws
         gains = np.exp(2j * np.pi * rng.random(n_targets))
-        y = synthesize_echo(grid, delays, gains, float(np.sqrt(sigma2)), rng)
-        prod = y[:, None] * np.conj(grid.symbols)
-        for d in delays.tolist():
-            z = rows[d : d + 2 * h + 1] @ prod
+        noise = np.zeros(n, dtype=complex)
+        if noise_std > 0:
+            # one draw, real parts first, as synthesize_echo draws it
+            g = rng.standard_normal((2, n))
+            g *= noise_std * _INV_SQRT2
+            noise.real = g[0]
+            noise.imag = g[1]
+        if n_targets < 2:  # a lone target hears the noise alone
+            heard = [noise]
+        else:
+            beam = x @ _ones(m)
+            echoes = np.stack([gain * beam * range_steer(n, d) for d, gain in zip(delays, gains)])
+            heard = noise + (1.0 - np.eye(n_targets)) @ echoes  # row t: the others' echoes
+        conj_x = np.conj(x)
+        for d, gain, v in zip(delays.tolist(), gains, heard):
+            z = rows[d : d + span] @ (v[:, None] * conj_x)
+            z += gain * window
             zf = z.view(float)
-            power = (zf * zf).sum(axis=1)  # re^2 + im^2 summed over the antennas
+            power = (zf * zf) @ _ones(2 * m)  # re^2 + im^2 summed over the antennas
             if (power[h - 1 : h + 2] > thr @ power).any():
                 hits += 1
     total = len(grids) * n_targets

@@ -22,6 +22,11 @@ arithmetic of the correlations (``correlation_values``), of the mean
 mainlobe and of the normalized PSL (``psl_db_of_peak``) also runs on plain
 arrays and floats, which the majorizer's per-run plan
 (``majorizer.MMPlan``) reads without building a tensor.
+
+``snr_ratio`` turns an SNR point in dB into the linear power ratio that the
+sensing and BER campaigns divide by, and rejects a point whose ratio is not
+a finite positive number (a NaN, or a point outside about -3230 .. 3080
+dB).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "sidelobes_vanish",
     "psl_db",
     "psl_db_of_peak",
+    "snr_ratio",
 ]
 
 # Window sidelobes count as zero when the peak is at most this many machine
@@ -58,11 +64,16 @@ class SymbolGrid:
     """N x M frequency-domain data symbols; column m belongs to antenna m.
 
     Treated as a value (nothing writes into ``symbols``), so it can keep the
-    energy that ``energy`` takes on first read.
+    energy that ``energy`` takes on first read, and the echo windows that
+    ``sensing.detection_campaign`` builds on first use, one per window
+    half-width h.  A ``copy`` starts with neither.
     """
 
     symbols: np.ndarray
     _energy: float | None = field(default=None, init=False, repr=False, compare=False)
+    _echo_windows: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.symbols = np.asarray(self.symbols, dtype=complex)
@@ -210,3 +221,15 @@ def psl_db_of_peak(eta: float, mainlobe: float) -> float:
     if sidelobes_vanish(eta, mainlobe):
         return -np.inf
     return 20.0 * np.log10(eta / mainlobe)
+
+
+def snr_ratio(snr_db: float) -> float:
+    """Linear power ratio 10**(snr_db/10) of an SNR point; a ``ValueError`` naming
+    the point unless the ratio is finite and positive."""
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:  # a Python float power overflows with an error, not inf
+        ratio = np.inf
+    if not 0.0 < ratio < np.inf:
+        raise ValueError(f"SNR point {snr_db} dB has no finite positive power ratio")
+    return ratio

@@ -8,10 +8,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 # the script's block counts are fixed; this run shrinks them to two pairs of one
-# trial and one sweep by setting the module constants before main
+# trial, one sweep and one BER campaign by setting the module constants before main
 RUN = (
     "import sys; sys.path.insert(0, sys.argv[1]); import ab_time; "
-    "ab_time.BLOCKS, ab_time.TRIALS, ab_time.SWEEPS = 2, 1, 1; "
+    "ab_time.BLOCKS, ab_time.TRIALS, ab_time.SWEEPS, ab_time.CAMPAIGNS = 2, 1, 1, 1; "
     "raise SystemExit(ab_time.main(sys.argv[2:]))"
 )
 
@@ -28,12 +28,14 @@ def test_a_tree_against_itself():
     assert lines[2].split() == [
         "timing", "per", "this_min", "this_med", "vs_min", "vs_med", "ratio", "faster"
     ]
-    # one row per timing: optimize trials, then the detection sweeps
-    for line, timing in zip(lines[3:5], (("optimize", "trial"), ("sweep", "sweep"))):
+    # one row per timing: optimize trials, the detection sweeps, the BER campaigns
+    timings = (("optimize", "trial"), ("sweep", "sweep"), ("ber", "campaign"))
+    assert len(lines) == 3 + len(timings) + 1
+    for line, timing in zip(lines[3:6], timings):
         name, per, this_min, this_med, vs_min, vs_med, ratio, faster = line.split()
         assert (name, per) == timing
         assert 0.0 < float(this_min) <= float(this_med)
         assert 0.0 < float(vs_min) <= float(vs_med)
         assert float(ratio) > 0.0
         assert 0 <= int(faster) <= 2
-    assert "over 2 pairs of blocks of 1 trials and 1 sweeps" in lines[5]
+    assert "over 2 pairs of blocks of 1 trials, 1 sweeps and 1 campaigns" in lines[6]

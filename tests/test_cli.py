@@ -395,6 +395,9 @@ class TestCliCommands:
             pytest.param("ber", "comms", "ber_snr_db =", id="comms-ber_snr_db-empty"),
             pytest.param("sense", "sensing", "sense_snr_db = 0 nan", id="sensing-sense_snr_db-nan"),
             pytest.param("ber", "comms", "ber_snr_db = 10 inf", id="comms-ber_snr_db-inf"),
+            # finite, but 10**(snr/10) overflows or underflows to 0
+            pytest.param("sense", "sensing", "sense_snr_db = 4000", id="sensing-sense_snr_db-4000"),
+            pytest.param("ber", "comms", "ber_snr_db = -4000", id="comms-ber_snr_db--4000"),
             pytest.param("sense", "sensing", "cfar_n_guard = -1", id="sensing-cfar_n_guard--1"),
             pytest.param("optimize", "optimizer", "p = 2.5", id="optimizer-p-not-int"),
             pytest.param("optimize", "constellation", "rho = abc", id="constellation-rho-not-float"),

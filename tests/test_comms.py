@@ -45,6 +45,23 @@ class TestChannel:
         assert np.allclose(rx, 0.5)
 
 
+    @pytest.mark.parametrize("k,m", [(2, 2), (4, 4), (8, 4)])
+    def test_stack_of_arms_equals_per_arm_calls(self, k, m):
+        # a (2, 1, N, M) stack under (S, 1, 1) noise levels gives (2, S, N, K),
+        # each arm bit-identical to its own call
+        rng = np.random.default_rng(94)
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.all_used(16, m)
+        arms = [random_reference_grid(rng, spec, mask)[0] for _ in range(2)]
+        h = draw_channel(rng, k, m)
+        sigma = np.array([0.1, 0.5, 2.0])[:, None, None]
+        noise = rng.standard_normal((3, 16, k)) + 1j * rng.standard_normal((3, 16, k))
+        rx = channel_apply(np.stack([a.symbols for a in arms])[:, None], h, sigma, noise)
+        assert rx.shape == (2, 3, 16, k)
+        for a, arm in enumerate(arms):
+            assert np.array_equal(rx[a], channel_apply(arm, h, sigma, noise))
+
+
 class TestZeroForcing:
     def test_perfect_recovery_without_noise(self):
         rng = np.random.default_rng(93)
@@ -189,6 +206,22 @@ class TestBerStatistics:
         grid, bits = random_reference_grid(rng, spec, mask)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="SNR"):
+            ber_campaign([(grid, grid.copy(), bits)], [10.0, bad], spec, mask, rng, n_rx=2)
+        assert rng.bit_generator.state == state  # rejected before any draw
+
+    @pytest.mark.parametrize("bad,match", [
+        (4000.0, "SNR point 4000.0 dB has no finite positive power ratio"),
+        (-4000.0, "SNR point -4000.0 dB has no finite positive power ratio"),
+        # 10**(-323) is a positive double, but Es / 10**(-323) is not finite
+        (-3230.0, "SNR point -3230.0 dB gives an infinite noise level"),
+    ])
+    def test_campaign_rejects_a_point_without_a_finite_noise_level(self, bad, match):
+        rng = np.random.default_rng(106)
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.all_used(32, 2)
+        grid, bits = random_reference_grid(rng, spec, mask)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
             ber_campaign([(grid, grid.copy(), bits)], [10.0, bad], spec, mask, rng, n_rx=2)
         assert rng.bit_generator.state == state  # rejected before any draw
 

@@ -6,8 +6,7 @@ import pytest
 from pslwave.constellation import (
     ConstellationSpec,
     SubcarrierMask,
-    _label_bits,
-    _slice_labels,
+    _region_bits,
     demodulate,
     modulate,
     orthogonal_interleaved_grid,
@@ -15,6 +14,32 @@ from pslwave.constellation import (
     sum_rate_loss,
 )
 from pslwave.spectrum import cyclic_correlations
+
+
+def formula_bits(z, spec):
+    """Hard-decision bits, (..., entries, bits), of z by the slicer as first written:
+    the PSK sector taken mod Q or the QAM level of each axis, Gray-labelled,
+    then the label's bits (MSB first) read by fancy indexing."""
+    q, bps = spec.order, spec.bits_per_symbol
+
+    def gray(k):
+        return k ^ (k >> 1)
+
+    if spec.family == "psk":
+        k = np.floor(np.arctan2(z.imag, z.real) * (q / (2.0 * np.pi))).astype(np.int64) % q
+        labels = gray(k)
+    else:
+        root = int(round(np.sqrt(q)))
+        levels = np.clip(np.floor((np.stack((z.real, z.imag)) + root) * 0.5), 0, root - 1)
+        li, lq = gray(levels.astype(np.int64))
+        labels = (li << (bps // 2)) | lq
+    table = ((np.arange(q)[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.int8)
+    return table[labels]
+
+
+def demodulate_entries(z, spec):
+    """``demodulate`` of a 1-D array of entries, as one all-used single-antenna grid."""
+    return demodulate(z[:, None], spec, SubcarrierMask.all_used(z.size, 1)).reshape(z.size, -1)
 
 
 class TestConstellationSpec:
@@ -92,8 +117,9 @@ class TestModulation:
 
     @pytest.mark.parametrize("family,order", [("psk", 4), ("psk", 8), ("qam", 16), ("qam", 64)])
     def test_table_read_matches_fancy_indexing(self, family, order):
-        # demodulate reads the label-to-bits table with np.take; fancy indexing
-        # the same table with the same labels gives the same bits
+        # demodulate reads one region-to-bits table with np.take; the slicer as
+        # first written (Gray labels, then a label-to-bits table read by fancy
+        # indexing) gives the same bits on a noisy (2, 3, N, M) stack
         rng = np.random.default_rng(7)
         spec = ConstellationSpec(family, order)
         mask = SubcarrierMask.random(rng, 64, 4, 0.1)
@@ -102,8 +128,7 @@ class TestModulation:
             rng.standard_normal((2, 3, 64, 4)) + 1j * rng.standard_normal((2, 3, 64, 4))
         )
         z = np.swapaxes(noisy, -1, -2)[..., mask.used.T]
-        old = _label_bits(spec.bits_per_symbol)[_slice_labels(z, spec)]
-        old = old.reshape(*z.shape[:-1], -1)
+        old = formula_bits(z, spec).reshape(*z.shape[:-1], -1)
         got = demodulate(noisy, spec, mask)
         assert got.dtype == old.dtype
         assert np.array_equal(got, old)
@@ -147,6 +172,62 @@ class TestModulation:
         assert grid.symbols[1, 0] == pytest.approx(spec.points[0b01])
         assert grid.symbols[0, 1] == pytest.approx(spec.points[0b11])
         assert grid.symbols[1, 1] == pytest.approx(spec.points[0b10])
+
+
+class TestRegionBits:
+    """The region-to-bits tables against the slicer as first written, on
+    random entries and on entries exactly on the decision boundaries."""
+
+    @pytest.mark.parametrize("order", [2, 4, 8, 16, 64])
+    def test_psk(self, order):
+        spec = ConstellationSpec("psk", order)
+        table = _region_bits("psk", order)
+        assert table.shape == (order + 1, spec.bits_per_symbol)
+        assert not table.flags.writeable
+        # row i is sector i - Q/2, which holds the point at 2*pi*(i - Q/2 + 0.5)/Q
+        centres = np.exp(2j * np.pi * (np.arange(order + 1) - order // 2 + 0.5) / order)
+        assert np.array_equal(table, formula_bits(centres, spec))
+        # the boundaries k * 2*pi/Q, k = -Q/2 .. Q/2, and their neighbours in
+        # angle; the negative real axis with +0 and -0 imaginary parts (angles
+        # pi and -pi); the origin with every sign of zero
+        k = np.arange(-order // 2, order // 2 + 1)
+        angles = 2 * np.pi * k / order
+        angles = np.concatenate((angles, np.nextafter(angles, 4.0), np.nextafter(angles, -4.0)))
+        zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        radii = np.random.default_rng(order).standard_normal(200)
+        z = np.concatenate((
+            np.exp(1j * angles), 3.0 * np.exp(1j * angles),
+            [complex(-1.0, 0.0), complex(-1.0, -0.0), -1e-300 + 0j], zeros,
+            radii * np.exp(2j * np.pi * np.arange(200) / 200),
+        ))
+        got = demodulate_entries(z, spec)
+        assert np.array_equal(got, formula_bits(z, spec))
+        # the origin and the positive real axis go to sector 0, the point at pi/Q
+        for entry in (0j, 1 + 0j):
+            got = demodulate_entries(np.array([entry]), spec)[0]
+            assert np.array_equal(got, table[order // 2])
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_qam(self, order):
+        spec = ConstellationSpec("qam", order)
+        table = _region_bits("qam", order)
+        assert table.shape == (order, spec.bits_per_symbol)
+        assert not table.flags.writeable
+        root = int(round(np.sqrt(order)))
+        # row li * root + lq is the level pair (li, lq): the point
+        # (2*li - (root - 1)) + 1j * (2*lq - (root - 1))
+        li, lq = np.divmod(np.arange(order), root)
+        points = (2 * li - (root - 1)) + 1j * (2 * lq - (root - 1))
+        assert np.array_equal(table, formula_bits(points, spec))
+        # every level edge 2*l - root, l = 0 .. root, on both axes and in
+        # pairs, with their float neighbours, values beyond the outer levels,
+        # and the origin
+        edges = 2.0 * np.arange(root + 1) - root
+        axis = np.concatenate((edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                               [0.0, -0.0, root + 7.5, -root - 7.5]))
+        z = (axis[:, None] + 1j * axis[None, :]).ravel()
+        got = demodulate_entries(z, spec)
+        assert np.array_equal(got, formula_bits(z, spec))
 
 
 class TestSubcarrierMask:

@@ -403,5 +403,86 @@ class TestWindowedReceiver:
 
     def test_nan_snr_raises(self):
         grid = self._grids(np.random.default_rng(91), 64, 2, 1)[0]
-        with pytest.raises(ValueError, match="noise_std"):
+        with pytest.raises(ValueError, match="SNR point nan dB"):
             detection_campaign([grid], float("nan"), CfarConfig(), np.random.default_rng(92))
+
+
+class TestEchoWindow:
+    """A target's own echo enters its window as gain * W, W kept on the grid per h."""
+
+    @staticmethod
+    def _grid(seed, n, m):
+        rng = np.random.default_rng(seed)
+        mask = SubcarrierMask.random(rng, n, m, 0.05)
+        return random_reference_grid(rng, ConstellationSpec("psk", 4), mask)[0]
+
+    @pytest.mark.parametrize("cfar", WINDOW_CONFIGS, ids=WINDOW_IDS)
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("short", [False, True], ids=["n128", "shortest"])
+    def test_window_is_the_unit_echo_at_delay_0(self, cfar, m, short):
+        # N times the matched filter of a noise-free unit echo at delay 0, at cells -h .. h
+        n = 2 * (cfar.n_ref + cfar.n_guard) + 1 if short else 128
+        h = cfar.n_guard + cfar.n_ref + 1
+        grid = self._grid(600 + m, n, m)
+        detection_campaign([grid], 0.0, cfar, np.random.default_rng(601))
+        window = grid._echo_windows[h]
+        assert window.shape == (2 * h + 1, m)
+        assert not window.flags.writeable
+        echo = synthesize_echo(grid, [0], [1.0], 0.0, np.random.default_rng(602))
+        cells = np.arange(-h, h + 1) % n
+        expect = n * matched_filter(echo, grid)[cells]
+        assert np.max(np.abs(window - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_window_is_built_once_per_h(self):
+        grid = self._grid(610, 128, 4)
+        cfar = CfarConfig()
+        h = cfar.n_guard + cfar.n_ref + 1
+        detection_campaign([grid], 0.0, cfar, np.random.default_rng(611))
+        window = grid._echo_windows[h]
+        detection_campaign([grid], 5.0, cfar, np.random.default_rng(612), n_targets=2)
+        assert grid._echo_windows[h] is window
+        assert list(grid._echo_windows) == [h]
+
+    def test_two_windows_on_one_grid_list_interleaved(self):
+        # the same grid objects under two CFAR windows of different h, in turn:
+        # each keeps both windows and every decision is the full chain's
+        wide, narrow = CfarConfig(), CfarConfig(p_fa=1e-2, n_ref=1, n_guard=0)
+        grids = [self._grid(620 + i, 128, 4) for i in range(12)]
+        total = 0
+        for snr_db in SWEEP_DB:
+            for k, cfar in enumerate((wide, narrow, wide)):
+                for n_targets in (1, 3):
+                    seed = 630 + 7 * k + n_targets
+                    expect = full_chain_hits(grids, snr_db, cfar, np.random.default_rng(seed),
+                                             n_targets)
+                    stream = np.random.default_rng(seed)
+                    got = [round(detection_campaign([g], snr_db, cfar, stream, n_targets)
+                                 * n_targets) for g in grids]
+                    assert got == expect, (snr_db, cfar)
+                    total += sum(expect)
+        assert 0 < total < len(SWEEP_DB) * 3 * len(grids) * (1 + 3)
+        for grid in grids:
+            assert sorted(grid._echo_windows) == [2, 9]
+
+    def test_a_copy_or_a_new_grid_starts_without_windows(self):
+        grid = self._grid(640, 64, 2)
+        detection_campaign([grid], 0.0, CfarConfig(), np.random.default_rng(641))
+        assert grid._echo_windows
+        for other in (grid.copy(), SymbolGrid(grid.symbols)):
+            assert other._echo_windows == {}
+        assert "_echo_windows" not in repr(grid)
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, float("inf")])
+    def test_snr_point_without_a_power_ratio_raises(self, snr_db):
+        grid = self._grid(650, 64, 2)
+        rng = np.random.default_rng(651)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"SNR point {snr_db} dB"):
+            detection_campaign([grid], snr_db, CfarConfig(), rng)
+        assert rng.bit_generator.state == state  # rejected before any draw
+
+    def test_overflowing_noise_level_raises(self):
+        # 10**(-323) is a positive double, but the noise variance over it is not finite
+        grid = self._grid(660, 64, 2)
+        with pytest.raises(ValueError, match="infinite noise level"):
+            detection_campaign([grid], -3230.0, CfarConfig(), np.random.default_rng(661))
