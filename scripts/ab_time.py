@@ -27,8 +27,13 @@ blocks; in each block a side runs its optimize trials, its sweeps, then its
 BER campaigns.  The side that goes first alternates from pair to pair.  It
 prints one row per timing: each side's min and median time (µs per trial,
 sweep or campaign) over its blocks, the median over the pairs of the ratio
-(this tree / DIR), which is below 1 when this tree is faster, and the number
-of pairs in which this tree was faster.
+(this tree / DIR), which is below 1 when this tree is faster, the number
+of pairs in which this tree was faster, and each side's median over its
+blocks of minor page faults per call (``getrusage`` ``ru_minflt``; both
+sides share the process, so each block's count is its own).
+
+BLAS and OpenMP run one thread, as in ``perfbench/run.py``: the script sets
+their thread variables before it imports numpy.
 
 The block counts are fixed.  Both sides share one process and take turns,
 so they see the same host state: separate processes on a shared host can
@@ -41,12 +46,19 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
+import resource
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
+# BLAS pinned to one thread, as perfbench/run.py runs it; must precede the numpy import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from seeded_digest import BER_SNR_DB, SENSE_SNR_DB, SRC, load_package
+import numpy as np  # noqa: E402
+
+from seeded_digest import BER_SNR_DB, SENSE_SNR_DB, SRC, load_package  # noqa: E402
 
 # pairs of timed blocks, and optimize trials, detection sweeps and BER campaigns per block
 BLOCKS = 40
@@ -121,6 +133,11 @@ def ber_runner(package: str):
     return run
 
 
+def minor_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=SRC, help="directory holding pslwave")
@@ -140,24 +157,29 @@ def main(argv: list[str] | None = None) -> int:
         for _, _, run, count in side:
             run(0, count)
     per_call = np.zeros((len(timings[0]), BLOCKS, 2))  # µs per call, (timing, pair, side)
+    faults = np.zeros_like(per_call)  # minor page faults per call
     for b in range(BLOCKS):
         for side in ((0, 1) if b % 2 == 0 else (1, 0)):
             for i, (_, _, run, count) in enumerate(timings[side]):
+                flt = minor_faults()
                 start = perf_counter()
                 run(b * count, count)
                 per_call[i, b, side] = (perf_counter() - start) / count * 1e6
+                faults[i, b, side] = (minor_faults() - flt) / count
     print(f"this:    {args.src}")
     print(f"against: {args.against}")
     print(f"{'timing':<9} {'per':<8} {'this_min':>9} {'this_med':>9} {'vs_min':>9} {'vs_med':>9}"
-          f" {'ratio':>6} {'faster':>6}")
+          f" {'ratio':>6} {'faster':>6} {'this_flt':>8} {'vs_flt':>8}")
     for i, (name, per, _, _) in enumerate(timings[0]):
         this, against = per_call[i, :, 0], per_call[i, :, 1]
         ratio = this / against
         print(f"{name:<9} {per:<8} {this.min():9.1f} {np.median(this):9.1f} {against.min():9.1f}"
-              f" {np.median(against):9.1f} {np.median(ratio):6.3f} {int(np.sum(ratio < 1.0)):6d}")
+              f" {np.median(against):9.1f} {np.median(ratio):6.3f} {int(np.sum(ratio < 1.0)):6d}"
+              f" {np.median(faults[i, :, 0]):8.2f} {np.median(faults[i, :, 1]):8.2f}")
     print(f"µs per call; ratio is the median of this / against over {BLOCKS} pairs of blocks"
           f" of {TRIALS} trials, {SWEEPS} sweeps and {CAMPAIGNS} campaigns;"
-          f" faster counts the pairs this tree won")
+          f" faster counts the pairs this tree won; flt is each side's median of minor page"
+          f" faults per call")
     return 0
 
 

@@ -14,9 +14,9 @@ digests by design shows what it did to the results.  ``--src`` names the
 directory holding the ``pslwave`` package (default: this checkout's
 ``src/``).
 
-Two more rows follow, over the pairs of the ``default`` case (reference
-grid, optimized grid), as the ``evaluate`` benchmark workload sweeps them
-with seed 0:
+Count rows follow, over the pairs (reference grid, optimized grid) of the
+``default`` case unless named otherwise, as the ``evaluate`` benchmark
+workload sweeps them with seed 0:
 
 * ``sense``: the hit count of one ``detection_campaign`` trial per pair,
   sensing SNR and arm, each from ``SeedSequence(0, spawn_key=(j, si))``
@@ -24,7 +24,10 @@ with seed 0:
 * ``sense-k3``: the same with three targets per trial, so the other
   targets' echoes enter each target's window;
 * ``ber``: the bit-error count per pair, BER SNR and arm of one
-  ``ber_campaign`` per pair, from ``SeedSequence(0, spawn_key=(j, 10**6))``.
+  ``ber_campaign`` per pair, from ``SeedSequence(0, spawn_key=(j, 10**6))``;
+* ``ber-qam16``: the same over the pairs of the ``qam16-64x2`` case at 11
+  SNRs from -4 to 16 dB, where 16-QAM makes errors, so the QAM branch of
+  the BER pass is pinned too.
 
 Their digest covers the counts as int64.
 
@@ -32,8 +35,8 @@ Their digest covers the counts as int64.
 ``DIR`` as well (both trees are imported side by side in one process) and
 prints, per case, the largest entrywise |grid difference|, the largest
 |difference of psl_db_after| (dB) and the number of trials whose iteration
-count and stop reason agree; for ``sense``, ``sense-k3`` and ``ber``,
-the number of counts that agree.  It then exits 1 when any row differs (a
+count and stop reason agree; for each count row, the number of counts
+that agree.  It then exits 1 when any row differs (a
 nonzero grid or PSL difference, an iteration count or stop reason that
 disagrees, or a count that disagrees), naming those rows on stderr, and 0
 when every row is identical.  A change that is not bit-identical states its tolerance with
@@ -70,6 +73,8 @@ CASES = (
 # the SNR grids of the evaluate workload (perfbench/workloads.py)
 SENSE_SNR_DB = tuple(float(s) for s in np.arange(-8.0, 2.5, 1.0))
 BER_SNR_DB = tuple(float(s) for s in np.arange(16.0, 36.5, 2.0))
+# 16-QAM makes almost no errors on BER_SNR_DB; the ber-qam16 row reads 20 dB lower
+QAM_BER_SNR_DB = tuple(float(s) for s in np.arange(-4.0, 16.5, 2.0))
 
 
 def load_package(src: Path, name: str):
@@ -127,15 +132,16 @@ def sense_counts(package: str, trials: list[tuple], n_targets: int = 1) -> np.nd
     return counts
 
 
-def ber_counts(package: str, trials: list[tuple]) -> np.ndarray:
-    """Bit-error counts, (pair, BER SNR, arm), of default-point pairs."""
+def ber_counts(package: str, trials: list[tuple], overrides: dict | None = None,
+               snr_db: tuple[float, ...] = BER_SNR_DB) -> np.ndarray:
+    """Bit-error counts, (pair, BER SNR, arm), of the pairs of the case with ``overrides``."""
     config = importlib.import_module(f"{package}.config")
     comms = importlib.import_module(f"{package}.comms")
-    cfg = config.ExperimentConfig()
+    cfg = config.ExperimentConfig(**(overrides or {}))
     spec = cfg.constellation()
-    counts = np.zeros((len(trials), len(BER_SNR_DB), 2), dtype=np.int64)
+    counts = np.zeros((len(trials), len(snr_db), 2), dtype=np.int64)
     for j, (mask, reference, bits, report) in enumerate(trials):
-        ber = comms.ber_campaign([(reference, report.grid, bits)], list(BER_SNR_DB), spec,
+        ber = comms.ber_campaign([(reference, report.grid, bits)], list(snr_db), spec,
                                  mask, stream(j, 10**6), n_rx=cfg.n_rx)
         for ai, arm in enumerate(("original", "optimized")):
             counts[j, :, ai] = np.round(ber[arm] * bits.size)
@@ -185,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.against is not None:
         head += f" {'max|dgrid|':>10} {'max|dpsl|dB':>11} {'same_iter_stop':>14}"
     print(head)
-    pairs = {}  # the default case's trials, per package
+    pairs = {}  # per (case, package): the trials of the cases the count rows read
     differ = []  # names of the rows that differ from --against
     for name, overrides, trials in CASES:
         trials = args.trials or trials
@@ -195,28 +201,33 @@ def main(argv: list[str] | None = None) -> int:
         iterations = np.array([r.iterations for r in reports])
         line = (f"{name:<12} {trials:>2} {digest(reports)} {np.median(gains):7.2f}"
                 f" {np.mean(gains >= 3.0):5.0%} {np.median(iterations):4.1f}")
-        if name == "default":
-            pairs["pslwave"] = out
+        if name in ("default", "qam16-64x2"):
+            pairs[name, "pslwave"] = out
         if args.against is not None:
             other = run_case("pslwave_against", overrides, trials)
             d_grid, d_psl, same = difference(reports, [r for *_, r in other])
             line += f" {d_grid:10.1e} {d_psl:11.1e} {f'{same}/{trials}':>14}"
             if d_grid != 0.0 or d_psl != 0.0 or same < trials:
                 differ.append(name)
-            if name == "default":
-                pairs["pslwave_against"] = other
+            if name in ("default", "qam16-64x2"):
+                pairs[name, "pslwave_against"] = other
         print(line)
+    qam16 = next(overrides for name, overrides, _ in CASES if name == "qam16-64x2")
+    # (row name, case whose pairs it reads, counts of a package's trials)
     count_rows = (
-        ("sense", sense_counts),
-        ("sense-k3", lambda package, trials: sense_counts(package, trials, n_targets=3)),
-        ("ber", ber_counts),
+        ("sense", "default", sense_counts),
+        ("sense-k3", "default", lambda package, trials: sense_counts(package, trials, n_targets=3)),
+        ("ber", "default", ber_counts),
+        ("ber-qam16", "qam16-64x2",
+         lambda package, trials: ber_counts(package, trials, qam16, QAM_BER_SNR_DB)),
     )
-    for name, counts in count_rows:
-        mine = counts("pslwave", pairs["pslwave"])
+    for name, case, counts in count_rows:
+        mine = counts("pslwave", pairs[case, "pslwave"])
         sha = hashlib.sha256(mine.tobytes()).hexdigest()
         line = f"{name:<12} {mine.shape[0]:>2} {sha} {'-':>7} {'-':>5} {'-':>4}"
         if args.against is not None:
-            same = int(np.count_nonzero(mine == counts("pslwave_against", pairs["pslwave_against"])))
+            theirs = counts("pslwave_against", pairs[case, "pslwave_against"])
+            same = int(np.count_nonzero(mine == theirs))
             line += f" {'-':>10} {'-':>11} {f'{same}/{mine.size}':>14}"
             if same < mine.size:
                 differ.append(name)

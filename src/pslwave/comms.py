@@ -8,19 +8,44 @@ where Es_avg is the average energy of the grid's nonzero entries.
 
 BER campaigns compare a reference grid against its sidelobe-optimized
 counterpart on the same channel draw and the same noise realization, so the
-measured SNR penalty reflects only the symbol perturbation.  Each step of a
-pair runs once for both arms: one ``channel_apply`` on the (2, 1, N, M) stack
-of the arms scales the shared unit noise once, per SNR point, and adds it
-to both noiseless receptions; one ``zf_equalize`` and one ``bit_errors``
-(a one-pass slicer, ``constellation.demodulate``) follow.
+measured SNR penalty reflects only the symbol perturbation.
+
+``channel_apply``, ``zf_equalize`` and ``bit_errors`` (over
+``constellation.demodulate``) are the reference chain.  ``ber_campaign``
+runs the same arithmetic, operation for operation, as one fused pass per
+pair whose large intermediates all live in a reused workspace:
+
+* Workspace.  The unit noise, the noisy reception of the (2, 1, N, M) stack
+  of both arms, the ZF estimate, the region indices and the error lookup
+  live in preallocated arrays, one ``_Workspace`` per shape
+  (n_snr, N, n_rx, M).  Each thread keeps the workspace of its last
+  campaign and reuses it while the shape stays the same, so campaigns
+  running at the same time in other threads never share one.  Every step
+  writes into it with ``out=``: the standard normal draw, the scaling, both
+  products and the slicer.
+* Bit errors.  The slicer that ``demodulate`` uses
+  (``constellation._decision_regions``) gives every entry of the estimate
+  its decision region, and a cached table of bit errors per (region, sent
+  label) (``constellation._error_table``, built from the region-to-bits
+  table) counts them; unused entries read its zero column.  No bits are
+  expanded or compared.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-from .constellation import ConstellationSpec, SubcarrierMask, demodulate
-from .spectrum import SymbolGrid, snr_ratio
+from .constellation import (
+    ConstellationSpec,
+    SubcarrierMask,
+    _bits_to_labels,
+    _decision_regions,
+    _error_table,
+    demodulate,
+)
+from .spectrum import SymbolGrid, noise_level, snr_ratio
 
 __all__ = [
     "draw_channel",
@@ -79,6 +104,82 @@ def bit_errors(
     return int(counts) if counts.ndim == 0 else counts
 
 
+class _Workspace:
+    """The arrays of one ``ber_campaign`` pass for a shape (n_snr, N, n_rx, M).
+
+    Every large intermediate of a pair is written into these; a warm
+    campaign allocates only numpy's transient iterator buffers.
+    """
+
+    def __init__(self, n_snr: int, n: int, n_rx: int, m: int):
+        self.shape = (n_snr, n, n_rx, m)
+        stack = (2, n_snr, n, m)  # arm, SNR point, sub-carrier, antenna
+        self.gauss = np.empty((n_snr, 2, n, n_rx))
+        self.noise = np.empty((n_snr, n, n_rx), dtype=complex)
+        self.arms = np.empty((2, 1, n, m), dtype=complex)
+        self.signal = np.empty((2, 1, n, n_rx), dtype=complex)
+        self.received = np.empty((2, n_snr, n, n_rx), dtype=complex)
+        self.estimate = np.empty(stack, dtype=complex)
+        self.region = np.empty(stack)
+        self.spare = np.empty(stack)  # QAM's imaginary levels
+        self.index = np.empty(stack, dtype=np.intp)
+        self.errors = np.empty(stack, dtype=np.uint8)
+        self.labels = np.empty((n, m))
+
+
+# each thread keeps the workspace of its last campaign, so threads never share one
+_LOCAL = threading.local()
+
+
+def _workspace(shape: tuple[int, int, int, int]) -> _Workspace:
+    ws = getattr(_LOCAL, "ws", None)
+    if ws is None or ws.shape != shape:
+        ws = _LOCAL.ws = _Workspace(*shape)
+    return ws
+
+
+def _pair_errors(
+    ws: _Workspace,
+    ref: SymbolGrid,
+    opt: SymbolGrid,
+    bits: np.ndarray,
+    sigma: np.ndarray,
+    spec: ConstellationSpec,
+    mask: SubcarrierMask,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """(2, n_snr) bit errors of one pair: the reference chain, written into ``ws``.
+
+    Draws the channel, then the unit noise, from ``rng``, and runs
+    ``channel_apply`` -> ``zf_equalize`` -> ``bit_errors`` on the stack of
+    both arms, operation for operation, so the counts are the same.  The
+    slicer gives every entry its region, used or not; ``_error_table`` at
+    (region, sent label) counts its bit errors, and unused entries carry the
+    label Q, whose column is zero.
+    """
+    q = spec.order
+    n_rx, n_tx = ws.shape[2:]
+    h = draw_channel(rng, n_rx, n_tx)
+    rng.standard_normal(out=ws.gauss)
+    np.multiply(ws.gauss[:, 0], _INV_SQRT2, out=ws.noise.real)
+    np.multiply(ws.gauss[:, 1], _INV_SQRT2, out=ws.noise.imag)
+    np.multiply(sigma[:, None, None], ws.noise, out=ws.noise)
+    ws.arms[0, 0] = ref.symbols
+    ws.arms[1, 0] = opt.symbols
+    np.matmul(ws.arms, h.T, out=ws.signal)
+    np.add(ws.signal, ws.noise, out=ws.received)
+    np.matmul(ws.received.reshape(-1, n_rx), np.linalg.pinv(h).T,
+              out=ws.estimate.reshape(-1, n_tx))
+    region = _decision_regions(ws.estimate, spec.family, q, ws.region, ws.spare)
+    ws.labels.fill(q)
+    ws.labels.T[mask.used.T] = _bits_to_labels(bits, spec.bits_per_symbol)
+    region *= q + 1
+    region += ws.labels
+    np.copyto(ws.index, region, casting="unsafe")
+    np.take(_error_table(spec.family, q), ws.index, out=ws.errors)
+    return ws.errors.sum(axis=(2, 3))
+
+
 def ber_campaign(
     pairs: list[tuple[SymbolGrid, SymbolGrid, np.ndarray]],
     snr_db_list: list[float],
@@ -91,8 +192,8 @@ def ber_campaign(
 
     Both arms of each pair share the channel draw and the noise realization
     at every SNR point.  Es_avg is measured on the reference grid; sigma_n is
-    set per SNR point as sqrt(Es_avg / snr).  Returns arrays of BER per SNR
-    for keys "original" and "optimized".
+    set per SNR point as sqrt(Es_avg / snr) (``spectrum.noise_level``).
+    Returns arrays of BER per SNR for keys "original" and "optimized".
 
     All SNR points of a pair are processed as one (S, N, K) stack.  Their
     noise is drawn at once as (S, 2, N, K) standard normals, which consumes
@@ -100,11 +201,15 @@ def ber_campaign(
     The unit noise is written straight into the real and imaginary views of
     one complex array, each part times 1/sqrt(2): the rounding of
     (re + 1j*im) / sqrt(2).
-    Both arms go through one ``channel_apply`` as a (2, 1, N, M) stack, so
-    the noise is scaled once and each channel draw costs one pseudoinverse.
+    Both arms go through one pass as a (2, 1, N, M) stack, so the noise is
+    scaled once and each channel draw costs one pseudoinverse.  The pass
+    (``_pair_errors``) writes into the calling thread's ``_Workspace`` of
+    the campaign's shape, so a campaign running at the same time in another
+    thread has its own.
     An empty ``pairs`` or ``snr_db_list`` is a ``ValueError``: there is no
-    rate to report.  So is an SNR point without a finite positive power
-    ratio (a NaN or infinite point, or one outside about -3230 .. 3080 dB), or one
+    rate to report.  So is a grid whose shape is not the mask's, fewer
+    receive than transmit antennas, an SNR point that ``snr_ratio`` rejects
+    (a NaN or infinite point, or one outside about -3080 .. 3080 dB), or one
     whose noise level overflows.
     """
     if len(pairs) == 0:
@@ -112,26 +217,18 @@ def ber_campaign(
     n_snr = len(snr_db_list)
     if n_snr == 0:
         raise ValueError("ber_campaign needs at least one SNR point")
-    # scalar powers: numpy's array power can differ from them in the last bit
-    ratios = [snr_ratio(s) for s in snr_db_list]
+    for s in snr_db_list:  # rejected before any draw
+        snr_ratio(s)
+    n, m = mask.used.shape
+    if n_rx < m:
+        raise ValueError("zero forcing needs n_rx >= the number of transmit antennas")
+    if any(g.symbols.shape != (n, m) for ref, opt, _ in pairs for g in (ref, opt)):
+        raise ValueError(f"every grid of ber_campaign must have the mask's shape {(n, m)}")
     n_bits_total = sum(b.size for _, _, b in pairs)
-    errors = {"original": np.zeros(n_snr), "optimized": np.zeros(n_snr)}
+    errors = np.zeros((2, n_snr))
+    ws = _workspace((n_snr, n, n_rx, m))
     for ref, opt, bits in pairs:
-        n, m = ref.symbols.shape
-        if n_rx < m:
-            raise ValueError("zero forcing needs n_rx >= the number of transmit antennas")
         es_avg = ref.energy() / mask.n_used
-        sigma = np.array([np.sqrt(es_avg / r) for r in ratios])
-        if sigma.max() == np.inf:
-            raise ValueError(f"SNR point {min(snr_db_list)} dB gives an infinite noise level")
-        h = draw_channel(rng, n_rx, m)
-        gauss = rng.standard_normal((n_snr, 2, n, n_rx))
-        noise = np.empty((n_snr, n, n_rx), dtype=complex)
-        np.multiply(gauss[:, 0], _INV_SQRT2, out=noise.real)
-        np.multiply(gauss[:, 1], _INV_SQRT2, out=noise.imag)
-        arms = np.stack((ref.symbols, opt.symbols))[:, None]
-        rx = channel_apply(arms, h, sigma[:, None, None], noise)  # (2, S, N, K)
-        counts = bit_errors(zf_equalize(rx, h), bits, spec, mask)  # (2, S)
-        errors["original"] += counts[0]
-        errors["optimized"] += counts[1]
-    return {key: e / n_bits_total for key, e in errors.items()}
+        sigma = np.array([noise_level(es_avg, s) for s in snr_db_list])
+        errors += _pair_errors(ws, ref, opt, bits, sigma, spec, mask, rng)
+    return {"original": errors[0] / n_bits_total, "optimized": errors[1] / n_bits_total}

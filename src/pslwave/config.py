@@ -11,7 +11,7 @@ import numpy as np
 from .constellation import ConstellationSpec, SubcarrierMask
 from .optimizer import OptimizerConfig
 from .sensing import MIN_SEPARATION, CfarConfig
-from .spectrum import LagWeights, snr_ratio
+from .spectrum import LagWeights, noise_level, snr_ratio
 
 __all__ = ["ExperimentConfig", "load_config", "trial_rng", "ConfigError"]
 
@@ -71,7 +71,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a non-empty list")
             for point in snr:
                 try:
-                    snr_ratio(point)  # a NaN or an infinity, or outside about -3230 .. 3080 dB
+                    snr_ratio(point)  # a NaN or an infinity, or outside about -3080 .. 3080 dB
                 except ValueError as exc:
                     raise ConfigError(f"{name}: {exc}") from exc
         n = self.n_subcarriers
@@ -84,12 +84,21 @@ class ExperimentConfig:
                 f"need 1 <= n_targets with (n_targets - 1) * {2 * MIN_SEPARATION - 1} < N = {n}"
             )
         try:
-            self.constellation()
+            spec = self.constellation()
             self.optimizer()
             self.lag_weights()
             self.cfar().check_profile_length(self.n_subcarriers)  # the range profile has N cells
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # a grid's mean entry energy is at most the largest point energy, so a noise level
+        # that stays finite for it stays finite in the campaigns (sensing scales it by M)
+        peak = float(np.max(np.abs(spec.points) ** 2))
+        for name, energy in (("sense_snr_db", self.n_antennas * peak), ("ber_snr_db", peak)):
+            for point in getattr(self, name):
+                try:
+                    noise_level(energy, point)
+                except ValueError as exc:
+                    raise ConfigError(f"{name}: {exc}") from exc
 
     def constellation(self) -> ConstellationSpec:
         return ConstellationSpec(

@@ -21,7 +21,10 @@ table per (family, order) maps that index straight to bits.  The Gray step
 and the wrap of the PSK sector are folded into the table: its rows are the
 PSK sectors k = -Q/2 .. Q/2, offset by Q/2 (the first and last, the angles
 -pi and pi, carry the same bits), or the QAM level pairs, l_I * sqrt(Q) +
-l_Q.
+l_Q.  The slicer (``_decision_regions``) and a table of bit errors per
+(region, sent label) built from the region-to-bits table (``_error_table``)
+also serve ``comms.ber_campaign``, which counts errors without expanding
+bits, so the slicer and the Gray labelling each exist once.
 """
 
 from __future__ import annotations
@@ -157,6 +160,11 @@ def _bits_to_labels(bits: np.ndarray, bps: int) -> np.ndarray:
     return groups @ weights
 
 
+def _label_bits(labels: np.ndarray, bps: int) -> np.ndarray:
+    """The bits, MSB first, of each label: (..., bps) int8."""
+    return ((labels[..., None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.int8)
+
+
 @lru_cache(maxsize=8)
 def _region_bits(family: str, order: int) -> np.ndarray:
     """Read-only table of the bits, MSB first, that each decision region carries.
@@ -173,9 +181,54 @@ def _region_bits(family: str, order: int) -> np.ndarray:
     else:
         levels = _gray(np.arange(isqrt(order)))
         labels = ((levels[:, None] << (bps // 2)) | levels).ravel()
-    bits = ((labels[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.int8)
+    bits = _label_bits(labels, bps)
     bits.setflags(write=False)
     return bits
+
+
+@lru_cache(maxsize=8)
+def _error_table(family: str, order: int) -> np.ndarray:
+    """Read-only flat table of bit errors per (decision region, sent label).
+
+    Entry region * (Q + 1) + label is the number of bits in which the row
+    ``region`` of ``_region_bits`` differs from the bits of ``label``.  The
+    last column, label Q, is all zeros: an unused entry sends no bits.
+    """
+    regions = _region_bits(family, order)
+    sent = _label_bits(np.arange(order), regions.shape[1])
+    table = np.zeros((regions.shape[0], order + 1), dtype=np.uint8)
+    table[:, :order] = np.count_nonzero(regions[:, None, :] != sent, axis=-1)
+    table = table.ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _decision_regions(
+    z: np.ndarray, family: str, order: int, out: np.ndarray, spare: np.ndarray | None = None
+) -> np.ndarray:
+    """Write each entry's decision region, the row of ``_region_bits``, into ``out``.
+
+    ``out`` is a float array of ``z``'s shape; the regions are exact
+    integers.  QAM works its imaginary levels in ``spare`` (same shape; one
+    is made when it is None).  ``demodulate`` documents the slicer.
+    """
+    if family == "psk":
+        np.arctan2(z.imag, z.real, out=out)
+        out *= order / (2.0 * np.pi)
+        np.floor(out, out=out)
+        out += order // 2
+    else:
+        root = isqrt(order)
+        if spare is None:
+            spare = np.empty_like(out)
+        for part, level in ((z.real, out), (z.imag, spare)):
+            np.add(part, root, out=level)
+            level *= 0.5
+            np.floor(level, out=level)
+            np.clip(level, 0, root - 1, out=level)
+        out *= root
+        out += spare
+    return out
 
 
 def modulate(
@@ -231,18 +284,9 @@ def demodulate(
     ``IndexError``.
     """
     z = np.swapaxes(np.asarray(grid), -1, -2)[..., mask.used.T]
-    q = spec.order
-    if spec.family == "psk":
-        region = np.arctan2(z.imag, z.real)
-        region *= q / (2.0 * np.pi)
-        np.floor(region, out=region)
-        region += q // 2
-    else:
-        root = isqrt(q)
-        levels = np.clip(np.floor((np.stack((z.real, z.imag)) + root) * 0.5), 0, root - 1)
-        region = levels[0] * root + levels[1]
+    region = _decision_regions(z, spec.family, spec.order, np.empty(z.shape))
     # np.take on the small table is far cheaper than fancy indexing it
-    bits = np.take(_region_bits(spec.family, q), region.astype(np.intp), axis=0)
+    bits = np.take(_region_bits(spec.family, spec.order), region.astype(np.intp), axis=0)
     return bits.reshape(*z.shape[:-1], -1)
 
 

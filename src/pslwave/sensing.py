@@ -51,7 +51,8 @@ cost per call is kept low:
   product per target, and adds g * W: no beam, steering or echo per call.
   With several targets, each target's filtered vector is the noise plus the
   other targets' echoes.  An SNR point whose power ratio is not finite and
-  positive (``spectrum.snr_ratio``) is rejected before any draw.
+  positive (``spectrum.snr_ratio``) is rejected before any draw, and the
+  noise level is ``spectrum.noise_level`` of M times the mean entry energy.
 * ``synthesize_echo``, ``matched_filter`` and ``cfar_detect`` are the full
   chain over all N cells: the whole received vector, the whole per-antenna
   delay profile and the detection mask of a whole profile.
@@ -70,7 +71,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import SymbolGrid, snr_ratio
+from .spectrum import SymbolGrid, noise_level, snr_ratio
 
 __all__ = [
     "CfarConfig",
@@ -265,7 +266,7 @@ def detection_campaign(
     ratio, or whose noise level overflows, is a ``ValueError``.
     Returns detections / (trials * n_targets).
     """
-    ratio = snr_ratio(snr_db)
+    snr_ratio(snr_db)  # rejected before any draw, even without grids
     h = cfar.n_guard + cfar.n_ref + 1
     span = 2 * h + 1
     hits = 0
@@ -275,9 +276,7 @@ def detection_campaign(
         cfar.check_profile_length(n)
         rows, thr = _window_tables(n, cfar.p_fa, cfar.n_ref, cfar.n_guard)
         window = _echo_window(grid, h, rows)
-        noise_std = float(np.sqrt(m * (grid.energy() / x.size) / ratio))
-        if noise_std == np.inf:
-            raise ValueError(f"SNR point {snr_db} dB gives an infinite noise level")
+        noise_std = noise_level(m * (grid.energy() / x.size), snr_db)
         delays = _draw_delays(rng, n, n_targets)
         # one draw of n_targets uniforms: the stream of n_targets scalar draws
         gains = np.exp(2j * np.pi * rng.random(n_targets))

@@ -24,9 +24,12 @@ arrays and floats, which the majorizer's per-run plan
 (``majorizer.MMPlan``) reads without building a tensor.
 
 ``snr_ratio`` turns an SNR point in dB into the linear power ratio that the
-sensing and BER campaigns divide by, and rejects a point whose ratio is not
-a finite positive number (a NaN, or a point outside about -3230 .. 3080
-dB).
+sensing and BER campaigns divide by, and rejects a point whose ratio or
+its reciprocal is not a finite positive number (a NaN, or a point outside
+about -3080 .. 3080 dB).  ``noise_level`` turns a signal energy and an SNR
+point into the noise standard deviation sqrt(energy / ratio), the one
+formula of the config check and of both campaigns, and rejects a point
+whose noise level overflows.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "psl_db",
     "psl_db_of_peak",
     "snr_ratio",
+    "noise_level",
 ]
 
 # Window sidelobes count as zero when the peak is at most this many machine
@@ -225,11 +229,21 @@ def psl_db_of_peak(eta: float, mainlobe: float) -> float:
 
 def snr_ratio(snr_db: float) -> float:
     """Linear power ratio 10**(snr_db/10) of an SNR point; a ``ValueError`` naming
-    the point unless the ratio is finite and positive."""
+    the point unless the ratio and its reciprocal are finite and positive."""
     try:
         ratio = 10.0 ** (snr_db / 10.0)
     except OverflowError:  # a Python float power overflows with an error, not inf
         ratio = np.inf
-    if not 0.0 < ratio < np.inf:
+    # a subnormal ratio (about -3230 .. -3080 dB) is positive, but 1 / ratio is not finite
+    if not (0.0 < ratio < np.inf and 1.0 / ratio < np.inf):
         raise ValueError(f"SNR point {snr_db} dB has no finite positive power ratio")
     return ratio
+
+
+def noise_level(energy: float, snr_db: float) -> float:
+    """Noise standard deviation sqrt(energy / snr_ratio(snr_db)) for a signal of the
+    given energy; a ``ValueError`` naming the point if it is not finite."""
+    level = float(np.sqrt(energy / snr_ratio(snr_db)))
+    if level == np.inf:
+        raise ValueError(f"SNR point {snr_db} dB gives an infinite noise level")
+    return level

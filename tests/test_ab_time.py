@@ -26,16 +26,44 @@ def test_a_tree_against_itself():
     assert lines[0].split() == ["this:", str(ROOT / "src")]
     assert lines[1].split() == ["against:", str(ROOT / "src")]
     assert lines[2].split() == [
-        "timing", "per", "this_min", "this_med", "vs_min", "vs_med", "ratio", "faster"
+        "timing", "per", "this_min", "this_med", "vs_min", "vs_med", "ratio", "faster",
+        "this_flt", "vs_flt",
     ]
     # one row per timing: optimize trials, the detection sweeps, the BER campaigns
     timings = (("optimize", "trial"), ("sweep", "sweep"), ("ber", "campaign"))
     assert len(lines) == 3 + len(timings) + 1
     for line, timing in zip(lines[3:6], timings):
-        name, per, this_min, this_med, vs_min, vs_med, ratio, faster = line.split()
+        name, per, this_min, this_med, vs_min, vs_med, ratio, faster, this_flt, vs_flt = (
+            line.split()
+        )
         assert (name, per) == timing
         assert 0.0 < float(this_min) <= float(this_med)
         assert 0.0 < float(vs_min) <= float(vs_med)
         assert float(ratio) > 0.0
         assert 0 <= int(faster) <= 2
+        assert float(this_flt) >= 0.0 and float(vs_flt) >= 0.0
     assert "over 2 pairs of blocks of 1 trials, 1 sweeps and 1 campaigns" in lines[6]
+    assert "minor page faults per call" in lines[6]
+
+
+# records the BLAS thread variables at the moment numpy is first imported
+PROBE = """
+import os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "2"
+seen = []
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append((os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"]))
+sys.meta_path.insert(0, Watch())
+sys.path.insert(0, sys.argv[1])
+import ab_time
+print(*seen[0])
+"""
+
+
+def test_blas_runs_one_thread_from_the_numpy_import_on():
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(SCRIPTS)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]

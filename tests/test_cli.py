@@ -398,6 +398,13 @@ class TestCliCommands:
             # finite, but 10**(snr/10) overflows or underflows to 0
             pytest.param("sense", "sensing", "sense_snr_db = 4000", id="sensing-sense_snr_db-4000"),
             pytest.param("ber", "comms", "ber_snr_db = -4000", id="comms-ber_snr_db--4000"),
+            # 10**(snr/10) is a positive subnormal, but its reciprocal overflows
+            pytest.param("sense", "sensing", "sense_snr_db = -3230", id="sensing-sense_snr_db--3230"),
+            pytest.param("ber", "comms", "ber_snr_db = -3230", id="comms-ber_snr_db--3230"),
+            # 1 / 10**(snr/10) is finite, but M * Es over it, or 256-QAM's Es over it, is not
+            pytest.param("sense", "sensing", "sense_snr_db = -3080", id="sensing-sense_snr_db--3080"),
+            pytest.param("ber", "comms", "ber_snr_db = -3070\n[constellation]\nfamily = qam\n"
+                         "order = 256", id="comms-ber_snr_db--3070-qam256"),
             pytest.param("sense", "sensing", "cfar_n_guard = -1", id="sensing-cfar_n_guard--1"),
             pytest.param("optimize", "optimizer", "p = 2.5", id="optimizer-p-not-int"),
             pytest.param("optimize", "constellation", "rho = abc", id="constellation-rho-not-float"),

@@ -1,9 +1,14 @@
 """Communication chain: channel, zero-forcing equalizer, BER statistics."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special
 
+from pslwave import comms
 from pslwave.comms import (
     ber_campaign,
     bit_errors,
@@ -212,8 +217,8 @@ class TestBerStatistics:
     @pytest.mark.parametrize("bad,match", [
         (4000.0, "SNR point 4000.0 dB has no finite positive power ratio"),
         (-4000.0, "SNR point -4000.0 dB has no finite positive power ratio"),
-        # 10**(-323) is a positive double, but Es / 10**(-323) is not finite
-        (-3230.0, "SNR point -3230.0 dB gives an infinite noise level"),
+        # 10**(-323) is a positive double, but its reciprocal is not finite
+        (-3230.0, "SNR point -3230.0 dB has no finite positive power ratio"),
     ])
     def test_campaign_rejects_a_point_without_a_finite_noise_level(self, bad, match):
         rng = np.random.default_rng(106)
@@ -225,6 +230,25 @@ class TestBerStatistics:
             ber_campaign([(grid, grid.copy(), bits)], [10.0, bad], spec, mask, rng, n_rx=2)
         assert rng.bit_generator.state == state  # rejected before any draw
 
+    def test_campaign_rejects_an_overflowing_noise_level(self):
+        # 1 / 10**(-300) is finite, but Es / 10**(-300) is not when Es = 1e10
+        rng = np.random.default_rng(107)
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.all_used(32, 2)
+        grid, bits = random_reference_grid(rng, spec, mask)
+        loud = SymbolGrid(grid.symbols * 1e5)
+        with pytest.raises(ValueError, match="SNR point -3000.0 dB gives an infinite noise level"):
+            ber_campaign([(loud, loud.copy(), bits)], [10.0, -3000.0], spec, mask, rng, n_rx=2)
+
+    def test_campaign_rejects_a_grid_not_of_the_mask_shape(self):
+        rng = np.random.default_rng(108)
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.all_used(32, 2)
+        grid, bits = random_reference_grid(rng, spec, mask)
+        narrow = SymbolGrid(grid.symbols[:, :1])
+        with pytest.raises(ValueError, match="mask's shape"):
+            ber_campaign([(grid, narrow, bits)], [10.0], spec, mask, rng, n_rx=2)
+
     def test_campaign_rejects_fewer_receive_than_transmit_antennas(self):
         rng = np.random.default_rng(102)
         spec = ConstellationSpec("psk", 4)
@@ -232,3 +256,140 @@ class TestBerStatistics:
         grid, bits = random_reference_grid(rng, spec, mask)
         with pytest.raises(ValueError):
             ber_campaign([(grid, grid.copy(), bits)], [0.0], spec, mask, rng, n_rx=2)
+
+
+def chain_campaign(pairs, snr_db, spec, mask, rng, n_rx):
+    """``ber_campaign`` through the public reference chain, as it ran before its pass:
+    one ``channel_apply`` of the stack of both arms, ``zf_equalize``, ``bit_errors``."""
+    n_snr = len(snr_db)
+    errors = np.zeros((2, n_snr))
+    for ref, opt, bits in pairs:
+        n, m = ref.symbols.shape
+        es_avg = ref.energy() / mask.n_used
+        sigma = np.array([np.sqrt(es_avg / 10.0 ** (s / 10.0)) for s in snr_db])
+        h = draw_channel(rng, n_rx, m)
+        gauss = rng.standard_normal((n_snr, 2, n, n_rx))
+        noise = np.empty((n_snr, n, n_rx), dtype=complex)
+        np.multiply(gauss[:, 0], 1.0 / np.sqrt(2.0), out=noise.real)
+        np.multiply(gauss[:, 1], 1.0 / np.sqrt(2.0), out=noise.imag)
+        arms = np.stack((ref.symbols, opt.symbols))[:, None]
+        rx = channel_apply(arms, h, sigma[:, None, None], noise)
+        errors += bit_errors(zf_equalize(rx, h), bits, spec, mask)
+    n_bits = sum(b.size for _, _, b in pairs)
+    return {"original": errors[0] / n_bits, "optimized": errors[1] / n_bits}
+
+
+def perturbed_pairs(seed, spec, mask, count):
+    """``count`` (reference, phase-perturbed reference, bits) pairs."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        ref, bits = random_reference_grid(rng, spec, mask)
+        opt = SymbolGrid(ref.symbols * np.exp(0.1j * rng.standard_normal(ref.symbols.shape)))
+        pairs.append((ref, opt, bits))
+    return pairs
+
+
+# (family, order, N, M, n_rx, unused fraction)
+PASS_CASES = [
+    ("psk", 4, 64, 2, 2, 0.0),
+    ("psk", 4, 128, 4, 4, 0.05),
+    ("psk", 8, 48, 3, 5, 0.1),
+    ("qam", 16, 64, 2, 2, 0.05),
+    ("qam", 16, 32, 2, 4, 0.0),
+    ("qam", 64, 40, 3, 3, 0.1),
+]
+PASS_IDS = [f"{f}{q}-{n}x{m}-rx{k}-unused{u}" for f, q, n, m, k, u in PASS_CASES]
+PASS_SNR_DB = [-6.0, 0.0, 6.0, 12.0, 18.0, 24.0]
+
+
+class TestBerPass:
+    """``ber_campaign``'s workspace pass against the reference chain."""
+
+    @staticmethod
+    def _case(family, order, n, m, unused, seed=120):
+        spec = ConstellationSpec(family, order)
+        mask = SubcarrierMask.random(np.random.default_rng(seed), n, m, unused)
+        return spec, mask, perturbed_pairs(seed + 1, spec, mask, 3)
+
+    @pytest.mark.parametrize("family,order,n,m,n_rx,unused", PASS_CASES, ids=PASS_IDS)
+    def test_pass_equals_the_reference_chain(self, family, order, n, m, n_rx, unused):
+        spec, mask, pairs = self._case(family, order, n, m, unused)
+        before = [(r.symbols.copy(), o.symbols.copy(), b.copy()) for r, o, b in pairs]
+        out = ber_campaign(pairs, PASS_SNR_DB, spec, mask, np.random.default_rng(7), n_rx=n_rx)
+        want = chain_campaign(pairs, PASS_SNR_DB, spec, mask, np.random.default_rng(7), n_rx)
+        n_bits = sum(b.size for _, _, b in pairs)
+        for key in ("original", "optimized"):
+            assert np.array_equal(out[key], want[key]), key
+        # the low points make errors in both arms, so the counts are compared, not zeros
+        assert out["original"][0] * n_bits > 10 and out["optimized"][0] * n_bits > 10
+        for (r, o, b), (r0, o0, b0) in zip(pairs, before):  # nothing written into the inputs
+            assert np.array_equal(r.symbols, r0) and np.array_equal(o.symbols, o0)
+            assert np.array_equal(b, b0)
+
+    def test_interleaved_shapes_give_the_results_of_fresh_calls(self):
+        # shapes change from call to call, and each shape runs twice in a row on other
+        # grids, so a reused workspace holds the last campaign's values
+        cases = [(c, snr) for c in PASS_CASES[:5] for snr in (PASS_SNR_DB, PASS_SNR_DB[:2])]
+        runs = []
+        for (family, order, n, m, n_rx, unused), snr in cases * 2:
+            for seed in (120, 130):
+                spec, mask, pairs = self._case(family, order, n, m, unused, seed)
+                runs.append((pairs, snr, spec, mask, n_rx))
+        reused = [ber_campaign(p, s, spec, mask, np.random.default_rng(9), n_rx=k)
+                  for p, s, spec, mask, k in runs]
+        for (p, s, spec, mask, k), out in zip(runs, reused):
+            comms._LOCAL.ws = None
+            fresh = ber_campaign(p, s, spec, mask, np.random.default_rng(9), n_rx=k)
+            for key in ("original", "optimized"):
+                assert np.array_equal(out[key], fresh[key])
+
+    def test_concurrent_campaigns_give_the_sequential_results(self):
+        # more threads than cores, switching often, all on one shape: a workspace
+        # shared by two running campaigns would mix their counts
+        spec, mask, pairs = self._case("qam", 16, 64, 2, 0.05)
+        seeds = range(32)
+        n_threads = 4
+
+        def run(seed):
+            return ber_campaign(pairs, PASS_SNR_DB, spec, mask, np.random.default_rng(seed),
+                                n_rx=3)
+
+        sequential = [run(seed) for seed in seeds]
+        results = [None] * len(seeds)
+        start = threading.Barrier(n_threads)
+
+        def worker(offset):
+            start.wait()
+            for i in range(offset, len(seeds), n_threads):
+                results[i] = run(seeds[i])
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, got in zip(sequential, results):
+            for key in ("original", "optimized"):
+                assert np.array_equal(want[key], got[key])
+
+    def test_a_warm_default_campaign_allocates_little(self):
+        # the default shape: QPSK, N = 128, M = 4, n_rx = 4, 11 SNR points
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.random(np.random.default_rng(130), 128, 4, 0.05)
+        pairs = perturbed_pairs(131, spec, mask, 1)
+        snr = [float(s) for s in np.arange(16.0, 36.5, 2.0)]
+        ber_campaign(pairs, snr, spec, mask, np.random.default_rng(0), n_rx=4)
+        tracemalloc.start()
+        try:
+            ber_campaign(pairs, snr, spec, mask, np.random.default_rng(1), n_rx=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024, peak

@@ -10,8 +10,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "seeded_digest.py"
 N_CASES = 8
-# the sense, sense-k3 and ber rows: 11 SNR points x 2 arms of counts per pair
-COUNT_ROWS = {"sense": 22, "sense-k3": 22, "ber": 22}
+# the sense, sense-k3, ber and ber-qam16 rows: 11 SNR points x 2 arms of counts per pair
+COUNT_ROWS = {"sense": 22, "sense-k3": 22, "ber": 22, "ber-qam16": 22}
 
 
 def run_digest(*args: str) -> subprocess.CompletedProcess:
@@ -65,3 +65,17 @@ def test_zero_trials_is_a_usage_error():
     proc = run_digest("--trials", "0")
     assert proc.returncode == 2
     assert "--trials must be >= 1" in proc.stderr
+
+
+def test_a_changed_qam_slicer_shows_in_the_ber_qam16_row_only(tmp_path):
+    # a copy of src/ whose QAM slicer never picks the top level: QPSK counts keep their bits
+    shutil.copytree(ROOT / "src" / "pslwave", tmp_path / "pslwave",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    constellation = tmp_path / "pslwave" / "constellation.py"
+    text = constellation.read_text()
+    clip = "np.clip(level, 0, root - 1, out=level)"
+    assert text.count(clip) == 1
+    constellation.write_text(text.replace(clip, "np.clip(level, 0, root - 2, out=level)"))
+    proc = run_digest("--against", str(tmp_path), "--trials", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.strip().rsplit(": ", 1)[-1] == "ber-qam16", proc.stderr

@@ -482,7 +482,7 @@ class TestEchoWindow:
         assert rng.bit_generator.state == state  # rejected before any draw
 
     def test_overflowing_noise_level_raises(self):
-        # 10**(-323) is a positive double, but the noise variance over it is not finite
-        grid = self._grid(660, 64, 2)
-        with pytest.raises(ValueError, match="infinite noise level"):
-            detection_campaign([grid], -3230.0, CfarConfig(), np.random.default_rng(661))
+        # 1 / 10**(-300) is finite, but the noise variance over it is not when Es = 1e10
+        grid = SymbolGrid(self._grid(660, 64, 2).symbols * 1e5)
+        with pytest.raises(ValueError, match="SNR point -3000.0 dB gives an infinite noise level"):
+            detection_campaign([grid], -3000.0, CfarConfig(), np.random.default_rng(661))

@@ -12,6 +12,8 @@ from pslwave.spectrum import (
     cyclic_correlations,
     peak_sidelobe,
     psl_db,
+    noise_level,
+    snr_ratio,
     window_abs,
 )
 
@@ -244,3 +246,32 @@ class TestSlicedWindowMatchesMask:
         vals[1, 0, lag] = 3.0 - 2.0j
         self.assert_same(vals, w)
         assert peak_sidelobe(CorrelationTensor(vals), w)[1] == (1, 0, lag)
+
+
+class TestSnrRatio:
+    @pytest.mark.parametrize("snr_db", [-3080.0, -30.0, 0.0, 17.5, 3080.0])
+    def test_a_ratio_and_its_reciprocal_are_finite(self, snr_db):
+        ratio = snr_ratio(snr_db)
+        assert ratio == 10.0 ** (snr_db / 10.0)
+        assert 0.0 < ratio < np.inf and 1.0 / ratio < np.inf
+
+    @pytest.mark.parametrize("snr_db", [
+        float("nan"), float("inf"), float("-inf"), 4000.0, -4000.0,
+        3083.0,  # 10**308.3 overflows
+        # subnormal ratios: positive, but 1 / ratio overflows
+        -3083.0, -3230.0,
+    ])
+    def test_a_point_without_a_finite_ratio_or_reciprocal_is_rejected(self, snr_db):
+        with pytest.raises(ValueError, match=f"SNR point {snr_db} dB has no finite positive"):
+            snr_ratio(snr_db)
+
+    @pytest.mark.parametrize("energy,snr_db", [(1.0, 0.0), (4.0, -3000.0), (2.5, 17.5)])
+    def test_noise_level_is_the_root_of_energy_over_the_ratio(self, energy, snr_db):
+        assert noise_level(energy, snr_db) == np.sqrt(energy / snr_ratio(snr_db))
+
+    def test_an_overflowing_noise_level_is_rejected(self):
+        assert noise_level(1.0, -3000.0) < np.inf  # 1 / 10**(-300) is finite ...
+        with pytest.raises(ValueError, match="SNR point -3000.0 dB gives an infinite noise level"):
+            noise_level(1e10, -3000.0)  # ... but 1e10 / 10**(-300) is not
+        with pytest.raises(ValueError, match="SNR point -3230.0 dB has no finite positive"):
+            noise_level(1.0, -3230.0)
