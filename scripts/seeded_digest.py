@@ -23,6 +23,9 @@ workload sweeps them with seed 0:
   for pair j and SNR index si;
 * ``sense-k3``: the same with three targets per trial, so the other
   targets' echoes enter each target's window;
+* ``sense-qam16``: the same over the pairs of the ``qam16-64x2`` case with
+  two targets per trial, so the receiver is pinned at a second shape
+  (N = 64, M = 2) and on symbols of non-constant modulus;
 * ``ber``: the bit-error count per pair, BER SNR and arm of one
   ``ber_campaign`` per pair, from ``SeedSequence(0, spawn_key=(j, 10**6))``;
 * ``ber-qam16``: the same over the pairs of the ``qam16-64x2`` case at 11
@@ -118,7 +121,7 @@ def stream(*key: int) -> np.random.Generator:
 
 
 def sense_counts(package: str, trials: list[tuple], n_targets: int = 1) -> np.ndarray:
-    """Hit counts, (pair, sensing SNR, arm), of default-point pairs with ``n_targets`` targets."""
+    """Hit counts, (pair, sensing SNR, arm), of a case's pairs with ``n_targets`` targets."""
     config = importlib.import_module(f"{package}.config")
     sensing = importlib.import_module(f"{package}.sensing")
     cfar = config.ExperimentConfig().cfar()
@@ -217,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     count_rows = (
         ("sense", "default", sense_counts),
         ("sense-k3", "default", lambda package, trials: sense_counts(package, trials, n_targets=3)),
+        ("sense-qam16", "qam16-64x2",
+         lambda package, trials: sense_counts(package, trials, n_targets=2)),
         ("ber", "default", ber_counts),
         ("ber-qam16", "qam16-64x2",
          lambda package, trials: ber_counts(package, trials, qam16, QAM_BER_SNR_DB)),

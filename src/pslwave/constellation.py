@@ -110,10 +110,6 @@ class ConstellationSpec:
         table.setflags(write=False)
         return table
 
-    @property
-    def mean_symbol_energy(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
-
 
 @dataclass
 class SubcarrierMask:

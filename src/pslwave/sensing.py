@@ -23,11 +23,13 @@ cost per call is kept low:
   exp(-2j*pi*k/N) at k = (n*delay) mod N instead of evaluating a complex
   exponential; the reduction is exact in integers, so the table is accurate
   to double precision even where n*delay/N is large.
-* ``synthesize_echo`` forms the beam with a cached read-only ones vector and
-  adds the noise in place to the real and imaginary views of the echo,
-  scaling the one standard-normal draw by noise_std and then by 1/sqrt(2):
-  the rounding of noise_std * (g_re + 1j*g_im) / sqrt(2), since numpy
-  divides a complex array by a real scalar as a multiply by its reciprocal.
+* ``synthesize_echo`` forms the beam with a cached read-only ones vector.
+  Its noise and that of ``detection_campaign`` come from one helper,
+  ``_noise``: one (2, N) standard-normal draw, real parts first, scaled by
+  noise_std and then by 1/sqrt(2), the rounding of
+  noise_std * (g_re + 1j*g_im) / sqrt(2), since numpy divides a complex
+  array by a real scalar as a multiply by its reciprocal.  A zero level
+  draws nothing; a NaN or negative one is a ``ValueError``.
 * ``detection_campaign`` runs a windowed receiver.  A target at delay d is
   hit when CFAR fires at d - 1, d or d + 1, and each of those three tests
   reads the cell and its n_guard + n_ref neighbours on either side.  So only
@@ -39,20 +41,19 @@ cost per call is kept low:
   decision does not depend on the profile's scale, so the rows omit the
   inverse DFT's 1/N and the power is summed, not averaged, over the
   antennas.
-* The receiver splits the filter of y = sum_t g_t * b(d_t) * beam + n by
-  linearity.  Over the window of its own delay d, a target's echo gives
-  g * W with W = rows[0 : 2h + 1] @ (beam[:, None] * conj(X)): the steering
-  b(d) only shifts the window, so W, (2h + 1) x M entries, is the same for
-  every delay and every trial of a grid.  The grid builds W on first use
-  and keeps it per h, as it keeps its energy (``SymbolGrid.copy`` starts
-  without it); nothing keeps X or conj(X).  A trial draws the stream of
-  ``synthesize_echo`` (delays, gains, then the (2, N) normals when the noise
-  level is nonzero) but filters only the noise, one (2h + 1, N) x (N, M)
-  product per target, and adds g * W: no beam, steering or echo per call.
-  With several targets, each target's filtered vector is the noise plus the
-  other targets' echoes.  An SNR point whose power ratio is not finite and
-  positive (``spectrum.snr_ratio``) is rejected before any draw, and the
-  noise level is ``spectrum.noise_level`` of M times the mean entry energy.
+* The receiver has one echo model.  The filtered unit echo at delay 0 is
+  the profile P = rows @ (beam[:, None] * conj(X)), (N + 2h) x M, whose row
+  i is cell (i - h) mod N; a unit echo at delay e reads, over the window of
+  delay d, the 2h + 1 rows of P from (d - e) mod N.  The grid builds P on
+  first use and keeps it per h, as it keeps its energy (``SymbolGrid.copy``
+  starts without it).  A trial draws the stream of ``synthesize_echo``
+  (delays, gains, then the noise), filters the noise once,
+  noise[:, None] * conj(X), and per target d takes the window
+  rows[d : d + 2h + 1] of that and adds g_e times the window of P of every
+  target e, its own echo included: no beam, steering or echo per call.  An
+  SNR point whose power ratio is not finite and positive
+  (``spectrum.snr_ratio``) is rejected before any draw, and the noise level
+  is ``spectrum.noise_level`` of M times the mean entry energy.
 * ``synthesize_echo``, ``matched_filter`` and ``cfar_detect`` are the full
   chain over all N cells: the whole received vector, the whole per-antenna
   delay profile and the detection mask of a whole profile.
@@ -148,17 +149,24 @@ def synthesize_echo(
     y = np.zeros(n, dtype=complex)
     for delay, gain in zip(delays, gains):
         y += gain * beam * range_steer(n, delay)
+    y += _noise(rng, n, noise_std)
+    return y
+
+
+def _noise(rng: np.random.Generator, n: int, noise_std: float) -> np.ndarray:
+    """Complex white noise of n entries at level noise_std (zeros, without a draw, at 0)."""
     if not noise_std >= 0.0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    noise = np.zeros(n, dtype=complex)
     if noise_std > 0:
-        # one draw, real parts first: the stream of two length-N draws, scaled
+        # one draw, real parts first: the stream of two length-n draws, scaled
         # as noise_std * (g[0] + 1j * g[1]) / sqrt(2) rounds
         g = rng.standard_normal((2, n))
         g *= noise_std
         g *= _INV_SQRT2
-        y.real += g[0]
-        y.imag += g[1]
-    return y
+        noise.real = g[0]
+        noise.imag = g[1]
+    return noise
 
 
 def matched_filter(y: np.ndarray, grid: SymbolGrid) -> np.ndarray:
@@ -228,20 +236,20 @@ def _window_tables(n: int, p_fa: float, n_ref: int, n_guard: int) -> tuple[np.nd
     return rows, thr
 
 
-def _echo_window(grid: SymbolGrid, h: int, rows: np.ndarray) -> np.ndarray:
-    """Read-only W = rows[0 : 2h + 1] @ (beam[:, None] * conj(X)), built once per grid and h.
+def _echo_profile(grid: SymbolGrid, h: int, rows: np.ndarray) -> np.ndarray:
+    """Read-only P = rows @ (beam[:, None] * conj(X)), (N + 2h) x M, built once per grid and h.
 
-    ``rows[0 : 2h + 1]`` are the cells -h .. h, so W is the window of a unit
-    echo at delay 0, and of a unit echo at any delay d around d.
+    Row i of P is cell (i - h) mod N of a unit echo at delay 0, so the window
+    of delay d of a unit echo at delay e is ``P[(d - e) % N :][: 2h + 1]``.
     """
-    window = grid._echo_windows.get(h)
-    if window is None:
+    profile = grid._echo_profiles.get(h)
+    if profile is None:
         x = grid.symbols
         beam = x @ _ones(x.shape[1])  # as synthesize_echo forms it
-        window = rows[: 2 * h + 1] @ (beam[:, None] * np.conj(x))
-        window.setflags(write=False)
-        grid._echo_windows[h] = window
-    return window
+        profile = rows @ (beam[:, None] * np.conj(x))
+        profile.setflags(write=False)
+        grid._echo_profiles[h] = profile
+    return profile
 
 
 def detection_campaign(
@@ -259,8 +267,8 @@ def detection_campaign(
     A target counts as detected when CA-CFAR on the noncoherent sum of the
     per-antenna matched-filter power profiles fires within one bin of its
     true delay.  Only the 2h + 1 cells around the delay that this decision
-    reads are filtered and tested, and only the noise and the other targets'
-    echoes are filtered per trial (see the module docstring); the decisions
+    reads are filtered and tested, and of the received vector only the noise
+    is filtered per trial (see the module docstring); the decisions
     are those of ``synthesize_echo``, ``matched_filter`` and ``cfar_detect``
     on the whole profile.  An SNR point without a finite positive power
     ratio, or whose noise level overflows, is a ``ValueError``.
@@ -275,28 +283,16 @@ def detection_campaign(
         n, m = x.shape
         cfar.check_profile_length(n)
         rows, thr = _window_tables(n, cfar.p_fa, cfar.n_ref, cfar.n_guard)
-        window = _echo_window(grid, h, rows)
+        profile = _echo_profile(grid, h, rows)
         noise_std = noise_level(m * (grid.energy() / x.size), snr_db)
-        delays = _draw_delays(rng, n, n_targets)
+        delays = _draw_delays(rng, n, n_targets).tolist()
         # one draw of n_targets uniforms: the stream of n_targets scalar draws
         gains = np.exp(2j * np.pi * rng.random(n_targets))
-        noise = np.zeros(n, dtype=complex)
-        if noise_std > 0:
-            # one draw, real parts first, as synthesize_echo draws it
-            g = rng.standard_normal((2, n))
-            g *= noise_std * _INV_SQRT2
-            noise.real = g[0]
-            noise.imag = g[1]
-        if n_targets < 2:  # a lone target hears the noise alone
-            heard = [noise]
-        else:
-            beam = x @ _ones(m)
-            echoes = np.stack([gain * beam * range_steer(n, d) for d, gain in zip(delays, gains)])
-            heard = noise + (1.0 - np.eye(n_targets)) @ echoes  # row t: the others' echoes
-        conj_x = np.conj(x)
-        for d, gain, v in zip(delays.tolist(), gains, heard):
-            z = rows[d : d + span] @ (v[:, None] * conj_x)
-            z += gain * window
+        heard = _noise(rng, n, noise_std)[:, None] * np.conj(x)
+        for d in delays:
+            z = rows[d : d + span] @ heard
+            for e, gain in zip(delays, gains):
+                z += gain * profile[(d - e) % n :][:span]
             zf = z.view(float)
             power = (zf * zf) @ _ones(2 * m)  # re^2 + im^2 summed over the antennas
             if (power[h - 1 : h + 2] > thr @ power).any():

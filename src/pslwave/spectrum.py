@@ -68,14 +68,14 @@ class SymbolGrid:
     """N x M frequency-domain data symbols; column m belongs to antenna m.
 
     Treated as a value (nothing writes into ``symbols``), so it can keep the
-    energy that ``energy`` takes on first read, and the echo windows that
-    ``sensing.detection_campaign`` builds on first use, one per window
+    energy that ``energy`` takes on first read, and the unit-echo profiles
+    that ``sensing.detection_campaign`` builds on first use, one per window
     half-width h.  A ``copy`` starts with neither.
     """
 
     symbols: np.ndarray
     _energy: float | None = field(default=None, init=False, repr=False, compare=False)
-    _echo_windows: dict[int, np.ndarray] = field(
+    _echo_profiles: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

@@ -64,7 +64,6 @@ class TestConstellationSpec:
         assert spec.points[0b0000] == pytest.approx(-3 - 3j)
         assert spec.points[0b0101] == pytest.approx(-1 - 1j)
         assert spec.points[0b1010] == pytest.approx(3 + 3j)
-        assert spec.mean_symbol_energy == pytest.approx(10.0)
 
     def test_16qam_axis_gray(self):
         spec = ConstellationSpec("qam", 16)

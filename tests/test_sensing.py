@@ -371,7 +371,14 @@ class TestWindowedReceiver:
         assert 0 < total < len(SWEEP_DB) * len(grids) * sum(counts)
 
     @pytest.mark.parametrize("cfar", WINDOW_CONFIGS, ids=WINDOW_IDS)
-    @pytest.mark.parametrize("delays", [[0], [1], [126], [127], [127, 0, 64]])
+    # targets MIN_SEPARATION apart across the wrap read the profile from offsets
+    # (d - e) mod N near 0 and near N - 1 in overlapping windows; each neighbour sits in
+    # the other's reference window and masks it at the wider windows, so a far target at
+    # 64 is detected too; [120, 2], 10 apart, overlap without masking
+    @pytest.mark.parametrize(
+        "delays",
+        [[0], [1], [126], [127], [127, 0, 64], [126, 1, 64], [0, 3, 125, 64], [120, 2]],
+    )
     def test_delays_at_the_ends_of_the_profile(self, monkeypatch, cfar, delays):
         fixed = np.array(delays, dtype=np.int64)
         monkeypatch.setattr(sensing, "_draw_delays", lambda rng, n, k: fixed)
@@ -408,7 +415,8 @@ class TestWindowedReceiver:
 
 
 class TestEchoWindow:
-    """A target's own echo enters its window as gain * W, W kept on the grid per h."""
+    """Every echo enters a target's window as its gain times 2h + 1 rows of one
+    unit-echo profile P, kept on the grid per h."""
 
     @staticmethod
     def _grid(seed, n, m):
@@ -420,32 +428,33 @@ class TestEchoWindow:
     @pytest.mark.parametrize("m", [1, 4])
     @pytest.mark.parametrize("short", [False, True], ids=["n128", "shortest"])
     def test_window_is_the_unit_echo_at_delay_0(self, cfar, m, short):
-        # N times the matched filter of a noise-free unit echo at delay 0, at cells -h .. h
+        # N times the matched filter of a noise-free unit echo at delay 0, at cells
+        # -h .. N - 1 + h (cyclically)
         n = 2 * (cfar.n_ref + cfar.n_guard) + 1 if short else 128
         h = cfar.n_guard + cfar.n_ref + 1
         grid = self._grid(600 + m, n, m)
         detection_campaign([grid], 0.0, cfar, np.random.default_rng(601))
-        window = grid._echo_windows[h]
-        assert window.shape == (2 * h + 1, m)
-        assert not window.flags.writeable
+        profile = grid._echo_profiles[h]
+        assert profile.shape == (n + 2 * h, m)
+        assert not profile.flags.writeable
         echo = synthesize_echo(grid, [0], [1.0], 0.0, np.random.default_rng(602))
-        cells = np.arange(-h, h + 1) % n
+        cells = np.arange(-h, n + h) % n
         expect = n * matched_filter(echo, grid)[cells]
-        assert np.max(np.abs(window - expect)) <= 1e-12 * np.max(np.abs(expect))
+        assert np.max(np.abs(profile - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_window_is_built_once_per_h(self):
         grid = self._grid(610, 128, 4)
         cfar = CfarConfig()
         h = cfar.n_guard + cfar.n_ref + 1
         detection_campaign([grid], 0.0, cfar, np.random.default_rng(611))
-        window = grid._echo_windows[h]
+        profile = grid._echo_profiles[h]
         detection_campaign([grid], 5.0, cfar, np.random.default_rng(612), n_targets=2)
-        assert grid._echo_windows[h] is window
-        assert list(grid._echo_windows) == [h]
+        assert grid._echo_profiles[h] is profile
+        assert list(grid._echo_profiles) == [h]
 
     def test_two_windows_on_one_grid_list_interleaved(self):
         # the same grid objects under two CFAR windows of different h, in turn:
-        # each keeps both windows and every decision is the full chain's
+        # each keeps both profiles and every decision is the full chain's
         wide, narrow = CfarConfig(), CfarConfig(p_fa=1e-2, n_ref=1, n_guard=0)
         grids = [self._grid(620 + i, 128, 4) for i in range(12)]
         total = 0
@@ -462,15 +471,15 @@ class TestEchoWindow:
                     total += sum(expect)
         assert 0 < total < len(SWEEP_DB) * 3 * len(grids) * (1 + 3)
         for grid in grids:
-            assert sorted(grid._echo_windows) == [2, 9]
+            assert sorted(grid._echo_profiles) == [2, 9]
 
     def test_a_copy_or_a_new_grid_starts_without_windows(self):
         grid = self._grid(640, 64, 2)
         detection_campaign([grid], 0.0, CfarConfig(), np.random.default_rng(641))
-        assert grid._echo_windows
+        assert grid._echo_profiles
         for other in (grid.copy(), SymbolGrid(grid.symbols)):
-            assert other._echo_windows == {}
-        assert "_echo_windows" not in repr(grid)
+            assert other._echo_profiles == {}
+        assert "_echo_profiles" not in repr(grid)
 
     @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, float("inf")])
     def test_snr_point_without_a_power_ratio_raises(self, snr_db):
