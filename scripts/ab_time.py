@@ -3,7 +3,7 @@
     python3 scripts/ab_time.py --against DIR [--src DIR]
 
 Both ``pslwave`` packages are imported side by side in one process
-(``seeded_digest.load_package``).  Three timings run in the same blocks:
+(``seeded_digest.load_package``).  Four timings run in the same blocks:
 
 * ``optimize``: TRIALS seeded trials at the default point per block, each
   as ``pslwave optimize`` runs it: ``trial_rng(0, t)``, mask, reference
@@ -13,6 +13,10 @@ Both ``pslwave`` packages are imported side by side in one process
   2 dB times the arms original, optimized and orthogonal, one
   ``detection_campaign`` each from ``SeedSequence(0, spawn_key=(j, si))``
   for sweep j and SNR index si.
+* ``detect``: the same SWEEPS sweeps' 33 ``detection_campaign`` calls, on
+  generators built before the timed part of the block, so the row is the
+  receiver's own cost without the ``SeedSequence`` / ``default_rng``
+  construction that ``sweep`` (and an ``evaluate`` unit) pays per call.
 * ``ber``: CAMPAIGNS BER campaigns per block over the same pair, as the
   ``evaluate`` workload runs them: one ``ber_campaign`` of the original and
   optimized arms at 11 BER SNRs from 16 to 36 dB, from
@@ -23,14 +27,15 @@ baseline, built by each side's own package before timing, so both halves of
 an ``evaluate`` unit are timed in one process.
 
 After one untimed warm-up block per side, the script runs BLOCKS pairs of
-blocks; in each block a side runs its optimize trials, its sweeps, then its
-BER campaigns.  The side that goes first alternates from pair to pair.  It
-prints one row per timing: each side's min and median time (µs per trial,
-sweep or campaign) over its blocks, the median over the pairs of the ratio
-(this tree / DIR), which is below 1 when this tree is faster, the number
-of pairs in which this tree was faster, and each side's median over its
-blocks of minor page faults per call (``getrusage`` ``ru_minflt``; both
-sides share the process, so each block's count is its own).
+blocks; in each block a side runs its optimize trials, its sweeps, its
+detection calls, then its BER campaigns.  The side that goes first
+alternates from pair to pair.  It prints one row per timing: each side's
+min and median time (µs per trial, sweep or campaign) over its blocks, the
+median over the pairs of the ratio (this tree / DIR), which is below 1 when
+this tree is faster, the number of pairs in which this tree was faster, and
+each side's median over its blocks of minor page faults per call
+(``getrusage`` ``ru_minflt``; both sides share the process, so each block's
+count is its own; ``detect``'s count includes building its generators).
 
 BLAS and OpenMP run one thread, as in ``perfbench/run.py``: the script sets
 their thread variables before it imports numpy.
@@ -68,6 +73,9 @@ CAMPAIGNS = 20
 SIDES = ("pslwave", "pslwave_against")
 
 
+# Each runner ``run(j0, n)`` runs calls j0 .. j0 + n - 1 and returns the seconds of its timed part.
+
+
 def trial_runner(package: str):
     """A function that runs seeded default trials t0 .. t0 + n - 1 of ``package``."""
     config = importlib.import_module(f"{package}.config")
@@ -76,12 +84,14 @@ def trial_runner(package: str):
     cfg = config.ExperimentConfig()
     spec, w, opt = cfg.constellation(), cfg.lag_weights(), cfg.optimizer()
 
-    def run(t0: int, n: int) -> None:
+    def run(t0: int, n: int) -> float:
+        start = perf_counter()
         for t in range(t0, t0 + n):
             rng = config.trial_rng(0, t)
             mask = cfg.mask(rng)
             reference, _ = constellation.random_reference_grid(rng, spec, mask)
             optimizer.optimize(reference, spec, mask, w, opt)
+        return perf_counter() - start
 
     return run
 
@@ -109,12 +119,35 @@ def sweep_runner(package: str):
     cfg, _, _, *arms = default_pair(package)
     cfar = cfg.cfar()
 
-    def run(j0: int, n: int) -> None:
+    def run(j0: int, n: int) -> float:
+        start = perf_counter()
         for j in range(j0, j0 + n):
             for si, snr_db in enumerate(SENSE_SNR_DB):
                 for grid in arms:
                     rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(j, si)))
                     sensing.detection_campaign([grid], snr_db, cfar, rng, n_targets=cfg.n_targets)
+        return perf_counter() - start
+
+    return run
+
+
+def detect_runner(package: str):
+    """A function that times only the detection calls of sweeps j0 .. j0 + n - 1 of ``package``."""
+    sensing = importlib.import_module(f"{package}.sensing")
+    cfg, _, _, *arms = default_pair(package)
+    cfar = cfg.cfar()
+
+    def run(j0: int, n: int) -> float:
+        calls = [
+            (np.random.default_rng(np.random.SeedSequence(0, spawn_key=(j, si))), snr_db, grid)
+            for j in range(j0, j0 + n)
+            for si, snr_db in enumerate(SENSE_SNR_DB)
+            for grid in arms
+        ]
+        start = perf_counter()
+        for rng, snr_db, grid in calls:
+            sensing.detection_campaign([grid], snr_db, cfar, rng, n_targets=cfg.n_targets)
+        return perf_counter() - start
 
     return run
 
@@ -125,10 +158,12 @@ def ber_runner(package: str):
     cfg, mask, bits, reference, optimized, _ = default_pair(package)
     spec, pairs, snr = cfg.constellation(), [(reference, optimized, bits)], list(BER_SNR_DB)
 
-    def run(j0: int, n: int) -> None:
+    def run(j0: int, n: int) -> float:
+        start = perf_counter()
         for j in range(j0, j0 + n):
             rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(j, 10**6)))
             comms.ber_campaign(pairs, snr, spec, mask, rng, n_rx=cfg.n_rx)
+        return perf_counter() - start
 
     return run
 
@@ -150,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     timings = [
         [("optimize", "trial", trial_runner(name), TRIALS),
          ("sweep", "sweep", sweep_runner(name), SWEEPS),
+         ("detect", "sweep", detect_runner(name), SWEEPS),
          ("ber", "campaign", ber_runner(name), CAMPAIGNS)]
         for name in SIDES
     ]
@@ -162,9 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         for side in ((0, 1) if b % 2 == 0 else (1, 0)):
             for i, (_, _, run, count) in enumerate(timings[side]):
                 flt = minor_faults()
-                start = perf_counter()
-                run(b * count, count)
-                per_call[i, b, side] = (perf_counter() - start) / count * 1e6
+                per_call[i, b, side] = run(b * count, count) / count * 1e6
                 faults[i, b, side] = (minor_faults() - flt) / count
     print(f"this:    {args.src}")
     print(f"against: {args.against}")

@@ -23,49 +23,49 @@ cost per call is kept low:
   exp(-2j*pi*k/N) at k = (n*delay) mod N instead of evaluating a complex
   exponential; the reduction is exact in integers, so the table is accurate
   to double precision even where n*delay/N is large.
-* ``synthesize_echo`` forms the beam with a cached read-only ones vector.
-  Its noise and that of ``detection_campaign`` come from one helper,
-  ``_noise``: one (2, N) standard-normal draw, real parts first, scaled by
-  noise_std and then by 1/sqrt(2), the rounding of
-  noise_std * (g_re + 1j*g_im) / sqrt(2), since numpy divides a complex
-  array by a real scalar as a multiply by its reciprocal.  A zero level
-  draws nothing; a NaN or negative one is a ``ValueError``.
+* ``synthesize_echo`` forms the beam as a product with ones.  Its noise and
+  that of ``detection_campaign`` come from ``_noise``: one (2, N) normal
+  draw, real parts first, scaled in place by noise_std, then by 1/sqrt(2)
+  (the rounding of noise_std * (g_re + 1j*g_im) / sqrt(2)), then set as the
+  real and imaginary parts (a multiply into the interleaved pairs reads the
+  draw with a stride: slower on numpy 2.4, x86-64).  A zero level draws
+  nothing; a NaN or negative one is a ``ValueError``.
 * ``detection_campaign`` runs a windowed receiver.  A target at delay d is
   hit when CFAR fires at d - 1, d or d + 1, and each of those three tests
-  reads the cell and its n_guard + n_ref neighbours on either side.  So only
+  reads the cell and its n_guard + n_ref neighbours on either side, so only
   the 2h + 1 cells d - h .. d + h (cyclically, h = n_guard + n_ref + 1)
-  decide a hit: 19 at the default ``CfarConfig()``.  Per (N, p_fa, n_ref,
-  n_guard) one cached table holds the inverse-DFT rows of the cells -h ..
-  N - 1 + h, so the rows of a window are one zero-copy slice, and the three
-  CFAR kernels placed at the window's cells d - 1, d and d + 1.  The
-  decision does not depend on the profile's scale, so the rows omit the
-  inverse DFT's 1/N and the power is summed, not averaged, over the
-  antennas.
+  decide a hit: 19 at the default ``CfarConfig()``.  A table per (N, h)
+  holds the inverse-DFT rows of the cells -h .. N - 1 + h, so the rows of a
+  window are one zero-copy slice.  The three tests are one product: D =
+  sel - thr, (3, 2h + 1), is +1 at the test cell d - 1 + j minus the scaled
+  kernel around it; D_M, each column repeated 2M times and kept per (p_fa,
+  n_ref, n_guard, M), takes the window's squared real and imaginary parts
+  as they lie, and a hit is a positive entry of D_M @ (zf * zf).ravel().
+  The decision does not depend on the profile's scale, so the rows omit the
+  inverse DFT's 1/N and the power is summed, not averaged, over antennas.
 * The receiver has one echo model.  The filtered unit echo at delay 0 is
   the profile P = rows @ (beam[:, None] * conj(X)), (N + 2h) x M, whose row
   i is cell (i - h) mod N; a unit echo at delay e reads, over the window of
   delay d, the 2h + 1 rows of P from (d - e) mod N.  The grid builds P on
   first use and keeps it per h, as it keeps its energy (``SymbolGrid.copy``
-  starts without it).  A trial draws the stream of ``synthesize_echo``
-  (delays, gains, then the noise), filters the noise once,
-  noise[:, None] * conj(X), and per target d takes the window
-  rows[d : d + 2h + 1] of that and adds g_e times the window of P of every
-  target e, its own echo included: no beam, steering or echo per call.  An
-  SNR point whose power ratio is not finite and positive
-  (``spectrum.snr_ratio``) is rejected before any draw, and the noise level
-  is ``spectrum.noise_level`` of M times the mean entry energy.
+  starts without it).  A trial draws the stream of ``synthesize_echo``:
+  the delays, one gain per delay as a Python scalar,
+  cmath.exp(2j*pi*rng.random()), bit for bit np.exp(2j*pi*rng.random(k)),
+  then the noise.  It filters the noise once, noise[:, None] * conj(X), and
+  per target d adds to rows[d : d + 2h + 1] of that g_e times the window of
+  P of every target e, its own included.  The noise level is
+  ``spectrum.noise_level`` of M times the mean entry energy.
 * ``synthesize_echo``, ``matched_filter`` and ``cfar_detect`` are the full
-  chain over all N cells: the whole received vector, the whole per-antenna
-  delay profile and the detection mask of a whole profile.
-  ``cfar_detect`` serves the false-alarm checks of ``pslwave verify`` and
-  acceptance criterion 6, and the three are the reference the tests hold
-  the windowed receiver to.  ``cfar_detect`` keeps, per
-  (p_fa, n_ref, n_guard), the reference-window kernel already scaled by
-  beta/(2*n_ref), so one convolution gives the threshold of every cell.
+  chain over all N cells and the reference the tests hold the windowed
+  receiver to; ``cfar_detect`` also serves the false-alarm checks of
+  ``pslwave verify`` and acceptance criterion 6.  It keeps, per (p_fa,
+  n_ref, n_guard), the window kernel scaled by beta/(2*n_ref), so one
+  convolution gives the threshold of every cell.
 """
 
 from __future__ import annotations
 
+import cmath
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -109,14 +109,6 @@ class CfarConfig:
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-@lru_cache(maxsize=16)
-def _ones(m: int) -> np.ndarray:
-    """Read-only vector of m ones."""
-    ones = np.ones(m)
-    ones.setflags(write=False)
-    return ones
-
-
 @lru_cache(maxsize=32)
 def _roots_of_unity(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only exp(-2j*pi*k/n) and k for k = 0..n-1."""
@@ -145,7 +137,7 @@ def synthesize_echo(
         raise ValueError(f"got {len(delays)} delays but {len(gains)} gains")
     n, m = grid.symbols.shape
     # a product with ones, not a sum over axis 1: the two round differently
-    beam = grid.symbols @ _ones(m)
+    beam = grid.symbols @ np.ones(m)
     y = np.zeros(n, dtype=complex)
     for delay, gain in zip(delays, gains):
         y += gain * beam * range_steer(n, delay)
@@ -212,28 +204,36 @@ def cfar_detect(power: np.ndarray, config: CfarConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _window_tables(n: int, p_fa: float, n_ref: int, n_guard: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (rows, thr) of the windowed receiver, h = n_guard + n_ref + 1.
+def _window_rows(n: int, h: int) -> np.ndarray:
+    """Read-only (n + 2h, n) table: row i is the inverse-DFT row of cell (i - h) mod n.
 
-    ``rows`` is (n + 2h, n): row i is the inverse-DFT row of cell (i - h) mod n
-    without the 1/n, exp(2j*pi*k*c/n) read from the roots of unity at
-    (k*c) mod n, so ``rows[d : d + 2h + 1]`` gives cells d - h .. d + h.
-    ``thr`` is (3, 2h + 1): row j holds the CFAR kernel around window cell
-    h - 1 + j, the cell d - 1 + j.  The table takes (n + 2h) * n * 16 bytes:
-    0.3 MB at n = 128, 68 MB at n = 2048.
+    Without the 1/n, exp(2j*pi*k*c/n) is read from the roots of unity at (k*c) mod n.
+    It takes (n + 2h) * n * 16 bytes: 0.3 MB at n = 128, 68 MB at n = 2048.
     """
-    h = n_guard + n_ref + 1
     roots, k = _roots_of_unity(n)
     powers = np.outer((np.arange(n + 2 * h) - h) % n, k)
     powers %= n
     rows = np.conj(roots[powers])
-    kernel = _cfar_kernel(p_fa, n_ref, n_guard)
-    thr = np.zeros((3, 2 * h + 1))
-    for j in range(3):
-        thr[j, j : j + kernel.size] = kernel
     rows.setflags(write=False)
-    thr.setflags(write=False)
-    return rows, thr
+    return rows
+
+
+@lru_cache(maxsize=16)
+def _hit_table(p_fa: float, n_ref: int, n_guard: int, m: int) -> np.ndarray:
+    """Read-only D_M, (3, 2m(2h + 1)): D = sel - thr with each column repeated 2m times.
+
+    Row j of D is +1 at the test cell h - 1 + j minus the scaled kernel around
+    it, so ``D_M @ (zf * zf).ravel() > 0`` is CFAR at window cells h - 1 .. h + 1.
+    """
+    kernel = _cfar_kernel(p_fa, n_ref, n_guard)
+    h = n_guard + n_ref + 1
+    table = np.zeros((3, 2 * h + 1))
+    for j in range(3):
+        table[j, j : j + kernel.size] = -kernel
+        table[j, h - 1 + j] = 1.0  # the kernel is 0 at its test cell
+    table = np.repeat(table, 2 * m, axis=1)
+    table.setflags(write=False)
+    return table
 
 
 def _echo_profile(grid: SymbolGrid, h: int, rows: np.ndarray) -> np.ndarray:
@@ -245,7 +245,7 @@ def _echo_profile(grid: SymbolGrid, h: int, rows: np.ndarray) -> np.ndarray:
     profile = grid._echo_profiles.get(h)
     if profile is None:
         x = grid.symbols
-        beam = x @ _ones(x.shape[1])  # as synthesize_echo forms it
+        beam = x @ np.ones(x.shape[1])  # as synthesize_echo forms it
         profile = rows @ (beam[:, None] * np.conj(x))
         profile.setflags(write=False)
         grid._echo_profiles[h] = profile
@@ -268,10 +268,10 @@ def detection_campaign(
     per-antenna matched-filter power profiles fires within one bin of its
     true delay.  Only the 2h + 1 cells around the delay that this decision
     reads are filtered and tested, and of the received vector only the noise
-    is filtered per trial (see the module docstring); the decisions
-    are those of ``synthesize_echo``, ``matched_filter`` and ``cfar_detect``
-    on the whole profile.  An SNR point without a finite positive power
-    ratio, or whose noise level overflows, is a ``ValueError``.
+    is filtered per trial (see the module docstring); the decisions are
+    those of the full chain.  An SNR point without a finite positive power
+    ratio (rejected before any draw), or whose noise level overflows, is a
+    ``ValueError``.
     Returns detections / (trials * n_targets).
     """
     snr_ratio(snr_db)  # rejected before any draw, even without grids
@@ -282,20 +282,20 @@ def detection_campaign(
         x = grid.symbols
         n, m = x.shape
         cfar.check_profile_length(n)
-        rows, thr = _window_tables(n, cfar.p_fa, cfar.n_ref, cfar.n_guard)
+        rows = _window_rows(n, h)
         profile = _echo_profile(grid, h, rows)
+        decide = _hit_table(cfar.p_fa, cfar.n_ref, cfar.n_guard, m)
         noise_std = noise_level(m * (grid.energy() / x.size), snr_db)
         delays = _draw_delays(rng, n, n_targets).tolist()
-        # one draw of n_targets uniforms: the stream of n_targets scalar draws
-        gains = np.exp(2j * np.pi * rng.random(n_targets))
+        # scalar draws, bit for bit np.exp(2j * np.pi * rng.random(n_targets))
+        gains = [cmath.exp(2j * cmath.pi * rng.random()) for _ in delays]
         heard = _noise(rng, n, noise_std)[:, None] * np.conj(x)
         for d in delays:
             z = rows[d : d + span] @ heard
             for e, gain in zip(delays, gains):
                 z += gain * profile[(d - e) % n :][:span]
             zf = z.view(float)
-            power = (zf * zf) @ _ones(2 * m)  # re^2 + im^2 summed over the antennas
-            if (power[h - 1 : h + 2] > thr @ power).any():
+            if True in (decide @ (zf * zf).ravel() > 0).tolist():
                 hits += 1
     total = len(grids) * n_targets
     return hits / total if total else 0.0

@@ -34,6 +34,7 @@ whose noise level overflows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,7 +244,7 @@ def snr_ratio(snr_db: float) -> float:
 def noise_level(energy: float, snr_db: float) -> float:
     """Noise standard deviation sqrt(energy / snr_ratio(snr_db)) for a signal of the
     given energy; a ``ValueError`` naming the point if it is not finite."""
-    level = float(np.sqrt(energy / snr_ratio(snr_db)))
-    if level == np.inf:
+    level = math.sqrt(energy / snr_ratio(snr_db))  # correctly rounded, as np.sqrt
+    if level == math.inf:
         raise ValueError(f"SNR point {snr_db} dB gives an infinite noise level")
     return level

@@ -29,10 +29,11 @@ def test_a_tree_against_itself():
         "timing", "per", "this_min", "this_med", "vs_min", "vs_med", "ratio", "faster",
         "this_flt", "vs_flt",
     ]
-    # one row per timing: optimize trials, the detection sweeps, the BER campaigns
-    timings = (("optimize", "trial"), ("sweep", "sweep"), ("ber", "campaign"))
+    # one row per timing: optimize trials, the detection sweeps, their detection calls
+    # alone, the BER campaigns
+    timings = (("optimize", "trial"), ("sweep", "sweep"), ("detect", "sweep"), ("ber", "campaign"))
     assert len(lines) == 3 + len(timings) + 1
-    for line, timing in zip(lines[3:6], timings):
+    for line, timing in zip(lines[3:7], timings):
         name, per, this_min, this_med, vs_min, vs_med, ratio, faster, this_flt, vs_flt = (
             line.split()
         )
@@ -42,8 +43,8 @@ def test_a_tree_against_itself():
         assert float(ratio) > 0.0
         assert 0 <= int(faster) <= 2
         assert float(this_flt) >= 0.0 and float(vs_flt) >= 0.0
-    assert "over 2 pairs of blocks of 1 trials, 1 sweeps and 1 campaigns" in lines[6]
-    assert "minor page faults per call" in lines[6]
+    assert "over 2 pairs of blocks of 1 trials, 1 sweeps and 1 campaigns" in lines[7]
+    assert "minor page faults per call" in lines[7]
 
 
 # records the BLAS thread variables at the moment numpy is first imported

@@ -1,5 +1,7 @@
 """Sensing chain: range steering, echo synthesis, matched filter, CFAR calibration."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,30 @@ class TestEchoRounding:
             got = synthesize_echo(grid, delays, gains, noise_std, np.random.default_rng(seed))
             expect = reference_echo(grid, delays, gains, noise_std, np.random.default_rng(seed))
             assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_shortest_vectors(self, n, m):
+        # the noise is written through strided views of one complex vector
+        rng = np.random.default_rng(110 + 10 * n + m)
+        for _ in range(20):
+            grid = SymbolGrid(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+            delays = rng.integers(0, n, size=2)
+            gains = np.exp(2j * np.pi * rng.random(2))
+            noise_std = float(rng.uniform(0.05, 3.0))
+            seed = int(rng.integers(2**32))
+            got = synthesize_echo(grid, delays, gains, noise_std, np.random.default_rng(seed))
+            expect = reference_echo(grid, delays, gains, noise_std, np.random.default_rng(seed))
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 128])
+    def test_zero_level_draws_nothing(self, n):
+        rng = np.random.default_rng(130 + n)
+        state = rng.bit_generator.state
+        grid = SymbolGrid(np.ones((n, 2), dtype=complex))
+        y = synthesize_echo(grid, [0], [1.0], 0.0, rng)
+        assert rng.bit_generator.state == state
+        assert y.tobytes() == (2.0 * np.ones(n, dtype=complex)).tobytes()
 
 
 class TestMatchedFilter:
@@ -245,6 +271,30 @@ class TestDetectionCampaign:
         assert detection_campaign(grids, 10.0, CfarConfig(), rng, n_targets=0) == 0.0
 
 
+class TestGainDraws:
+    """``detection_campaign`` draws each gain as a Python scalar,
+    cmath.exp(2j * cmath.pi * rng.random()); that is the array form bit for bit."""
+
+    @staticmethod
+    def _scalar(u):
+        return np.array([cmath.exp(2j * cmath.pi * float(v)) for v in u])
+
+    def test_bitwise_equal_to_the_array_form(self):
+        u = np.random.default_rng(140).random(10**5)
+        assert self._scalar(u).tobytes() == np.exp(2j * np.pi * u).tobytes()
+
+    def test_quarter_turns_and_the_largest_draw(self):
+        u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+        assert self._scalar(u).tobytes() == np.exp(2j * np.pi * u).tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 7])
+    def test_scalar_draws_leave_the_array_draw_state(self, k):
+        scalar, array = np.random.default_rng(141), np.random.default_rng(141)
+        u = [scalar.random() for _ in range(k)]
+        assert u == array.random(k).tolist()
+        assert scalar.bit_generator.state == array.bit_generator.state
+
+
 def reference_hits(grids, snr_db, cfar, rng, n_targets):
     """The detection loop as first written, one hit count per grid: a complex
     exponential per steering vector, scalar gain draws, two noise draws, the
@@ -323,6 +373,56 @@ WINDOW_CONFIGS = [
 ]
 WINDOW_IDS = [f"ref{c.n_ref}-guard{c.n_guard}" for c in WINDOW_CONFIGS]
 SWEEP_DB = (-30.0, -20.0, -10.0, -6.0, -3.0, 0.0, 3.0, 6.0, 10.0, 20.0, 30.0)
+
+
+class TestHitTable:
+    """The CFAR tests at d - 1, d and d + 1 as one product: D_M, the (3, 2h + 1)
+    table D = sel - thr with each column repeated 2M times, times the window's
+    squared (re, im) parts, is positive exactly where ``cfar_detect`` fires."""
+
+    @staticmethod
+    def _folded(squares, d, cfar):
+        n, two_m = squares.shape
+        h = cfar.n_guard + cfar.n_ref + 1
+        window = squares[(d + np.arange(-h, h + 1)) % n]
+        table = sensing._hit_table(cfar.p_fa, cfar.n_ref, cfar.n_guard, two_m // 2)
+        return (table @ window.ravel() > 0).tolist()
+
+    @pytest.mark.parametrize("cfar", WINDOW_CONFIGS, ids=WINDOW_IDS)
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("short", [False, True], ids=["n40", "shortest"])
+    def test_folded_test_is_cfar_at_three_cells(self, cfar, m, short):
+        # at the shortest N = 2h - 1 the window of 2h + 1 cells wraps past N
+        n = 2 * (cfar.n_ref + cfar.n_guard) + 1 if short else 40
+        rng = np.random.default_rng(700 + 10 * n + m)
+        fired = 0
+        for _ in range(20):
+            # re^2 and im^2 per cell and antenna, a fifth of the cells 30 times stronger
+            squares = rng.exponential(size=(n, 2 * m)) * np.where(rng.random((n, 1)) < 0.2, 30, 1)
+            det = cfar_detect(squares.sum(axis=1), cfar)
+            for d in range(n):
+                expect = [bool(det[(d - 1 + j) % n]) for j in range(3)]
+                assert self._folded(squares, d, cfar) == expect, d
+                fired += sum(expect)
+        assert 0 < fired < 20 * n * 3
+
+    @pytest.mark.parametrize("cfar", WINDOW_CONFIGS, ids=WINDOW_IDS)
+    def test_an_all_zero_profile_gives_no_hit(self, cfar):
+        n = 2 * (cfar.n_ref + cfar.n_guard) + 1
+        squares = np.zeros((n, 8))
+        assert not cfar_detect(squares.sum(axis=1), cfar).any()
+        for d in range(n):
+            assert self._folded(squares, d, cfar) == [False, False, False]
+        # a silent grid: no echo and, at zero energy, no noise
+        grid = SymbolGrid(np.zeros((n, 4), dtype=complex))
+        assert detection_campaign([grid], 10.0, cfar, np.random.default_rng(710), 1) == 0.0
+
+    def test_table_is_read_only_and_kept_per_m(self):
+        cfar = CfarConfig()
+        table = sensing._hit_table(cfar.p_fa, cfar.n_ref, cfar.n_guard, 4)
+        assert table.shape == (3, 8 * (2 * (cfar.n_guard + cfar.n_ref + 1) + 1))
+        assert not table.flags.writeable
+        assert sensing._hit_table(cfar.p_fa, cfar.n_ref, cfar.n_guard, 4) is table
 
 
 class TestWindowedReceiver:
