@@ -28,6 +28,8 @@ workload sweeps them with seed 0:
   (N = 64, M = 2) and on symbols of non-constant modulus;
 * ``ber``: the bit-error count per pair, BER SNR and arm of one
   ``ber_campaign`` per pair, from ``SeedSequence(0, spawn_key=(j, 10**6))``;
+* ``ber-rx8``: the same with 8 receive antennas, so the zero-forcing
+  receiver is pinned where H is 8 x 4 and pinv(H) is only a left inverse;
 * ``ber-qam16``: the same over the pairs of the ``qam16-64x2`` case at 11
   SNRs from -4 to 16 dB, where 16-QAM makes errors, so the QAM branch of
   the BER pass is pinned too.
@@ -223,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         ("sense-qam16", "qam16-64x2",
          lambda package, trials: sense_counts(package, trials, n_targets=2)),
         ("ber", "default", ber_counts),
+        ("ber-rx8", "default", lambda package, trials: ber_counts(package, trials, {"n_rx": 8})),
         ("ber-qam16", "qam16-64x2",
          lambda package, trials: ber_counts(package, trials, qam16, QAM_BER_SNR_DB)),
     )

@@ -12,17 +12,18 @@ measured SNR penalty reflects only the symbol perturbation.
 
 ``channel_apply``, ``zf_equalize`` and ``bit_errors`` (over
 ``constellation.demodulate``) are the reference chain.  ``ber_campaign``
-runs the same arithmetic, operation for operation, as one fused pass per
-pair whose large intermediates all live in a reused workspace:
+makes its decisions in one pass per pair:
 
-* Workspace.  The unit noise, the noisy reception of the (2, 1, N, M) stack
-  of both arms, the ZF estimate, the region indices and the error lookup
-  live in preallocated arrays, one ``_Workspace`` per shape
-  (n_snr, N, n_rx, M).  Each thread keeps the workspace of its last
-  campaign and reuses it while the shape stays the same, so campaigns
-  running at the same time in other threads never share one.  Every step
-  writes into it with ``out=``: the standard normal draw, the scaling, both
-  products and the slicer.
+* Only the noise is equalized.  With n_rx >= M, which ``ber_campaign``
+  requires, H has full column rank and pinv(H) (H x + n) = x + pinv(H) n.
+  The pass forms E = (sigma n) pinv(H)^T once per pair, and each arm's
+  estimate is its grid plus E.  That differs from the chain's estimate by
+  the round-off of (pinv(H) H - I) x, so the decisions are the chain's
+  unless an entry lies within that round-off of a decision boundary.
+* Workspace.  Every large intermediate is written with ``out=`` into the
+  preallocated arrays of one ``_Workspace`` per shape (n_snr, N, n_rx, M).
+  Each thread keeps the workspace of its last campaign and reuses it while
+  the shape stays the same, so concurrent campaigns never share one.
 * Bit errors.  The slicer that ``demodulate`` uses
   (``constellation._decision_regions``) gives every entry of the estimate
   its decision region, and a cached table of bit errors per (region, sent
@@ -116,9 +117,7 @@ class _Workspace:
         stack = (2, n_snr, n, m)  # arm, SNR point, sub-carrier, antenna
         self.gauss = np.empty((n_snr, 2, n, n_rx))
         self.noise = np.empty((n_snr, n, n_rx), dtype=complex)
-        self.arms = np.empty((2, 1, n, m), dtype=complex)
-        self.signal = np.empty((2, 1, n, n_rx), dtype=complex)
-        self.received = np.empty((2, n_snr, n, n_rx), dtype=complex)
+        self.equalized = np.empty((n_snr, n, m), dtype=complex)
         self.estimate = np.empty(stack, dtype=complex)
         self.region = np.empty(stack)
         self.spare = np.empty(stack)  # QAM's imaginary levels
@@ -148,14 +147,12 @@ def _pair_errors(
     mask: SubcarrierMask,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """(2, n_snr) bit errors of one pair: the reference chain, written into ``ws``.
+    """(2, n_snr) bit errors of one pair: the reference chain's decisions, written into ``ws``.
 
-    Draws the channel, then the unit noise, from ``rng``, and runs
-    ``channel_apply`` -> ``zf_equalize`` -> ``bit_errors`` on the stack of
-    both arms, operation for operation, so the counts are the same.  The
-    slicer gives every entry its region, used or not; ``_error_table`` at
-    (region, sent label) counts its bit errors, and unused entries carry the
-    label Q, whose column is zero.
+    Draws the channel, then the unit noise, from ``rng``; each arm's estimate
+    is its grid plus the equalized noise.  The slicer gives every entry its
+    region, used or not; ``_error_table`` at (region, sent label) counts its
+    bit errors, and unused entries carry the label Q, whose column is zero.
     """
     q = spec.order
     n_rx, n_tx = ws.shape[2:]
@@ -164,12 +161,10 @@ def _pair_errors(
     np.multiply(ws.gauss[:, 0], _INV_SQRT2, out=ws.noise.real)
     np.multiply(ws.gauss[:, 1], _INV_SQRT2, out=ws.noise.imag)
     np.multiply(sigma[:, None, None], ws.noise, out=ws.noise)
-    ws.arms[0, 0] = ref.symbols
-    ws.arms[1, 0] = opt.symbols
-    np.matmul(ws.arms, h.T, out=ws.signal)
-    np.add(ws.signal, ws.noise, out=ws.received)
-    np.matmul(ws.received.reshape(-1, n_rx), np.linalg.pinv(h).T,
-              out=ws.estimate.reshape(-1, n_tx))
+    np.matmul(ws.noise.reshape(-1, n_rx), np.linalg.pinv(h).T,
+              out=ws.equalized.reshape(-1, n_tx))
+    np.add(ref.symbols, ws.equalized, out=ws.estimate[0])
+    np.add(opt.symbols, ws.equalized, out=ws.estimate[1])
     region = _decision_regions(ws.estimate, spec.family, q, ws.region, ws.spare)
     ws.labels.fill(q)
     ws.labels.T[mask.used.T] = _bits_to_labels(bits, spec.bits_per_symbol)
@@ -201,11 +196,9 @@ def ber_campaign(
     The unit noise is written straight into the real and imaginary views of
     one complex array, each part times 1/sqrt(2): the rounding of
     (re + 1j*im) / sqrt(2).
-    Both arms go through one pass as a (2, 1, N, M) stack, so the noise is
-    scaled once and each channel draw costs one pseudoinverse.  The pass
-    (``_pair_errors``) writes into the calling thread's ``_Workspace`` of
-    the campaign's shape, so a campaign running at the same time in another
-    thread has its own.
+    Both arms share one equalized noise, so each channel draw costs one
+    pseudoinverse and one noise product (``_pair_errors``, written into the
+    calling thread's ``_Workspace``).
     An empty ``pairs`` or ``snr_db_list`` is a ``ValueError``: there is no
     rate to report.  So is a grid whose shape is not the mask's, fewer
     receive than transmit antennas, an SNR point that ``snr_ratio`` rejects

@@ -10,7 +10,7 @@ import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask
 from .optimizer import OptimizerConfig
-from .sensing import MIN_SEPARATION, CfarConfig
+from .sensing import CfarConfig
 from .spectrum import LagWeights, noise_level
 
 __all__ = ["ExperimentConfig", "load_config", "trial_rng", "ConfigError"]
@@ -72,18 +72,17 @@ class ExperimentConfig:
         # SubcarrierMask.random leaves round(f * N) carriers of each antenna unused
         if not (0.0 <= self.unused_fraction < 1.0 and round(self.unused_fraction * n) < n):
             raise ConfigError("need unused_fraction >= 0 with round(unused_fraction * N) < N")
-        # each placed target blocks 2 * MIN_SEPARATION - 1 cells; the last one needs a free cell
-        if self.n_targets < 1 or (self.n_targets - 1) * (2 * MIN_SEPARATION - 1) >= n:
-            raise ConfigError(
-                f"need 1 <= n_targets with (n_targets - 1) * {2 * MIN_SEPARATION - 1} < N = {n}"
-            )
         try:
             spec = self.constellation()
             self.optimizer()
             self.lag_weights()
-            self.cfar().check_profile_length(self.n_subcarriers)  # the range profile has N cells
+            cfar = self.cfar()
+            cfar.check_profile_length(n)  # the range profile has N cells
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not 1 <= self.n_targets <= cfar.max_targets(n):
+            raise ConfigError(f"need 1 <= n_targets <= {cfar.max_targets(n)} at N = {n}: targets "
+                              "are drawn cfar_n_guard + cfar_n_ref + 1 bins apart")
         # each SNR point needs a finite positive power ratio (no NaN or infinity, nothing
         # outside about -3080 .. 3080 dB) and a finite noise level; a grid's mean entry
         # energy is at most the largest point energy, so a noise level that stays finite

@@ -82,11 +82,7 @@ __all__ = [
     "cfar_threshold_factor",
     "cfar_detect",
     "detection_campaign",
-    "MIN_SEPARATION",
 ]
-
-# Minimum cyclic distance, in range bins, between the targets of one trial
-MIN_SEPARATION = 3
 
 
 @dataclass
@@ -104,6 +100,13 @@ class CfarConfig:
         """Raise unless an n-cell profile holds both one-sided windows around a cell."""
         if n <= 2 * (self.n_ref + self.n_guard):
             raise ValueError("profile too short for the reference window")
+
+    def max_targets(self, n: int) -> int:
+        """The most targets that always fit in n cells, n_guard + n_ref + 1 bins apart.
+
+        Each placed target rules out 2 * (n_guard + n_ref) + 1 cells.
+        """
+        return 1 + (n - 1) // (2 * (self.n_guard + self.n_ref) + 1)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -261,9 +264,11 @@ def detection_campaign(
 ) -> float:
     """Empirical detection probability over one trial per supplied grid.
 
-    Each trial draws uniform target delays (pairwise separation at least
-    MIN_SEPARATION bins, cyclically), then one unit-modulus random-phase gain
-    per target, and the noise of the broadside echo at the given sensing SNR.
+    Each trial draws uniform target delays, pairwise at least
+    h = n_guard + n_ref + 1 bins apart cyclically, so no target sits in the
+    reference window of the cell at another's delay; then one unit-modulus
+    random-phase gain per target, and the noise of the broadside echo at the
+    given sensing SNR.
     A target counts as detected when CA-CFAR on the noncoherent sum of the
     per-antenna matched-filter power profiles fires within one bin of its
     true delay.  Only the 2h + 1 cells around the delay that this decision
@@ -286,7 +291,7 @@ def detection_campaign(
         profile = _echo_profile(grid, h, rows)
         decide = _hit_table(cfar.p_fa, cfar.n_ref, cfar.n_guard, m)
         noise_std = noise_level(m * (grid.energy() / x.size), snr_db)
-        delays = _draw_delays(rng, n, n_targets).tolist()
+        delays = _draw_delays(rng, n, n_targets, h)
         # scalar draws, bit for bit np.exp(2j * np.pi * rng.random(n_targets))
         gains = [cmath.exp(2j * cmath.pi * rng.random()) for _ in delays]
         heard = _noise(rng, n, noise_std)[:, None] * np.conj(x)
@@ -301,14 +306,15 @@ def detection_campaign(
     return hits / total if total else 0.0
 
 
-def _draw_delays(rng: np.random.Generator, n: int, n_targets: int) -> np.ndarray:
+def _draw_delays(rng: np.random.Generator, n: int, n_targets: int, separation: int) -> list[int]:
+    """Uniform delays in 0 .. n - 1, pairwise at least ``separation`` bins apart cyclically."""
     delays: list[int] = []
     attempts = 0
     while len(delays) < n_targets:
         cand = int(rng.integers(0, n))
-        if all(min((cand - d) % n, (d - cand) % n) >= MIN_SEPARATION for d in delays):
+        if all(min((cand - d) % n, (d - cand) % n) >= separation for d in delays):
             delays.append(cand)
         attempts += 1
         if attempts > 1000 * n_targets:
             raise RuntimeError("cannot place targets with the requested separation")
-    return np.array(delays, dtype=np.int64)
+    return delays

@@ -47,11 +47,17 @@ class TestConfig:
         for bad in (-0.01, 0.997, 1.0, 1.5, float("nan")):
             with pytest.raises(ConfigError):
                 ExperimentConfig(unused_fraction=bad)
-        # at N = 128 with separation 3: 25 * 5 = 125 < 128 cells, 26 * 5 = 130 do not fit
-        ExperimentConfig(n_targets=26)
-        for bad in (0, 27, 60):
+        # targets are n_guard + n_ref + 1 = 9 bins apart at the default window, so each
+        # blocks 17 cells: at N = 128, 7 * 17 = 119 < 128 fits, 8 * 17 = 136 does not
+        ExperimentConfig(n_targets=8)
+        for bad in (0, 9, 60):
             with pytest.raises(ConfigError):
                 ExperimentConfig(n_targets=bad)
+        # the separation follows the window: 2 bins at n_ref = 1, n_guard = 0, 3 cells each
+        narrow = {"cfar_p_fa": 1e-2, "cfar_n_ref": 1, "cfar_n_guard": 0}
+        ExperimentConfig(n_targets=43, **narrow)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(n_targets=44, **narrow)
         for bad in (
             {"seed": -1},
             {"n_rx": -1},
@@ -385,6 +391,7 @@ class TestCliCommands:
                 "ber", "constellation", "unused_fraction = 0.997", id="unused_fraction-0.997"
             ),
             pytest.param("sense", "sensing", "n_targets = 60", id="sensing-n_targets-60"),
+            pytest.param("sense", "sensing", "n_targets = 9", id="sensing-n_targets-9"),
             pytest.param("sense", "sensing", "n_targets = 0", id="sensing-n_targets-0"),
             *(
                 pytest.param(cmd, "campaign", "seed = -1", id=f"campaign-seed--1-{cmd}")

@@ -327,6 +327,30 @@ class TestBerPass:
             assert np.array_equal(r.symbols, r0) and np.array_equal(o.symbols, o0)
             assert np.array_equal(b, b0)
 
+    @pytest.mark.parametrize("family,order,n,m,n_rx,unused", PASS_CASES, ids=PASS_IDS)
+    def test_pass_equals_the_chain_on_an_ill_conditioned_channel(
+        self, monkeypatch, family, order, n, m, n_rx, unused
+    ):
+        # the pass equalizes only the noise, so its estimates differ from the chain's by
+        # (pinv(H) H - I) x, which grows with the condition number: here about 1e6
+        rng = np.random.default_rng(150)
+        u = np.linalg.qr(rng.standard_normal((n_rx, m)) + 1j * rng.standard_normal((n_rx, m)))[0]
+        v = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        h = (u * np.geomspace(1.0, 1e-6, m)) @ v.conj().T
+        assert np.linalg.cond(h) == pytest.approx(1e6)
+        assert np.max(np.abs(np.linalg.pinv(h) @ h - np.eye(m))) > 1e-11
+        for module in (comms, sys.modules[__name__]):  # the pass and chain_campaign
+            monkeypatch.setattr(module, "draw_channel", lambda rng, n_rx, n_tx: h)
+        spec, mask, pairs = self._case(family, order, n, m, unused)
+        # the noise on the weakest direction is 120 dB up: points from 0 to 140 dB
+        snr_db = [0.0, 100.0, 110.0, 120.0, 130.0, 140.0]
+        out = ber_campaign(pairs, snr_db, spec, mask, np.random.default_rng(7), n_rx=n_rx)
+        want = chain_campaign(pairs, snr_db, spec, mask, np.random.default_rng(7), n_rx)
+        n_bits = sum(b.size for _, _, b in pairs)
+        for key in ("original", "optimized"):
+            assert np.array_equal(out[key], want[key]), key
+            assert out[key][0] * n_bits > 10 and out[key][-1] < out[key][0]
+
     def test_interleaved_shapes_give_the_results_of_fresh_calls(self):
         # shapes change from call to call, and each shape runs twice in a row on other
         # grids, so a reused workspace holds the last campaign's values

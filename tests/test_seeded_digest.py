@@ -10,9 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "seeded_digest.py"
 N_CASES = 8
-# the sense, sense-k3, sense-qam16, ber and ber-qam16 rows: 11 SNR points x 2 arms of
-# counts per pair
-COUNT_ROWS = {"sense": 22, "sense-k3": 22, "sense-qam16": 22, "ber": 22, "ber-qam16": 22}
+# the sense, sense-k3, sense-qam16, ber, ber-rx8 and ber-qam16 rows: 11 SNR points x 2
+# arms of counts per pair
+COUNT_ROWS = {"sense": 22, "sense-k3": 22, "sense-qam16": 22, "ber": 22, "ber-rx8": 22,
+              "ber-qam16": 22}
 
 
 def run_digest(*args: str) -> subprocess.CompletedProcess:

@@ -264,8 +264,30 @@ class TestDetectionCampaign:
         dp = detection_campaign(grids, 15.0, CfarConfig(), rng, n_targets=3)
         assert 0.0 <= dp <= 1.0
 
+    def test_drawn_targets_sit_outside_each_others_windows(self):
+        # h = n_guard + n_ref + 1 = 9 at the default window; 8 targets fit at N = 128
+        assert CfarConfig().max_targets(128) == 8
+        rng = np.random.default_rng(89)
+        closest = []
+        for _ in range(200):
+            delays = sensing._draw_delays(rng, 128, 8, 9)
+            assert len(delays) == 8 and all(type(d) is int and 0 <= d < 128 for d in delays)
+            closest.append(min(min((a - b) % 128, (b - a) % 128)
+                               for i, a in enumerate(delays) for b in delays[:i]))
+        assert min(closest) == 9
+
+    @pytest.mark.parametrize("gap,dp", [(2, 0.0), (8, 0.0), (9, 1.0), (14, 1.0)])
+    def test_a_neighbour_inside_the_reference_window_masks(self, monkeypatch, gap, dp):
+        # two loud targets: 8 bins apart each sits in the other's reference window
+        # and both are missed; at the drawn separation of 9 both are found
+        monkeypatch.setattr(sensing, "_draw_delays", lambda rng, n, k, separation: [0, gap])
+        grids = [self._grid(s, n=128, m=4) for s in range(10)]
+        for snr_db in (10.0, 30.0):
+            got = detection_campaign(grids, snr_db, CfarConfig(), np.random.default_rng(84), 2)
+            assert got == dp
+
     def test_no_targets_gives_zero(self):
-        assert sensing._draw_delays(np.random.default_rng(0), 64, 0).dtype == np.int64
+        assert sensing._draw_delays(np.random.default_rng(0), 64, 0, 9) == []
         grids = [self._grid(s) for s in range(3)]
         rng = np.random.default_rng(83)
         assert detection_campaign(grids, 10.0, CfarConfig(), rng, n_targets=0) == 0.0
@@ -304,7 +326,7 @@ def reference_hits(grids, snr_db, cfar, rng, n_targets):
         n, m = grid.symbols.shape
         es_avg = grid.energy() / grid.symbols.size
         sigma = float(np.sqrt(m * es_avg / (10.0 ** (snr_db / 10.0))))
-        delays = sensing._draw_delays(rng, n, n_targets)
+        delays = np.array(sensing._draw_delays(rng, n, n_targets, cfar.n_guard + cfar.n_ref + 1))
         gains = np.array([np.exp(2j * np.pi * rng.random()) for _ in delays])
         beam = grid.symbols @ np.ones(m)
         y = np.zeros(n, dtype=complex)
@@ -355,7 +377,7 @@ def full_chain_hits(grids, snr_db, cfar, rng, n_targets):
         cfar.check_profile_length(n)
         es_avg = grid.energy() / grid.symbols.size
         sigma = float(np.sqrt(m * es_avg / (10.0 ** (snr_db / 10.0))))
-        delays = sensing._draw_delays(rng, n, n_targets)
+        delays = sensing._draw_delays(rng, n, n_targets, cfar.n_guard + cfar.n_ref + 1)
         gains = np.exp(2j * np.pi * rng.random(n_targets))
         y = synthesize_echo(grid, delays, gains, sigma, rng)
         profile = np.mean(np.abs(matched_filter(y, grid)) ** 2, axis=1)
@@ -425,6 +447,14 @@ class TestHitTable:
         assert sensing._hit_table(cfar.p_fa, cfar.n_ref, cfar.n_guard, 4) is table
 
 
+def draw_adjacent(monkeypatch):
+    """Draw delays only 1 bin apart instead of the CFAR window's separation, so that
+    targets sit in each other's windows; the receiver and the full chain both draw
+    through the patched function."""
+    draw = sensing._draw_delays
+    monkeypatch.setattr(sensing, "_draw_delays", lambda rng, n, k, separation: draw(rng, n, k, 1))
+
+
 class TestWindowedReceiver:
     """``detection_campaign`` filters and tests only the 2h + 1 cells around each
     delay, h = n_guard + n_ref + 1; its decisions are those of the full chain."""
@@ -453,35 +483,41 @@ class TestWindowedReceiver:
 
     @pytest.mark.parametrize("cfar", WINDOW_CONFIGS, ids=WINDOW_IDS)
     @pytest.mark.parametrize("m", [1, 2, 4, 8])
-    def test_hits_equal_the_full_chain(self, cfar, m):
+    def test_hits_equal_the_full_chain(self, monkeypatch, cfar, m):
         rng = np.random.default_rng(300 + m)
         grids = self._grids(rng, 128, m, 12)
         total = sum(self._check(grids, cfar, k, seed=10 * m + k) for k in (1, 2, 3))
+        # and several targets in overlapping windows
+        draw_adjacent(monkeypatch)
+        total += sum(self._check(grids, cfar, k, seed=10 * m + k + 5) for k in (2, 3))
         # the sweep decides both ways
+        assert 0 < total < len(SWEEP_DB) * len(grids) * (1 + 2 + 3 + 2 + 3)
+
+    @pytest.mark.parametrize("cfar", WINDOW_CONFIGS, ids=WINDOW_IDS)
+    def test_smallest_profile(self, monkeypatch, cfar):
+        # N = 2(n_ref + n_guard) + 1: the window of 2h + 1 cells wraps past N and every
+        # target reads the whole profile; the drawn separation h leaves room for one
+        # target only, so 1 to 3 are drawn 1 bin apart
+        n = 2 * (cfar.n_ref + cfar.n_guard) + 1
+        assert cfar.max_targets(n) == 1
+        rng = np.random.default_rng(400 + n)
+        grids = self._grids(rng, n, 2, 40)
+        draw_adjacent(monkeypatch)
+        total = sum(self._check(grids, cfar, k, seed=k) for k in (1, 2, 3))
         assert 0 < total < len(SWEEP_DB) * len(grids) * (1 + 2 + 3)
 
     @pytest.mark.parametrize("cfar", WINDOW_CONFIGS, ids=WINDOW_IDS)
-    def test_smallest_profile(self, cfar):
-        # N = 2(n_ref + n_guard) + 1: the window of 2h + 1 cells wraps past N
-        n = 2 * (cfar.n_ref + cfar.n_guard) + 1
-        rng = np.random.default_rng(400 + n)
-        grids = self._grids(rng, n, 2, 40)
-        counts = range(1, min(3, n // sensing.MIN_SEPARATION) + 1)
-        total = sum(self._check(grids, cfar, k, seed=k) for k in counts)
-        assert 0 < total < len(SWEEP_DB) * len(grids) * sum(counts)
-
-    @pytest.mark.parametrize("cfar", WINDOW_CONFIGS, ids=WINDOW_IDS)
-    # targets MIN_SEPARATION apart across the wrap read the profile from offsets
-    # (d - e) mod N near 0 and near N - 1 in overlapping windows; each neighbour sits in
-    # the other's reference window and masks it at the wider windows, so a far target at
-    # 64 is detected too; [120, 2], 10 apart, overlap without masking
+    # fixed delays, closer than the draw allows: targets 1 to 3 bins apart across the
+    # wrap read the profile from offsets (d - e) mod N near 0 and near N - 1 in
+    # overlapping windows; each neighbour sits in the other's reference window and masks
+    # it at the wider windows, so a far target at 64 is detected too; [120, 2], 10
+    # apart, overlap without masking
     @pytest.mark.parametrize(
         "delays",
         [[0], [1], [126], [127], [127, 0, 64], [126, 1, 64], [0, 3, 125, 64], [120, 2]],
     )
     def test_delays_at_the_ends_of_the_profile(self, monkeypatch, cfar, delays):
-        fixed = np.array(delays, dtype=np.int64)
-        monkeypatch.setattr(sensing, "_draw_delays", lambda rng, n, k: fixed)
+        monkeypatch.setattr(sensing, "_draw_delays", lambda rng, n, k, separation: list(delays))
         rng = np.random.default_rng(500 + delays[0])
         grids = self._grids(rng, 128, 4, 30)
         total = self._check(grids, cfar, len(delays), seed=delays[0])
@@ -552,11 +588,13 @@ class TestEchoWindow:
         assert grid._echo_profiles[h] is profile
         assert list(grid._echo_profiles) == [h]
 
-    def test_two_windows_on_one_grid_list_interleaved(self):
+    def test_two_windows_on_one_grid_list_interleaved(self, monkeypatch):
         # the same grid objects under two CFAR windows of different h, in turn:
-        # each keeps both profiles and every decision is the full chain's
+        # each keeps both profiles and every decision is the full chain's, with
+        # targets drawn 1 bin apart so that their windows overlap
         wide, narrow = CfarConfig(), CfarConfig(p_fa=1e-2, n_ref=1, n_guard=0)
         grids = [self._grid(620 + i, 128, 4) for i in range(12)]
+        draw_adjacent(monkeypatch)
         total = 0
         for snr_db in SWEEP_DB:
             for k, cfar in enumerate((wide, narrow, wide)):
