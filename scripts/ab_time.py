@@ -23,8 +23,9 @@ Both ``pslwave`` packages are imported side by side in one process
   ``SeedSequence(0, spawn_key=(j, 10**6))`` for campaign j.
 
 The pair is trial 0's reference grid, its optimized grid and an orthogonal
-baseline, built by each side's own package before timing, so both halves of
-an ``evaluate`` unit are timed in one process.
+baseline, built once per side by that side's own package before timing and
+shared by its sweep, detect and BER runners, so both halves of an
+``evaluate`` unit are timed in one process.
 
 After one untimed warm-up block per side, the script runs BLOCKS pairs of
 blocks; in each block a side runs its optimize trials, its sweeps, its
@@ -113,10 +114,11 @@ def default_pair(package: str):
     return cfg, mask, bits, reference, report.grid, orthogonal
 
 
-def sweep_runner(package: str):
-    """A function that runs detection sweeps j0 .. j0 + n - 1 of ``package`` over one pair."""
+def sweep_runner(package: str, pair: tuple):
+    """A function that runs detection sweeps j0 .. j0 + n - 1 of ``package`` over
+    ``pair``, its ``default_pair``."""
     sensing = importlib.import_module(f"{package}.sensing")
-    cfg, _, _, *arms = default_pair(package)
+    cfg, _, _, *arms = pair
     cfar = cfg.cfar()
 
     def run(j0: int, n: int) -> float:
@@ -131,10 +133,11 @@ def sweep_runner(package: str):
     return run
 
 
-def detect_runner(package: str):
-    """A function that times only the detection calls of sweeps j0 .. j0 + n - 1 of ``package``."""
+def detect_runner(package: str, pair: tuple):
+    """A function that times only the detection calls of sweeps j0 .. j0 + n - 1 of
+    ``package`` over ``pair``, its ``default_pair``."""
     sensing = importlib.import_module(f"{package}.sensing")
-    cfg, _, _, *arms = default_pair(package)
+    cfg, _, _, *arms = pair
     cfar = cfg.cfar()
 
     def run(j0: int, n: int) -> float:
@@ -152,10 +155,11 @@ def detect_runner(package: str):
     return run
 
 
-def ber_runner(package: str):
-    """A function that runs BER campaigns j0 .. j0 + n - 1 of ``package`` over one pair."""
+def ber_runner(package: str, pair: tuple):
+    """A function that runs BER campaigns j0 .. j0 + n - 1 of ``package`` over
+    ``pair``, its ``default_pair``."""
     comms = importlib.import_module(f"{package}.comms")
-    cfg, mask, bits, reference, optimized, _ = default_pair(package)
+    cfg, mask, bits, reference, optimized, _ = pair
     spec, pairs, snr = cfg.constellation(), [(reference, optimized, bits)], list(BER_SNR_DB)
 
     def run(j0: int, n: int) -> float:
@@ -181,14 +185,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     load_package(args.src, SIDES[0])
     load_package(args.against, SIDES[1])
-    # per side: (timing name, unit, runner, calls per block)
-    timings = [
-        [("optimize", "trial", trial_runner(name), TRIALS),
-         ("sweep", "sweep", sweep_runner(name), SWEEPS),
-         ("detect", "sweep", detect_runner(name), SWEEPS),
-         ("ber", "campaign", ber_runner(name), CAMPAIGNS)]
-        for name in SIDES
-    ]
+    # per side: (timing name, unit, runner, calls per block), over one pair per side
+    timings = []
+    for name in SIDES:
+        pair = default_pair(name)
+        timings.append([("optimize", "trial", trial_runner(name), TRIALS),
+                        ("sweep", "sweep", sweep_runner(name, pair), SWEEPS),
+                        ("detect", "sweep", detect_runner(name, pair), SWEEPS),
+                        ("ber", "campaign", ber_runner(name, pair), CAMPAIGNS)])
     for side in timings:
         for _, _, run, count in side:
             run(0, count)

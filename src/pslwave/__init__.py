@@ -2,7 +2,7 @@
 
 from .constellation import ConstellationSpec, SubcarrierMask
 from .optimizer import OptimizationReport, OptimizerConfig, optimize
-from .spectrum import CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, psl_db
+from .spectrum import LagWeights, SymbolGrid, cyclic_correlations, psl_db
 
 __all__ = [
     "ConstellationSpec",
@@ -10,7 +10,6 @@ __all__ = [
     "OptimizationReport",
     "OptimizerConfig",
     "optimize",
-    "CorrelationTensor",
     "LagWeights",
     "SymbolGrid",
     "cyclic_correlations",

@@ -261,9 +261,9 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
     spec = cfg.constellation()
     grid = SymbolGrid(spec.points[rng.integers(0, spec.order, size=(n, m))])
     w = LagWeights(n, 4)
-    corr = cyclic_correlations(grid)
+    r = cyclic_correlations(grid)
     slow = oracle.brute_correlations(grid)
-    err = np.max(np.abs(corr.values - slow.values)) / np.max(np.abs(slow.values))
+    err = np.max(np.abs(r - slow)) / np.max(np.abs(slow))
     check("correlations vs brute-force sum, rel. err", err, "1e-09", err <= 1e-9)
 
     for p in (2, 4):
@@ -280,7 +280,7 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
         # fast majorizer against the dense references, in raw (unscaled) units
         x_l = grid.stacked()
         dense = oracle.chain_values(x_l, x_l, slow, w, p)
-        coeffs = majorizer.coefficients(corr, w, p)
+        coeffs = majorizer.coefficients(r, w, p)
         unscale = coeffs.r_bar ** (p - 2)
         out = majorizer.majorize_direction(grid, w, p)
         fast = {

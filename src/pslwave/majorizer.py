@@ -50,11 +50,10 @@ per call; ``majorize_direction`` correlates its grid through its plan and
 keeps x and v in a ``MajorizerOutput``,
 whose exact mu_bar and MM direction y are computed when first read, so a step
 that never reads them runs no eigensolve.  ``coefficients`` takes the window
-|r| of a ``CorrelationTensor`` (``spectrum.window_abs``) and applies the same
-c_hat formula.  When the window sidelobes vanish
+|r| of an (M, M, N) correlation array (``spectrum.window_abs``) and applies
+the same c_hat formula.  When the window sidelobes vanish
 (``spectrum.sidelobes_vanish``) there is no surrogate: ``_c_hat`` raises
-``ZeroSidelobeError``.  Neither a plan nor a tensor keeps anything from one
-read or pass to the next.
+``ZeroSidelobeError``.  A plan keeps nothing from one pass to the next.
 """
 
 from __future__ import annotations
@@ -65,11 +64,10 @@ from functools import cached_property
 
 import numpy as np
 
-# cyclic_correlations and peak_sidelobe are not called here; perfbench/tracer.py
-# still wraps them at this site
+# peak_sidelobe is not called here; perfbench/tracer.py still wraps it at this site
 from .spectrum import (
-    CorrelationTensor, LagWeights, SymbolGrid, correlation_values, cyclic_correlations,
-    mean_mainlobe, peak_sidelobe, sidelobes_vanish, window_abs,
+    LagWeights, SymbolGrid, cyclic_correlations, mean_mainlobe, peak_sidelobe, sidelobes_vanish,
+    window_abs,
 )
 
 __all__ = [
@@ -128,12 +126,12 @@ class MajorizerOutput:
         return y.reshape(-1, order="F")
 
 
-def coefficients(corr: CorrelationTensor, w: LagWeights, p: int) -> MajorizerCoeffs:
-    """Linearized weights c = (p/2) * |r|^(p-2) on the lag window, in r_bar-factored form."""
-    r_abs = window_abs(corr, w)
+def coefficients(r: np.ndarray, w: LagWeights, p: int) -> MajorizerCoeffs:
+    """Linearized weights c = (p/2) * |r|^(p-2) on the lag window of the (M, M, N)
+    correlations r, in r_bar-factored form."""
+    r_abs = window_abs(r, w)
     r_bar = float(r_abs.max())
-    return MajorizerCoeffs(p=p, r_bar=r_bar,
-                           c_hat=_c_hat(r_abs, r_bar, mean_mainlobe(corr.values), p))
+    return MajorizerCoeffs(p=p, r_bar=r_bar, c_hat=_c_hat(r_abs, r_bar, mean_mainlobe(r), p))
 
 
 def _c_hat(r_abs: np.ndarray, r_bar: float, mainlobe: float, p: int) -> np.ndarray:
@@ -163,12 +161,12 @@ def _lambda_bar(n: int, p: int) -> float:
     return n**3 * 0.5 * p * (p - 1)
 
 
-def v_fields(corr: CorrelationTensor, coeffs: MajorizerCoeffs, w: LagWeights) -> np.ndarray:
+def v_fields(r: np.ndarray, coeffs: MajorizerCoeffs, w: LagWeights) -> np.ndarray:
     """Diagonal-block generators: v[m, k] = N * DFT(c_hat * r), zero-filled off the window.
 
-    One-shot: the FFT of a plan (``MMPlan.v``) set up for ``corr`` alone.
+    One-shot: the FFT of a plan (``MMPlan.v``) set up for the (M, M, N) array r alone.
     """
-    return MMPlan((corr.n_lags, corr.n_antennas), w).v(corr.values, coeffs.c_hat)
+    return MMPlan((r.shape[2], r.shape[0]), w).v(r, coeffs.c_hat)
 
 
 def hermitian_blocks(v: np.ndarray) -> np.ndarray:
@@ -244,8 +242,8 @@ class MMPlan:
 
     def correlate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
         """(r, window |r|, eta, mean mainlobe) of the (N, M) array ``x``, from one
-        product and IFFT (``spectrum.correlation_values``)."""
-        values = correlation_values(x)
+        product and IFFT (``spectrum.cyclic_correlations``)."""
+        values = cyclic_correlations(x)
         r_abs = np.abs(values[:, :, self.lags])
         return values, r_abs, float(r_abs.max()), mean_mainlobe(values)
 

@@ -67,8 +67,8 @@ run or once per iterate.  ``optimize`` builds two plans per run: one
 pass, and one ``projector.Projection`` of the reference, which carries the
 sphere radius sqrt(E).  The loop body correlates each point once: the
 reference, and per iteration x1 and the candidate, each by one
-``plan.correlate``, whose record (r, window |r|, eta, mean mainlobe) holds
-plain arrays (no ``CorrelationTensor``).  Eta, the normalized PSL and the
+``plan.correlate``, whose record (r, window |r|, eta, mean mainlobe) starts
+with the (M, M, N) correlation array r.  Eta, the normalized PSL and the
 zero-sidelobe test are read off that record, and an MM step receives the
 record of its point.  An MM step is the array function ``_step``: the
 plan's pass at x gives Qx and L, and the sphere point

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectrum import CorrelationTensor, LagWeights, SymbolGrid
+from .spectrum import LagWeights, SymbolGrid
 
 __all__ = [
     "MAX_N",
@@ -104,8 +104,9 @@ def dense_A(m: int, k: int, i: int, n_antennas: int, n: int) -> np.ndarray:
     return np.conj(sk.T) @ diag_form @ sm
 
 
-def brute_correlations(grid: SymbolGrid) -> CorrelationTensor:
-    """Correlations by the raw double sum r = N * sum_n e^{+2j pi n i / N} x_m conj(x_k)."""
+def brute_correlations(grid: SymbolGrid) -> np.ndarray:
+    """(M, M, N) correlations by the raw double sum
+    r = N * sum_n e^{+2j pi n i / N} x_m conj(x_k)."""
     n, m_ant = grid.symbols.shape
     _guard(n, m_ant)
     x = grid.symbols
@@ -117,17 +118,17 @@ def brute_correlations(grid: SymbolGrid) -> CorrelationTensor:
                 for nn in range(n):
                     acc += np.exp(2j * np.pi * nn * i / n) * x[nn, m] * np.conj(x[nn, k])
                 out[m, k, i] = n * acc
-    return CorrelationTensor(out)
+    return out
 
 
 def coefficients_raw(
-    corr: CorrelationTensor, w: LagWeights, p: int
+    r: np.ndarray, w: LagWeights, p: int
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Unscaled (a, b, c) per lag from the scalar majorizer; zero off the lag window."""
-    m_ant = corr.n_antennas
-    n = corr.n_lags
+    """Unscaled (a, b, c) per lag of the (M, M, N) correlations r from the scalar
+    majorizer; zero off the lag window."""
+    m_ant, _, n = r.shape
     _guard(n, m_ant)
-    r_abs = np.abs(corr.values)
+    r_abs = np.abs(r)
     wmask = w.mask
     r_bar = float(np.max(r_abs[:, :, wmask]))
     a = np.zeros((m_ant, m_ant, n))
@@ -176,15 +177,14 @@ def lambda_bar_raw(a: np.ndarray, w: LagWeights, n: int) -> float:
 
 
 def dense_Q(
-    corr: CorrelationTensor, c: np.ndarray, w: LagWeights
+    r: np.ndarray, c: np.ndarray, w: LagWeights
 ) -> np.ndarray:
     """Dense (MN x MN) matrix of the linearized cross term.
 
     Q = sum_j w_j c_j (conj(r_j) A_j + r_j A_j^H); Hermitian, block-diagonal
     per sub-carrier after reordering (each antenna-pair block is diagonal).
     """
-    m_ant = corr.n_antennas
-    n = corr.n_lags
+    m_ant, _, n = r.shape
     _guard(n, m_ant)
     q = np.zeros((m_ant * n, m_ant * n), dtype=complex)
     for m in range(m_ant):
@@ -194,8 +194,8 @@ def dense_Q(
                 if coeff == 0.0:
                     continue
                 am = dense_A(m, k, i, m_ant, n)
-                r = corr.values[m, k, i]
-                q += coeff * (np.conj(r) * am + r * np.conj(am.T))
+                r_i = r[m, k, i]
+                q += coeff * (np.conj(r_i) * am + r_i * np.conj(am.T))
     herm = np.max(np.abs(q - np.conj(q.T)))
     if herm > 1e-8 * max(np.max(np.abs(q)), 1.0):
         raise AssertionError("dense Q lost Hermitian symmetry")
@@ -216,7 +216,7 @@ def mu_bar_raw(q: np.ndarray) -> float:
 def chain_values(
     x: np.ndarray,
     x_l: np.ndarray,
-    corr_l: CorrelationTensor,
+    r_l: np.ndarray,
     w: LagWeights,
     p: int,
 ) -> dict[str, float]:
@@ -227,18 +227,16 @@ def chain_values(
     tangent at x == x_l and dominates the previous one wherever the per-lag
     majorizer is valid (max weighted |r(x)| <= r_bar).
     """
-    m_ant = corr_l.n_antennas
-    n = corr_l.n_lags
+    m_ant, _, n = r_l.shape
     _guard(n, m_ant)
     ww = w.mask
-    r_bar, a, b, c = coefficients_raw(corr_l, w, p)
+    r_bar, a, b, c = coefficients_raw(r_l, w, p)
     lam = lambda_bar_raw(a, w, n)
-    q = dense_Q(corr_l, c, w)
+    q = dense_Q(r_l, c, w)
     mu = mu_bar_raw(q)
-    r_l = corr_l.values
     rl_abs = np.abs(r_l)
 
-    r_x = brute_correlations(SymbolGrid.from_stacked(x, n)).values
+    r_x = brute_correlations(SymbolGrid.from_stacked(x, n))
     rx_abs = np.abs(r_x)
     f = float(np.sum(ww * rx_abs**p))
 
@@ -280,8 +278,8 @@ def majorization_chain_check(
     n, m_ant = grid.symbols.shape
     _guard(n, m_ant)
     x_l = grid.stacked()
-    corr_l = brute_correlations(grid)
-    vals_l = chain_values(x_l, x_l, corr_l, w, p)
+    r_l = brute_correlations(grid)
+    vals_l = chain_values(x_l, x_l, r_l, w, p)
     ref = max(abs(vals_l["f"]), 1.0)
     for hi, lo in (("fB", "f"), ("fC", "fB"), ("fD", "fC")):
         if abs(vals_l[hi] - vals_l[lo]) > rel_tol * ref:
@@ -291,10 +289,10 @@ def majorization_chain_check(
     for _ in range(n_trials):
         noise = rng.standard_normal(x_l.shape) + 1j * rng.standard_normal(x_l.shape)
         x = x_l + scale * noise
-        vals = chain_values(x, x_l, corr_l, w, p)
+        vals = chain_values(x, x_l, r_l, w, p)
         if vals["max_weighted_r"] > vals["r_bar"]:
             x = x * np.sqrt(vals["r_bar"] / vals["max_weighted_r"])
-            vals = chain_values(x, x_l, corr_l, w, p)
+            vals = chain_values(x, x_l, r_l, w, p)
         ref = max(abs(vals["f"]), abs(vals["fD"]), 1.0)
         for key, hi, lo in (("fB-f", "fB", "f"), ("fC-fB", "fC", "fB"), ("fD-fC", "fD", "fC")):
             slack = (vals[hi] - vals[lo]) / ref

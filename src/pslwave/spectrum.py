@@ -15,13 +15,13 @@ relative to the plain pointwise-product IDFT keeps the correlation equal to
 that quadratic form exactly, which is what the eigenvalue bounds in the
 majorizer assume.
 
-The lag window is written once, in ``LagWeights``: its slice ``lags`` and
-its lag-count check.  A correlation tensor holds its values and nothing
-else; each read takes the window |r| afresh (``window_abs``).  The
-arithmetic of the correlations (``correlation_values``), of the mean
-mainlobe and of the normalized PSL (``psl_db_of_peak``) also runs on plain
-arrays and floats, which the majorizer's per-run plan
-(``majorizer.MMPlan``) reads without building a tensor.
+Correlations are the plain (M, M, N) complex array r of
+``cyclic_correlations``; every reader takes it as it is.  The lag window is
+written once, in ``LagWeights``: its slice ``lags`` and its lag-count check.
+Each read takes the window |r| afresh (``window_abs``), so nothing is kept
+from one read to the next.  ``mean_mainlobe`` reads the array and
+``psl_db_of_peak`` two floats, so the majorizer's per-run plan
+(``majorizer.MMPlan``) applies them to its own record.
 
 ``snr_ratio`` turns an SNR point in dB into the linear power ratio that the
 sensing and BER campaigns divide by, and rejects a point whose ratio or
@@ -41,10 +41,8 @@ import numpy as np
 
 __all__ = [
     "SymbolGrid",
-    "CorrelationTensor",
     "LagWeights",
     "cyclic_correlations",
-    "correlation_values",
     "window_abs",
     "peak_sidelobe",
     "ZERO_SIDELOBE_EPS",
@@ -124,21 +122,6 @@ class SymbolGrid:
 
 
 @dataclass
-class CorrelationTensor:
-    """values[m, k, i] = cyclic correlation r of antennas (m, k) at lag i."""
-
-    values: np.ndarray
-
-    @property
-    def n_antennas(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_lags(self) -> int:
-        return self.values.shape[2]
-
-
-@dataclass
 class LagWeights:
     """The cyclic-prefix lag window: lags [1, n_cp - 1], never the zero lag.
 
@@ -160,45 +143,46 @@ class LagWeights:
         self.mask[self.lags] = True
 
     def check_lags(self, n: int) -> None:
-        """ValueError unless ``n`` lags, those of a tensor or an iterate, are this
+        """ValueError unless ``n`` lags, those of correlations or an iterate, are this
         window's N; the slice ``lags`` alone would silently read a window of another N."""
         if n != self.n_lags:
             raise ValueError(f"N = {n} and the weights (N = {self.n_lags}) disagree on lag count")
 
 
-def cyclic_correlations(grid: SymbolGrid | np.ndarray) -> CorrelationTensor:
-    """All M x M x N cyclic auto-/cross-correlations of the time-domain waveforms.
+def cyclic_correlations(grid: SymbolGrid | np.ndarray) -> np.ndarray:
+    """All cyclic auto-/cross-correlations of the time-domain waveforms, as the
+    (M, M, N) array r with r[m, k, i] the correlation of antennas (m, k) at lag i.
 
     ``grid`` is a ``SymbolGrid`` or its (N, M) array.  One IFFT per antenna
     pair; the N**2 scale keeps r equal to the stacked quadratic form.
     """
-    return CorrelationTensor(correlation_values(np.asarray(grid)))
-
-
-def correlation_values(x: np.ndarray) -> np.ndarray:
-    """The (M, M, N) array r of ``cyclic_correlations`` of the (N, M) array ``x``."""
+    x = np.asarray(grid)
     n = x.shape[0]
     # prod[m, k, :] = x_m * conj(x_k) over subcarriers, from a contiguous (M, N)
     # copy: the product runs on unit strides, entrywise the same arithmetic
     xt = x.T.copy()
     prod = xt[:, None, :] * xt.conj()[None, :, :]
-    values = np.fft.ifft(prod, axis=2)
-    values *= n**2  # in place: rounds as n**2 * ifft(prod)
-    return values
+    r = np.fft.ifft(prod, axis=2)
+    r *= n**2  # in place: rounds as n**2 * ifft(prod)
+    return r
 
 
-def window_abs(corr: CorrelationTensor, w: LagWeights) -> np.ndarray:
-    """(M, M, n_cp - 1) magnitudes |r| on the lag window; index j holds lag j + 1.
+def window_abs(r: np.ndarray, w: LagWeights) -> np.ndarray:
+    """(M, M, n_cp - 1) magnitudes |r| of the (M, M, N) correlations r on the lag
+    window; index j holds lag j + 1.
 
-    The lag count N is checked first (``LagWeights.check_lags``).
+    ``ValueError`` unless r is 3-D with equal first two axes, then unless its
+    lag count is the window's N (``LagWeights.check_lags``).
     """
-    w.check_lags(corr.n_lags)
-    return np.abs(corr.values[:, :, w.lags])
+    if r.ndim != 3 or r.shape[0] != r.shape[1]:
+        raise ValueError(f"correlations must be an (M, M, N) array, got shape {r.shape}")
+    w.check_lags(r.shape[2])
+    return np.abs(r[:, :, w.lags])
 
 
-def peak_sidelobe(corr: CorrelationTensor, w: LagWeights) -> tuple[float, tuple[int, int, int]]:
+def peak_sidelobe(r: np.ndarray, w: LagWeights) -> tuple[float, tuple[int, int, int]]:
     """Largest |r| in the lag window and its first (m, k, i) triple in lexicographic order."""
-    r_abs = window_abs(corr, w)
+    r_abs = window_abs(r, w)
     flat = int(np.argmax(r_abs))  # first maximum in C order == lexicographic (m, k, window lag)
     m, k, j = np.unravel_index(flat, r_abs.shape)
     return float(r_abs[m, k, j]), (int(m), int(k), int(j) + 1)
@@ -214,9 +198,9 @@ def sidelobes_vanish(eta: float, mainlobe: float) -> bool:
     return eta <= _ZERO_SIDELOBE_TOL * mainlobe
 
 
-def psl_db(corr: CorrelationTensor, w: LagWeights) -> float:
+def psl_db(r: np.ndarray, w: LagWeights) -> float:
     """Peak sidelobe in dB relative to the mean zero-lag autocorrelation; -inf when they vanish."""
-    return psl_db_of_peak(peak_sidelobe(corr, w)[0], mean_mainlobe(corr.values))
+    return psl_db_of_peak(peak_sidelobe(r, w)[0], mean_mainlobe(r))
 
 
 def psl_db_of_peak(eta: float, mainlobe: float) -> float:

@@ -242,7 +242,7 @@ class TestBaseline:
         rng = np.random.default_rng(7)
         spec = ConstellationSpec("psk", 4)
         grid = orthogonal_interleaved_grid(rng, spec, 32, 4)
-        r = cyclic_correlations(grid).values
+        r = cyclic_correlations(grid)
         for m in range(4):
             for k in range(4):
                 if m != k:

@@ -11,8 +11,8 @@ import pytest
 from pslwave import majorizer, oracle
 from pslwave.constellation import ConstellationSpec
 from pslwave.spectrum import (
-    CorrelationTensor, LagWeights, SymbolGrid, cyclic_correlations, mean_mainlobe,
-    peak_sidelobe, window_abs,
+    LagWeights, SymbolGrid, cyclic_correlations, mean_mainlobe, peak_sidelobe, psl_db,
+    window_abs,
 )
 
 
@@ -100,10 +100,10 @@ class TestCoefficients:
         corr = cyclic_correlations(grid)
         coeffs = majorizer.coefficients(corr, w, 50)
         assert coeffs.c_hat.shape == (2, 2, 2)
-        full = np.zeros(corr.values.shape)
+        full = np.zeros(corr.shape)
         full[:, :, [1, 2]] = coeffs.c_hat
         v = majorizer.v_fields(corr, coeffs, w)
-        assert np.array_equal(v, 8 * np.fft.fft(full * corr.values, axis=2))
+        assert np.array_equal(v, 8 * np.fft.fft(full * corr, axis=2))
 
     def test_p50_stays_finite(self):
         grid = noisy_grid(16, 3, 14)
@@ -311,7 +311,7 @@ class TestDirection:
         corr = cyclic_correlations(grid)
         eta, (m, k, i) = peak_sidelobe(corr, w)
         assert eta > 0
-        assert abs(corr.values[m, k, i]) == pytest.approx(eta)
+        assert abs(corr[m, k, i]) == pytest.approx(eta)
         assert majorizer.coefficients(corr, w, 50).r_bar == eta
 
     @pytest.mark.parametrize("m,p", [(1, 50), (2, 4), (4, 50), (8, 8)])
@@ -374,10 +374,10 @@ class TestPlan:
         values, r_abs, eta, mainlobe = majorizer.MMPlan(grid.symbols.shape, w).correlate(
             grid.symbols)
         corr = cyclic_correlations(grid)
-        assert np.array_equal(values, corr.values)
+        assert np.array_equal(values, corr)
         assert np.array_equal(r_abs, window_abs(corr, w))
         assert eta == peak_sidelobe(corr, w)[0]
-        assert mainlobe == mean_mainlobe(corr.values)
+        assert mainlobe == mean_mainlobe(corr)
 
     def test_lag_count_is_checked_when_the_plan_is_built(self):
         with pytest.raises(ValueError, match="lag count"):
@@ -402,7 +402,7 @@ class TestInputsAreNotWritten:
     def test_coefficients_and_v_fields_leave_their_inputs_unchanged(self, monkeypatch):
         w = LagWeights(32, 8)
         corr = cyclic_correlations(noisy_grid(32, 3, 83))
-        kept_values = corr.values.copy()
+        kept_values = corr.copy()
         seen = []
 
         def recording(*args):
@@ -417,19 +417,19 @@ class TestInputsAreNotWritten:
         assert len(seen) == 1
         assert np.array_equal(seen[0][0], seen[0][1])
         assert np.array_equal(coeffs.c_hat, kept_c)
-        assert np.array_equal(corr.values, kept_values)
+        assert np.array_equal(corr, kept_values)
 
 
 def unfused_direction(grid: SymbolGrid, w: LagWeights, p: int) -> np.ndarray:
     """Direction y computed step by step with boolean-mask windows, a weighted
     product on every lag, the block stack built twice and Qx by einsum."""
     corr = cyclic_correlations(grid)
-    r_abs = np.abs(corr.values[:, :, w.mask])
+    r_abs = np.abs(corr[:, :, w.mask])
     r_bar = float(np.max(r_abs))
-    c_hat = np.zeros(corr.values.shape)
+    c_hat = np.zeros(corr.shape)
     c_hat[:, :, w.mask] = 0.5 * p * (r_abs / r_bar) ** (p - 2)
     lam = w.n_lags**3 * 0.5 * p * (p - 1)
-    v = corr.n_lags * np.fft.fft(c_hat * corr.values, axis=2)
+    v = corr.shape[2] * np.fft.fft(c_hat * corr, axis=2)
     blocks = np.moveaxis(v + np.conj(np.swapaxes(v, 0, 1)), 2, 0)
     mu = float(np.max(np.linalg.eigvalsh(blocks)[:, -1]))
     x = grid.symbols
@@ -440,13 +440,15 @@ def unfused_direction(grid: SymbolGrid, w: LagWeights, p: int) -> np.ndarray:
 class TestLagCountCheck:
     """N = 128 correlations with a window built for N = 64 are rejected, not read."""
 
-    @pytest.mark.parametrize("call", ["peak_sidelobe", "coefficients", "majorize_direction"])
+    @pytest.mark.parametrize("call", ["peak_sidelobe", "psl_db", "coefficients",
+                                      "majorize_direction"])
     def test_mismatch_raises(self, call):
         grid = noisy_grid(128, 2, 50)
         corr = cyclic_correlations(grid)
         w = LagWeights(64, 16)
         calls = {
             "peak_sidelobe": lambda: peak_sidelobe(corr, w),
+            "psl_db": lambda: psl_db(corr, w),
             "coefficients": lambda: majorizer.coefficients(corr, w, 50),
             "majorize_direction": lambda: majorizer.majorize_direction(grid, w, 50),
         }
@@ -477,6 +479,6 @@ class TestLagCountCheck:
             majorizer.v_fields(corr, coeffs, LagWeights(64, 16))
 
     def test_short_tensor_raises(self):
-        corr = CorrelationTensor(np.ones((2, 2, 64), dtype=complex))
+        corr = np.ones((2, 2, 64), dtype=complex)
         with pytest.raises(ValueError, match="lag count"):
             majorizer.coefficients(corr, LagWeights(128, 32), 50)

@@ -6,7 +6,6 @@ import pytest
 from pslwave import majorizer
 from pslwave.constellation import ConstellationSpec
 from pslwave.spectrum import (
-    CorrelationTensor,
     LagWeights,
     SymbolGrid,
     cyclic_correlations,
@@ -83,7 +82,7 @@ class TestSymbolGrid:
 
 class TestCyclicCorrelations:
     def test_frozen_values(self):
-        r = cyclic_correlations(frozen_grid()).values
+        r = cyclic_correlations(frozen_grid())
         assert r[0, 0, 0] == pytest.approx(64.0 + 0.0j, abs=1e-9)
         assert r[0, 1, 0] == pytest.approx(16.0 + 16.0j, abs=1e-9)
         assert r[0, 1, 1] == pytest.approx(0.0 - 32.0j, abs=1e-9)
@@ -93,7 +92,7 @@ class TestCyclicCorrelations:
     def test_zero_lag_auto_is_scaled_energy(self):
         rng = np.random.default_rng(2)
         g = SymbolGrid(rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3)))
-        r = cyclic_correlations(g).values
+        r = cyclic_correlations(g)
         n = g.n_subcarriers
         for m in range(3):
             expect = n * np.sum(np.abs(g.symbols[:, m]) ** 2)
@@ -102,7 +101,7 @@ class TestCyclicCorrelations:
     def test_conjugate_lag_symmetry(self):
         rng = np.random.default_rng(3)
         g = SymbolGrid(rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3)))
-        r = cyclic_correlations(g).values
+        r = cyclic_correlations(g)
         n = g.n_subcarriers
         for m in range(3):
             for k in range(3):
@@ -142,7 +141,7 @@ class TestPeakSidelobe:
         vals = np.zeros((2, 2, 4), dtype=complex)
         vals[0, 1, 2] = 5.0
         vals[1, 0, 1] = 5.0
-        _, argmax = peak_sidelobe(CorrelationTensor(vals), LagWeights(4, 4))
+        _, argmax = peak_sidelobe(vals, LagWeights(4, 4))
         assert argmax == (0, 1, 2)
 
     def test_ignores_lags_outside_the_window(self):
@@ -152,22 +151,20 @@ class TestPeakSidelobe:
         vals[1, 0, 3] = 3.0 - 4.0j
         vals[1, 1, 1] = 5.0j
         vals[0, 0, 2] = 1.0
-        eta, argmax = peak_sidelobe(CorrelationTensor(vals), LagWeights(8, 4))
+        eta, argmax = peak_sidelobe(vals, LagWeights(8, 4))
         assert eta == 5.0
         # |r| = 5 at (1, 0, 3) and (1, 1, 1): the first in (m, k, i) order wins
         assert argmax == (1, 0, 3)
 
     def test_lag_count_mismatch_raises(self):
-        corr = CorrelationTensor(np.ones((2, 2, 128), dtype=complex))
         with pytest.raises(ValueError, match="lag count"):
-            window_abs(corr, LagWeights(64, 16))
+            window_abs(np.ones((2, 2, 128), dtype=complex), LagWeights(64, 16))
 
     def test_psl_db_reference_is_mean_mainlobe(self):
         g = frozen_grid()
-        corr = cyclic_correlations(g)
         w = LagWeights(8, 4)
         # both antennas have unit-modulus symbols: mainlobe = N^2 = 64
-        assert psl_db(corr, w) == pytest.approx(20 * np.log10(32.0 / 64.0))
+        assert psl_db(cyclic_correlations(g), w) == pytest.approx(20 * np.log10(32.0 / 64.0))
 
 
 class TestKeptWindow:
@@ -176,35 +173,48 @@ class TestKeptWindow:
     def test_each_read_matches_its_window(self):
         rng = np.random.default_rng(64)
         vals = rng.standard_normal((3, 3, 64)) + 1j * rng.standard_normal((3, 3, 64))
-        corr = CorrelationTensor(vals)
         for n_cp in (16, 8, 16):
-            r_abs = window_abs(corr, LagWeights(64, n_cp))
+            r_abs = window_abs(vals, LagWeights(64, n_cp))
             assert np.array_equal(r_abs, np.abs(vals[:, :, 1:n_cp]))
 
 
 class TestReadsFollowValues:
-    """A read of a tensor sees its current ``values``, whatever an earlier read took."""
+    """A read of an array sees its current values, whatever an earlier read took."""
 
-    @pytest.mark.parametrize("change", ["rebind", "write"])
-    def test_reads_after_a_change_match_a_fresh_tensor(self, change):
+    def test_reads_after_an_in_place_write_match_a_fresh_array(self):
         w = LagWeights(8, 4)
-        vals = cyclic_correlations(frozen_grid()).values
-        corr = CorrelationTensor(vals.copy())
-        peak_sidelobe(corr, w)
-        if change == "rebind":
-            corr.values = vals * 0.5
-        else:
-            corr.values *= 0.5
-        fresh = CorrelationTensor(vals * 0.5)
-        assert peak_sidelobe(corr, w) == peak_sidelobe(fresh, w)
-        assert psl_db(corr, w) == psl_db(fresh, w)
-        r_bar = majorizer.coefficients(corr, w, 50).r_bar
-        assert r_bar == majorizer.coefficients(fresh, w, 50).r_bar
+        vals = cyclic_correlations(frozen_grid())
+        r = vals.copy()
+        peak_sidelobe(r, w)
+        r *= 0.5
+        fresh = vals * 0.5
+        assert peak_sidelobe(r, w) == peak_sidelobe(fresh, w)
+        assert psl_db(r, w) == psl_db(fresh, w)
+        assert majorizer.coefficients(r, w, 50).r_bar == majorizer.coefficients(fresh, w, 50).r_bar
 
 
-def mask_peak_sidelobe(corr: CorrelationTensor, w: LagWeights) -> tuple[float, tuple]:
+class TestCorrelationShape:
+    """A reader of correlations takes an (M, M, N) array and names that shape for any
+    other; a wrong N gives the lag-count message (``test_majorizer.TestLagCountCheck``)."""
+
+    READERS = {
+        "peak_sidelobe": peak_sidelobe,
+        "psl_db": psl_db,
+        "coefficients": lambda r, w: majorizer.coefficients(r, w, 50),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("shape", [(8, 2), (2, 8, 2), (2, 3, 8)],
+                             ids=["grid", "grid-stack", "unequal-pair-axes"])
+    def test_a_wrong_shape_raises(self, reader, shape):
+        r = np.ones(shape, dtype=complex)
+        with pytest.raises(ValueError, match=r"\(M, M, N\)"):
+            self.READERS[reader](r, LagWeights(8, 4))
+
+
+def mask_peak_sidelobe(r: np.ndarray, w: LagWeights) -> tuple[float, tuple]:
     """The boolean-mask peak search that the slice-based one replaced, kept as a reference."""
-    mag = np.abs(corr.values[:, :, w.mask])
+    mag = np.abs(r[:, :, w.mask])
     flat = int(np.argmax(mag))
     m, k, j = np.unravel_index(flat, mag.shape)
     return float(mag[m, k, j]), (int(m), int(k), int(np.flatnonzero(w.mask)[j]))
@@ -215,10 +225,9 @@ class TestSlicedWindowMatchesMask:
 
     @staticmethod
     def assert_same(vals: np.ndarray, w: LagWeights):
-        corr = CorrelationTensor(vals)
-        assert peak_sidelobe(corr, w) == mask_peak_sidelobe(corr, w)
+        assert peak_sidelobe(vals, w) == mask_peak_sidelobe(vals, w)
         # a second read takes the window |r| again and finds the same peak
-        assert peak_sidelobe(corr, w) == mask_peak_sidelobe(corr, w)
+        assert peak_sidelobe(vals, w) == mask_peak_sidelobe(vals, w)
 
     @pytest.mark.parametrize("m,n,n_cp", [(1, 8, 2), (2, 16, 5), (4, 128, 32), (3, 64, 64)])
     def test_random_tensors(self, m, n, n_cp):
@@ -245,7 +254,7 @@ class TestSlicedWindowMatchesMask:
         vals[:, :, 0] = vals[:, :, 6:] = 10.0  # larger values outside the window
         vals[1, 0, lag] = 3.0 - 2.0j
         self.assert_same(vals, w)
-        assert peak_sidelobe(CorrelationTensor(vals), w)[1] == (1, 0, lag)
+        assert peak_sidelobe(vals, w)[1] == (1, 0, lag)
 
 
 class TestSnrRatio:
