@@ -104,12 +104,15 @@ def _overrides(args) -> dict:
 
 def _write_csv(cfg: ExperimentConfig, name: str, header: list[str], rows: list[list]) -> str:
     path = os.path.join(cfg.out_dir, name)
-    with open(path, "w", newline="") as fh:
-        if cfg.timestamp:
-            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            if cfg.timestamp:
+                fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     return path
 
 

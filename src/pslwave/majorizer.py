@@ -30,30 +30,17 @@ dropped throughout.  It multiplies a, c, lambda_bar, Q, mu_bar and L alike and
 cancels in the normalized minimization step, leaving the direction vector y
 unchanged up to a positive scale.
 
-One pass computes each quantity once and returns Qx and L, the two values an
-optimizer step reads.  It runs through an ``MMPlan``, set up once for the
-iterate shape (N, M) and the lag window: the window is the slice
-``LagWeights.lags`` (``1:N_cp``) of the lag axis, its lag count checked when
-the plan is built, and the plan's (M, M, N) work array, zero off the window,
-is the one input of the FFT to v.  ``plan.correlate(x)`` gives the
-correlations with their window magnitudes |r|, the window peak r_bar and the
-mean mainlobe, from one product and IFFT and no peak search;
-``plan.direction(x, corr, p)`` takes that record of x as a required input
-and turns it into c_hat (window lags only), v, the (N, M, M) block stack, L
-and Qx, each in one place.  Within a pass c_hat is formed in place in its
-own array, the blocks are one C-contiguous (M, M, N) array
-Q = conj(v^T) + v whose pair axes ``lambda_max_bound`` reads contiguously,
-and nothing of x or its record is written.  ``optimize`` builds one plan per run and
-correlates each point once, passing its record to the pass.
-``majorize_direction`` and ``v_fields`` are one-shot wrappers that build one
-per call; ``majorize_direction`` correlates its grid through its plan and
-keeps x and v in a ``MajorizerOutput``,
-whose exact mu_bar and MM direction y are computed when first read, so a step
-that never reads them runs no eigensolve.  ``coefficients`` takes the window
-|r| of an (M, M, N) correlation array (``spectrum.window_abs``) and applies
-the same c_hat formula.  When the window sidelobes vanish
+A pass is ``direction(x, correlate(x, w), p, w)``: ``correlate`` gives the
+record (r, window |r|, eta = r_bar, mean mainlobe) of the (N, M) iterate x
+from one product and IFFT, and ``direction`` turns that record into c_hat
+(window lags only), v, the block stack, L and Qx, the two values an optimizer
+step reads.  Both write only arrays of their own, never x or its record.
+``majorize_direction`` is one pass kept in a ``MajorizerOutput``, whose exact
+mu_bar and MM direction y are computed on first read, so a step that never
+reads them runs no eigensolve.  Every window read checks the lag count N
+against the ``LagWeights``.  When the window sidelobes vanish
 (``spectrum.sidelobes_vanish``) there is no surrogate: ``_c_hat`` raises
-``ZeroSidelobeError``.  A plan keeps nothing from one pass to the next.
+``ZeroSidelobeError``.
 """
 
 from __future__ import annotations
@@ -73,9 +60,10 @@ from .spectrum import (
 __all__ = [
     "MajorizerCoeffs",
     "MajorizerOutput",
-    "MMPlan",
     "ZeroSidelobeError",
     "coefficients",
+    "correlate",
+    "direction",
     "lambda_bar",
     "v_fields",
     "hermitian_blocks",
@@ -162,11 +150,19 @@ def _lambda_bar(n: int, p: int) -> float:
 
 
 def v_fields(r: np.ndarray, coeffs: MajorizerCoeffs, w: LagWeights) -> np.ndarray:
-    """Diagonal-block generators: v[m, k] = N * DFT(c_hat * r), zero-filled off the window.
-
-    One-shot: the FFT of a plan (``MMPlan.v``) set up for the (M, M, N) array r alone.
-    """
-    return MMPlan((r.shape[2], r.shape[0]), w).v(r, coeffs.c_hat)
+    """Diagonal-block generators: v[m, k] = N * DFT(c_hat * r), from the window
+    lags of the (M, M, N) correlations r, zero-filled off the window."""
+    w.check_lags(r.shape[2])
+    # The diagonal blocks Lambda_mk = Diag(v_mk + conj(v_km)) require v_mk to
+    # carry a factor N on top of the DFT of (c * r): expanding the diagonal
+    # of sum_i c (conj(r) Diag(N conj(F_i)) + h.c.) over window lags i entrywise
+    # gives N * [DFT(c r_mk)]_n + conj(N * [DFT(c r_km)]_n).  The dense-matrix
+    # oracle pins this constant; test_majorizer asserts it as a regression.
+    # N scales c_hat on the window lags, before the FFT, rather than the whole
+    # (M, M, N) result; for N a power of two the two orders round alike.
+    weighted = np.zeros(r.shape, dtype=complex)
+    np.multiply(w.n_lags * coeffs.c_hat, r[:, :, w.lags], out=weighted[:, :, w.lags])
+    return np.fft.fft(weighted, axis=2)
 
 
 def hermitian_blocks(v: np.ndarray) -> np.ndarray:
@@ -218,67 +214,35 @@ def mu_bar(v: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvalsh(hermitian_blocks(v))[:, -1]))
 
 
-class MMPlan:
-    """The majorization pass set up once for (N, M) iterates and one lag window.
+def correlate(x: np.ndarray, w: LagWeights) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The record (r, window |r|, eta, mean mainlobe) of the (N, M) array ``x``:
+    r from one product and IFFT (``cyclic_correlations``), |r| on the lag
+    window (``window_abs``) and eta = r_bar its peak."""
+    r = cyclic_correlations(x)
+    r_abs = window_abs(r, w)
+    return r, r_abs, float(r_abs.max()), mean_mainlobe(r)
 
-    It holds the window's slice ``LagWeights.lags``, whose lag count N is
-    checked against the iterate's shape here, once, and the (M, M, N) work
-    array of the FFT to v.  That array is zero off the window,
-    and every pass overwrites all of its window lags, so nothing of one pass
-    reaches the next.  ``optimize`` builds one plan per run; ``v_fields`` and
-    ``majorize_direction`` build one per call.
 
-    Correlations travel as the record (r, window |r|, eta, mean mainlobe) that
-    ``correlate`` returns, with r the (M, M, N) array and eta = r_bar the
-    window peak; ``direction`` takes the record of its point and never correlates.
+def direction(
+    x: np.ndarray, corr: tuple[np.ndarray, np.ndarray, float, float], p: int, w: LagWeights,
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """One pass at the (N, M) array ``x`` with its record ``corr =
+    correlate(x, w)``: (Qx, L, v).
+
+    L = max_n ``lambda_max_bound(Q_n)`` >= mu_bar, in the common
+    r_bar**(p-2) scale.  Raises ``ZeroSidelobeError`` when the window
+    sidelobes of ``x`` vanish, and ``ValueError`` when the v fields are
+    not finite.
     """
-
-    def __init__(self, shape: tuple[int, int], w: LagWeights):
-        n, m = shape
-        w.check_lags(n)
-        self.n_lags = n
-        self.lags = w.lags
-        self._work = np.zeros((m, m, n), dtype=complex)
-
-    def correlate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """(r, window |r|, eta, mean mainlobe) of the (N, M) array ``x``, from one
-        product and IFFT (``spectrum.cyclic_correlations``)."""
-        values = cyclic_correlations(x)
-        r_abs = np.abs(values[:, :, self.lags])
-        return values, r_abs, float(r_abs.max()), mean_mainlobe(values)
-
-    def v(self, values: np.ndarray, c_hat: np.ndarray) -> np.ndarray:
-        """v[m, k] = N * DFT(c_hat * r), from the window lags of the (M, M, N) array r."""
-        # The diagonal blocks Lambda_mk = Diag(v_mk + conj(v_km)) require v_mk to
-        # carry a factor N on top of the DFT of (c * r): expanding the diagonal
-        # of sum_i c (conj(r) Diag(N conj(F_i)) + h.c.) over window lags i entrywise
-        # gives N * [DFT(c r_mk)]_n + conj(N * [DFT(c r_km)]_n).  The dense-matrix
-        # oracle pins this constant; test_majorizer asserts it as a regression.
-        # N scales c_hat on the window lags, before the FFT, rather than the whole
-        # (M, M, N) result; for N a power of two the two orders round alike.
-        lags = self.lags
-        np.multiply(self.n_lags * c_hat, values[:, :, lags], out=self._work[:, :, lags])
-        return np.fft.fft(self._work, axis=2)
-
-    def direction(
-        self, x: np.ndarray, corr: tuple[np.ndarray, np.ndarray, float, float], p: int,
-    ) -> tuple[np.ndarray, float, np.ndarray]:
-        """One pass at the (N, M) array ``x`` with its record ``corr =
-        correlate(x)``: (Qx, L, v).
-
-        L = max_n ``lambda_max_bound(Q_n)`` >= mu_bar, in the common
-        r_bar**(p-2) scale.  Raises ``ZeroSidelobeError`` when the window
-        sidelobes of ``x`` vanish, and ``ValueError`` when the v fields are
-        not finite.
-        """
-        values, r_abs, r_bar, mainlobe = corr
-        v = self.v(values, _c_hat(r_abs, r_bar, mainlobe, p))
-        blocks = hermitian_blocks(v)
-        bound = float(lambda_max_bound(blocks).max())
-        # a NaN or an infinity anywhere in v makes the bound non-finite
-        if not math.isfinite(bound):
-            raise ValueError("v fields must be finite")
-        return np.matmul(blocks, x[:, :, None])[:, :, 0], bound, v
+    r, r_abs, r_bar, mainlobe = corr
+    coeffs = MajorizerCoeffs(p=p, r_bar=r_bar, c_hat=_c_hat(r_abs, r_bar, mainlobe, p))
+    v = v_fields(r, coeffs, w)
+    blocks = hermitian_blocks(v)
+    bound = float(lambda_max_bound(blocks).max())
+    # a NaN or an infinity anywhere in v makes the bound non-finite
+    if not math.isfinite(bound):
+        raise ValueError("v fields must be finite")
+    return np.matmul(blocks, x[:, :, None])[:, :, 0], bound, v
 
 
 def majorize_direction(
@@ -286,7 +250,7 @@ def majorize_direction(
     w: LagWeights,
     p: int,
 ) -> MajorizerOutput:
-    """Full majorization pass at the current iterate, through a plan of its own.
+    """Full majorization pass at the current iterate: ``direction`` at ``grid``.
 
     Returns the product Qx and the bound L = max_n ``lambda_max_bound(Q_n)``
     >= mu_bar in the common r_bar**(p-2) scale; the exact mu_bar and the
@@ -297,6 +261,5 @@ def majorize_direction(
     reading mu_bar or y adds N small eigenproblems.
     """
     x = np.asarray(grid)
-    plan = MMPlan(x.shape, w)
-    qx, bound, v = plan.direction(x, plan.correlate(x), p)
+    qx, bound, v = direction(x, correlate(x, w), p, w)
     return MajorizerOutput(qx=qx, mu_bound=bound, x=x, lambda_bar=_lambda_bar(w.n_lags, p), v=v)

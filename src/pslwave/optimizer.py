@@ -14,7 +14,7 @@ step -y/||y|| then moves the grid by about 3e-6 relative.  An MM step goes
 along y_c = Qx - STEP_C * L * x instead, with the sphere minimizer
 -sqrt(E) * y_c / ||y_c||.  That is a projected gradient step on the
 linearized surrogate x^H Q x with the fixed step 1/(STEP_C * L), where L is
-the closed-form bound of the pass (``majorizer.MMPlan.direction``) >= mu_bar =
+the closed-form bound of the pass (``majorizer.direction``) >= mu_bar =
 lambda_max(Q), the Lipschitz constant of the gradient; any constant at least
 mu_bar gives a valid step (Beck & Teboulle, SIAM J. Imaging Sci. 2009), and
 this one needs no eigensolve.  Since x^H Q x = 2 * sum c_hat * |r|^2 > 0
@@ -61,26 +61,15 @@ when ``sidelobes_vanish`` holds on the record of the first step's point x1,
 there is no second pass: x1 is the candidate, with that record.
 
 The loop runs on (N, M) symbol arrays and wraps one ``SymbolGrid``, the
-last accepted iterate in ``report.grid``.  Each quantity is computed once per
-run or once per iterate.  ``optimize`` builds two plans per run: one
-``majorizer.MMPlan``, which holds the lag window and the work array of the
-pass, and one ``projector.Projection`` of the reference, which carries the
-sphere radius sqrt(E).  The loop body correlates each point once: the
-reference, and per iteration x1 and the candidate, each by one
-``plan.correlate``, whose record (r, window |r|, eta, mean mainlobe) starts
-with the (M, M, N) correlation array r.  Eta, the normalized PSL and the
-zero-sidelobe test are read off that record, and an MM step receives the
-record of its point.  An MM step is the array function ``_step``: the
-plan's pass at x gives Qx and L, and the sphere point
--sqrt(E) * y_c / ||y_c|| goes through the projection, as every SQUAREM
-candidate does.  ``mm_step`` takes one step from a grid through plans of
-its own.
-
-A step and a candidate write only arrays of their own.  The step turns the
-pass's fresh Qx into y_c and then into the sphere point in place; the
-candidate x - 2*alpha*r + alpha**2 * v is formed in place in r and v, with
-the operations in the formula's order, so it rounds as the expression does.
-x, its record and the reference are never written.
+last accepted iterate in ``report.grid``.  ``optimize`` builds one
+``projector.Projection`` of the reference per run, which carries the sphere
+radius sqrt(E), and correlates each point once (``majorizer.correlate``):
+the reference, and per iteration x1 and the candidate.  Eta, the normalized
+PSL and the zero-sidelobe test are read off that record, and an MM step
+(``_step``) receives the record of its point.  ``mm_step`` is one step from
+a grid.  A step and a candidate write only arrays of their own; the
+candidate x - 2*alpha*r + alpha**2 * v is formed in place in r and v, in the
+formula's order, so it rounds as the expression does.
 """
 
 from __future__ import annotations
@@ -91,7 +80,7 @@ import numpy as np
 
 from .constellation import ConstellationSpec, SubcarrierMask
 # majorize_direction is not called here; perfbench/tracer.py still wraps it at this site
-from .majorizer import MMPlan, majorize_direction
+from .majorizer import correlate, direction, majorize_direction
 # project_grid is not called here; perfbench/tracer.py still wraps it at this site
 from .projector import Projection, project_grid
 # cyclic_correlations and peak_sidelobe are not called here; perfbench/tracer.py
@@ -152,14 +141,14 @@ class OptimizationReport:
         return self.psl_db_trace[-1]
 
 
-def _step(x: np.ndarray, corr: tuple, p: int, plan: MMPlan,
+def _step(x: np.ndarray, corr: tuple, p: int, w: LagWeights,
           projection: Projection) -> np.ndarray:
     """One MM step from the (N, M) array ``x`` with its record ``corr =
-    plan.correlate(x)``: along y_c = (Q - STEP_C * L * I) x, L = the pass's
+    correlate(x, w)``: along y_c = (Q - STEP_C * L * I) x, L = the pass's
     bound >= mu_bar, onto the sphere of radius ``projection.radius``, then
     through ``projection``.  Raises ``ZeroSidelobeError`` when the sidelobes
     of ``x`` already vanish."""
-    y_c, bound, _ = plan.direction(x, corr, p)  # Qx, fresh from the pass, becomes y_c
+    y_c, bound, _ = direction(x, corr, p, w)  # Qx, fresh from the pass, becomes y_c
     # nonzero: x^H y_c <= (1 - STEP_C) * L * ||x||^2 < 0 (module docstring)
     y_c -= STEP_C * bound * x
     # sphere minimizer, scaled to the reference energy budget
@@ -169,11 +158,10 @@ def _step(x: np.ndarray, corr: tuple, p: int, plan: MMPlan,
 
 def mm_step(grid: SymbolGrid, reference: SymbolGrid, spec: ConstellationSpec,
             mask: SubcarrierMask, w: LagWeights, p: int) -> SymbolGrid:
-    """``_step`` from ``grid`` once, through an ``MMPlan`` and a
-    ``Projection(reference, spec, mask)`` of its own."""
+    """``_step`` from ``grid`` once, through a ``Projection(reference, spec,
+    mask)`` of its own."""
     x = np.asarray(grid)
-    plan = MMPlan(x.shape, w)
-    return SymbolGrid(_step(x, plan.correlate(x), p, plan, Projection(reference, spec, mask)))
+    return SymbolGrid(_step(x, correlate(x, w), p, w, Projection(reference, spec, mask)))
 
 
 def optimize(
@@ -190,10 +178,9 @@ def optimize(
     ``config.l_max`` iterations (module docstring).
     """
     config = config or OptimizerConfig()
-    plan = MMPlan(reference.symbols.shape, w)
     projection = Projection(reference, spec, mask)
     x = reference.symbols.copy()  # report.grid never shares the reference's array
-    corr = plan.correlate(x)  # the record (r, window |r|, eta, mean mainlobe) of x
+    corr = correlate(x, w)  # the record (r, window |r|, eta, mean mainlobe) of x
     trace, psl_trace = [corr[2]], [psl_db_of_peak(*corr[2:])]
     reason = "max_iterations"
     for k in range(config.l_max):
@@ -201,13 +188,13 @@ def optimize(
             reason = "zero_sidelobe"
             break
         p = min(P_SCHEDULE[k], config.p) if k < len(P_SCHEDULE) else config.p
-        x1 = _step(x, corr, p, plan, projection)
-        corr1 = plan.correlate(x1)
+        x1 = _step(x, corr, p, w, projection)
+        corr1 = correlate(x1, w)
         if sidelobes_vanish(*corr1[2:]):
             # no sidelobes, no surrogate: x1 is the candidate, record and all
             candidate, corr_next = x1, corr1
         else:
-            x2 = _step(x1, corr1, p, plan, projection)
+            x2 = _step(x1, corr1, p, w, projection)
             # the SQUAREM candidate (module docstring); x2 itself when v vanishes
             r = x1 - x
             v = x2 - x1
@@ -222,7 +209,7 @@ def optimize(
                 v *= alpha**2
                 r += v
                 candidate = projection(r)
-            corr_next = plan.correlate(candidate)
+            corr_next = correlate(candidate, w)
         eta_next, psl_next = corr_next[2], psl_db_of_peak(*corr_next[2:])
         if eta_next > trace[-1] or psl_next > psl_trace[-1]:
             reason = "objective_increased"

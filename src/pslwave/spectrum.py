@@ -20,8 +20,8 @@ Correlations are the plain (M, M, N) complex array r of
 written once, in ``LagWeights``: its slice ``lags`` and its lag-count check.
 Each read takes the window |r| afresh (``window_abs``), so nothing is kept
 from one read to the next.  ``mean_mainlobe`` reads the array and
-``psl_db_of_peak`` two floats, so the majorizer's per-run plan
-(``majorizer.MMPlan``) applies them to its own record.
+``psl_db_of_peak`` two floats, so the optimizer applies them to the record
+of ``majorizer.correlate``.
 
 ``snr_ratio`` turns an SNR point in dB into the linear power ratio that the
 sensing and BER campaigns divide by, and rejects a point whose ratio or
@@ -62,21 +62,20 @@ ZERO_SIDELOBE_EPS = 1024
 _ZERO_SIDELOBE_TOL = ZERO_SIDELOBE_EPS * np.finfo(float).eps
 
 
-@dataclass
+@dataclass(eq=False)
 class SymbolGrid:
     """N x M frequency-domain data symbols; column m belongs to antenna m.
 
     Treated as a value (nothing writes into ``symbols``), so it can keep the
     energy that ``energy`` takes on first read, and the unit-echo profiles
     that ``sensing.detection_campaign`` builds on first use, one per window
-    half-width h.  A ``copy`` starts with neither.
+    half-width h.  A ``copy`` starts with neither.  Grids compare and hash by
+    identity; compare their ``symbols`` for equal contents.
     """
 
     symbols: np.ndarray
-    _energy: float | None = field(default=None, init=False, repr=False, compare=False)
-    _echo_profiles: dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _energy: float | None = field(default=None, init=False, repr=False)
+    _echo_profiles: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.symbols = np.asarray(self.symbols, dtype=complex)
@@ -126,7 +125,7 @@ class LagWeights:
     """The cyclic-prefix lag window: lags [1, n_cp - 1], never the zero lag.
 
     ``lags`` is the window as the slice ``1:n_cp`` of the lag axis, which the
-    fast paths read (``window_abs``, ``majorizer.MMPlan``) after
+    fast paths read (``window_abs``, ``majorizer.v_fields``) after
     ``check_lags``; ``mask`` is True on the same lags.
     """
 

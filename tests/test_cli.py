@@ -469,6 +469,17 @@ class TestCliCommands:
         assert "config error: cannot create output directory" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command,name", [("optimize", "optimize_summary.csv"),
+                                              ("sense", "sense.csv"), ("ber", "ber.csv")])
+    def test_unwritable_csv_exits_with_message(self, tmp_path, command, name):
+        # a directory where the CSV goes makes open() fail (chmod would not: root ignores it)
+        out = tmp_path / "res"
+        (out / name).mkdir(parents=True)
+        proc = run_cli(command, "--config", small_config(tmp_path), "--out", str(out), *SMALL)
+        assert proc.returncode == 1
+        assert f"config error: cannot write {str(out / name)!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "args,message",
         [

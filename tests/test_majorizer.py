@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pslwave import majorizer, oracle
-from pslwave.constellation import ConstellationSpec
+from pslwave.constellation import ConstellationSpec, SubcarrierMask
+from pslwave.optimizer import optimize
 from pslwave.spectrum import (
     LagWeights, SymbolGrid, cyclic_correlations, mean_mainlobe, peak_sidelobe, psl_db,
     window_abs,
@@ -279,14 +280,14 @@ class TestLambdaMaxBound:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     def test_non_finite_v_raises(self, monkeypatch, bad):
-        exact = majorizer.MMPlan.v
+        exact = majorizer.v_fields
 
-        def broken(plan, values, c_hat):
-            v = exact(plan, values, c_hat)
+        def broken(r, coeffs, w):
+            v = exact(r, coeffs, w)
             v[0, 1, 3] = bad
             return v
 
-        monkeypatch.setattr(majorizer.MMPlan, "v", broken)
+        monkeypatch.setattr(majorizer, "v_fields", broken)
         with pytest.raises(ValueError, match="finite"):
             majorizer.majorize_direction(noisy_grid(8, 2, 132), LagWeights(8, 4), 4)
 
@@ -346,7 +347,7 @@ class TestDirection:
 
 
 class TestPlan:
-    """One ``MMPlan`` serves every pass of a run: reusing it changes nothing."""
+    """The pass is plain functions of the iterate: passes in sequence share nothing."""
 
     # M = 1, N not a power of two, n_cp = N and p = 2 among the cells
     @pytest.mark.parametrize("n,m,n_cp,p", [(16, 1, 4, 50), (96, 4, 24, 50), (12, 2, 12, 2),
@@ -354,16 +355,14 @@ class TestPlan:
     def test_a_reused_plan_is_stateless(self, n, m, n_cp, p):
         w = LagWeights(n, n_cp)
         x_a, x_b = noisy_grid(n, m, 70 + n).symbols, noisy_grid(n, m, 71 + n).symbols
-        plan = majorizer.MMPlan(x_a.shape, w)
-        _, _, v_a = plan.direction(x_a, plan.correlate(x_a), p)
+        _, _, v_a = majorizer.direction(x_a, majorizer.correlate(x_a, w), p, w)
         kept = v_a.copy()
-        qx, bound, v = plan.direction(x_b, plan.correlate(x_b), p)
+        qx, bound, v = majorizer.direction(x_b, majorizer.correlate(x_b, w), p, w)
         out = majorizer.majorize_direction(x_b, w, p)
         assert np.array_equal(qx, out.qx)
         assert bound == out.mu_bound
         assert np.array_equal(v, out.v)
         assert np.array_equal(v_a, kept)  # the second pass wrote nothing the first returned
-        assert not np.any(plan._work[:, :, ~w.mask])  # zero off the window
 
     @pytest.mark.parametrize("n,m,n_cp", [(16, 1, 4), (96, 4, 24), (12, 2, 12)])
     def test_correlate_matches_the_tensor_route(self, n, m, n_cp):
@@ -371,17 +370,12 @@ class TestPlan:
         # window_abs and peak_sidelobe give, bit for bit
         w = LagWeights(n, n_cp)
         grid = noisy_grid(n, m, 72 + n)
-        values, r_abs, eta, mainlobe = majorizer.MMPlan(grid.symbols.shape, w).correlate(
-            grid.symbols)
+        values, r_abs, eta, mainlobe = majorizer.correlate(grid.symbols, w)
         corr = cyclic_correlations(grid)
         assert np.array_equal(values, corr)
         assert np.array_equal(r_abs, window_abs(corr, w))
         assert eta == peak_sidelobe(corr, w)[0]
         assert mainlobe == mean_mainlobe(corr)
-
-    def test_lag_count_is_checked_when_the_plan_is_built(self):
-        with pytest.raises(ValueError, match="lag count"):
-            majorizer.MMPlan((128, 2), LagWeights(64, 16))
 
 
 class TestInputsAreNotWritten:
@@ -391,10 +385,9 @@ class TestInputsAreNotWritten:
     def test_direction_leaves_x_and_its_record_unchanged(self, n, m, n_cp, p):
         w = LagWeights(n, n_cp)
         x = noisy_grid(n, m, 80 + n).symbols
-        plan = majorizer.MMPlan(x.shape, w)
-        corr = plan.correlate(x)
+        corr = majorizer.correlate(x, w)
         kept_x, kept = x.copy(), [np.copy(item) for item in corr]
-        plan.direction(x, corr, p)
+        majorizer.direction(x, corr, p, w)
         assert np.array_equal(x, kept_x)
         for item, copy in zip(corr, kept):
             assert np.array_equal(item, copy)
@@ -441,16 +434,25 @@ class TestLagCountCheck:
     """N = 128 correlations with a window built for N = 64 are rejected, not read."""
 
     @pytest.mark.parametrize("call", ["peak_sidelobe", "psl_db", "coefficients",
-                                      "majorize_direction"])
+                                      "majorize_direction", "correlate", "v_fields",
+                                      "direction", "optimize"])
     def test_mismatch_raises(self, call):
         grid = noisy_grid(128, 2, 50)
         corr = cyclic_correlations(grid)
         w = LagWeights(64, 16)
+        # a record and coefficients read through the N = 128 window of the same length
+        record = majorizer.correlate(grid.symbols, LagWeights(128, 16))
+        coeffs = majorizer.coefficients(corr, LagWeights(128, 16), 50)
         calls = {
             "peak_sidelobe": lambda: peak_sidelobe(corr, w),
             "psl_db": lambda: psl_db(corr, w),
             "coefficients": lambda: majorizer.coefficients(corr, w, 50),
             "majorize_direction": lambda: majorizer.majorize_direction(grid, w, 50),
+            "correlate": lambda: majorizer.correlate(grid.symbols, w),
+            "v_fields": lambda: majorizer.v_fields(corr, coeffs, w),
+            "direction": lambda: majorizer.direction(grid.symbols, record, 50, w),
+            "optimize": lambda: optimize(grid, ConstellationSpec("psk", 4),
+                                         SubcarrierMask.all_used(128, 2), w),
         }
         with pytest.raises(ValueError, match="lag count"):
             calls[call]()

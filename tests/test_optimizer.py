@@ -5,7 +5,7 @@ import pytest
 
 from pslwave import config, majorizer, optimizer, spectrum
 from pslwave.constellation import ConstellationSpec, SubcarrierMask, random_reference_grid
-from pslwave.majorizer import MMPlan, ZeroSidelobeError, coefficients, majorize_direction
+from pslwave.majorizer import ZeroSidelobeError, coefficients, correlate, majorize_direction
 from pslwave.optimizer import (
     MIN_GAIN_DB, P_SCHEDULE, STEP_C, OptimizerConfig, mm_step, optimize,
 )
@@ -59,8 +59,8 @@ class TestMmStep:
                                            {"family": "qam", "order": 16, "n_subcarriers": 64,
                                             "n_antennas": 2, "n_cp": 16}])
     def test_a_plan_steps_as_project_grid_does(self, overrides):
-        # two steps through one reused plan, as optimize takes them, project each
-        # sphere point as project_grid does and match the one-shot mm_step
+        # two steps through one reused projection, as optimize takes them, project
+        # each sphere point as project_grid does and match the one-shot mm_step
         spec, mask, ref, w, cfg = seeded_trial(1, **overrides)
         points = []
 
@@ -69,9 +69,9 @@ class TestMmStep:
                 points.append(z)
                 return super().__call__(z)
 
-        plan, mm = RecordingPlan(ref, spec, mask), MMPlan(ref.symbols.shape, w)
-        x1 = optimizer._step(ref.symbols, mm.correlate(ref.symbols), 8, mm, plan)
-        x2 = optimizer._step(x1, mm.correlate(x1), 8, mm, plan)
+        plan = RecordingPlan(ref, spec, mask)
+        x1 = optimizer._step(ref.symbols, correlate(ref.symbols, w), 8, w, plan)
+        x2 = optimizer._step(x1, correlate(x1, w), 8, w, plan)
         assert len(points) == 2
         for z, out in zip(points, (x1, x2)):
             assert np.array_equal(project_grid(SymbolGrid(z), ref, spec, mask).symbols, out)
@@ -84,12 +84,12 @@ class TestMmStep:
     def test_a_step_leaves_x_and_its_record_unchanged(self, overrides):
         # the step turns the pass's own Qx into y_c and the sphere point in place
         spec, mask, ref, w, cfg = seeded_trial(2, **overrides)
-        plan, mm = Projection(ref, spec, mask), MMPlan(ref.symbols.shape, w)
+        plan = Projection(ref, spec, mask)
         x = ref.symbols.copy()
         for p in (8, 50):
-            corr = mm.correlate(x)
+            corr = correlate(x, w)
             kept_x, kept = x.copy(), [np.copy(item) for item in corr]
-            x_next = optimizer._step(x, corr, p, mm, plan)
+            x_next = optimizer._step(x, corr, p, w, plan)
             assert np.array_equal(x, kept_x)
             for item, copy in zip(corr, kept):
                 assert np.array_equal(item, copy)
@@ -161,10 +161,10 @@ class TestRunSquarem:
         # of its own point
         spec, mask, ref, w, cfg = seeded_trial(0, **overrides)
         records, in_steps, steps, stepping = [], [], [], []
-        correlate, step = MMPlan.correlate, optimizer._step
+        exact, step = optimizer.correlate, optimizer._step
 
-        def recording(plan, x):
-            record = correlate(plan, x)
+        def recording(x, w):
+            record = exact(x, w)
             (in_steps if stepping else records).append((x, record))
             return record
 
@@ -176,7 +176,7 @@ class TestRunSquarem:
             finally:
                 stepping.pop()
 
-        monkeypatch.setattr(MMPlan, "correlate", recording)
+        monkeypatch.setattr(optimizer, "correlate", recording)
         monkeypatch.setattr(optimizer, "_step", flagged_step)
         report = optimize(ref, spec, mask, w, cfg.optimizer())
         n = iterations_run(report)
@@ -197,10 +197,10 @@ class TestRunSquarem:
         # (peak_sidelobe, or psl_db through it) runs
         spec, mask, ref, w, cfg = seeded_trial(0)
         passes, read = [], []
-        correlate = MMPlan.correlate
+        exact = optimizer.correlate
 
-        def recording(plan, x):
-            passes.append(correlate(plan, x))
+        def recording(x, w):
+            passes.append(exact(x, w))
             return passes[-1]
 
         def recording_psl(eta, mainlobe):
@@ -210,7 +210,7 @@ class TestRunSquarem:
         def no_search(*args):
             raise AssertionError("a peak search ran")
 
-        monkeypatch.setattr(MMPlan, "correlate", recording)
+        monkeypatch.setattr(optimizer, "correlate", recording)
         monkeypatch.setattr(optimizer, "psl_db_of_peak", recording_psl)
         monkeypatch.setattr(optimizer, "peak_sidelobe", no_search)
         monkeypatch.setattr(spectrum, "peak_sidelobe", no_search)
@@ -219,36 +219,43 @@ class TestRunSquarem:
         assert len({id(c) for c in read}) == len(read)
 
     def test_correlations_pass_the_traced_name(self, monkeypatch):
-        # each plan.correlate of a run calls majorizer.cyclic_correlations by that
-        # module-level name, the site the benchmark's tracer wraps
+        # each correlate of a run calls majorizer.cyclic_correlations, and each
+        # direction majorizer.v_fields, by that module-level name: the sites the
+        # benchmark's tracer wraps
         spec, mask, ref, w, cfg = seeded_trial(0)
-        named, records = [], []
-        cyclic, correlate = majorizer.cyclic_correlations, MMPlan.correlate
+        named, records, v_named, directions = [], [], [], []
+        cyclic, exact = majorizer.cyclic_correlations, optimizer.correlate
+        v_fields, direction = majorizer.v_fields, optimizer.direction
 
         def counting(x):
             named.append(x)
             return cyclic(x)
 
-        def recording(plan, x):
+        def recording(x, w):
             records.append(x)
-            return correlate(plan, x)
+            return exact(x, w)
+
+        def counting_v(*args):
+            v_named.append(args)
+            return v_fields(*args)
+
+        def recording_direction(*args):
+            directions.append(args)
+            return direction(*args)
 
         monkeypatch.setattr(majorizer, "cyclic_correlations", counting)
-        monkeypatch.setattr(MMPlan, "correlate", recording)
+        monkeypatch.setattr(optimizer, "correlate", recording)
+        monkeypatch.setattr(majorizer, "v_fields", counting_v)
+        monkeypatch.setattr(optimizer, "direction", recording_direction)
         optimize(ref, spec, mask, w, cfg.optimizer())
         assert len(named) == len(records) > 0
+        assert len(v_named) == len(directions) > 0
 
     @pytest.mark.parametrize("overrides", [{}, {"n_antennas": 1}])
     def test_one_plan_per_run(self, monkeypatch, overrides):
-        # the MM plan and the projection are set up once per run, and every step
-        # and candidate uses them
+        # the projection is set up once per run, and every step and candidate uses it
         spec, mask, ref, w, cfg = seeded_trial(0, **overrides)
-        plans, calls, steps, mm_plans = [], [], [], []
-
-        class CountingMMPlan(MMPlan):
-            def __init__(self, *args):
-                super().__init__(*args)
-                mm_plans.append(self)
+        plans, calls, steps = [], [], []
 
         class CountingPlan(Projection):
             def __init__(self, *args):
@@ -259,19 +266,18 @@ class TestRunSquarem:
                 calls.append(z)
                 return super().__call__(z)
 
-        def recording_step(x, corr, p, mm, projection):
-            steps.append((mm, projection))
-            return step(x, corr, p, mm, projection)
+        def recording_step(x, corr, p, w, projection):
+            steps.append(projection)
+            return step(x, corr, p, w, projection)
 
         step = optimizer._step
         monkeypatch.setattr(optimizer, "Projection", CountingPlan)
-        monkeypatch.setattr(optimizer, "MMPlan", CountingMMPlan)
         monkeypatch.setattr(optimizer, "_step", recording_step)
         report = optimize(ref, spec, mask, w, cfg.optimizer())
-        assert len(plans) == 1 and len(mm_plans) == 1
-        # two MM steps through the run's plans and the SQUAREM candidate per iteration run
+        assert len(plans) == 1
+        # two MM steps through the run's projection and the SQUAREM candidate per iteration run
         assert len(steps) == 2 * iterations_run(report)
-        assert all(mm is mm_plans[0] and plan is plans[0] for mm, plan in steps)
+        assert all(plan is plans[0] for plan in steps)
         assert len(calls) == 3 * iterations_run(report)
 
     def test_first_step_without_sidelobes_is_the_candidate(self, monkeypatch):
@@ -280,19 +286,19 @@ class TestRunSquarem:
         spec, mask, ref, w = setup_problem()
         flat = np.tile(spec.points[[0, 1]], (32, 1))
         steps, correlated = [], []
-        correlate = MMPlan.correlate
+        exact = optimizer.correlate
 
         def first_step_flat(x, *args):
             steps.append(x)
             return flat if len(steps) == 1 else step(x, *args)
 
-        def recording(plan, x):
+        def recording(x, w):
             correlated.append(x)
-            return correlate(plan, x)
+            return exact(x, w)
 
         step = optimizer._step
         monkeypatch.setattr(optimizer, "_step", first_step_flat)
-        monkeypatch.setattr(MMPlan, "correlate", recording)
+        monkeypatch.setattr(optimizer, "correlate", recording)
         report = optimize(ref, spec, mask, w)
         assert len(steps) == 1
         assert sum(x is flat for x in correlated) == 1
@@ -326,13 +332,13 @@ class TestRunSquarem:
 def recorded_ps(monkeypatch) -> list[int]:
     """The p of every majorization pass the optimizer makes from now on."""
     ps = []
-    direction = MMPlan.direction
+    direction = optimizer.direction
 
-    def recording(plan, x, corr, p):
+    def recording(x, corr, p, w):
         ps.append(p)
-        return direction(plan, x, corr, p)
+        return direction(x, corr, p, w)
 
-    monkeypatch.setattr(MMPlan, "direction", recording)
+    monkeypatch.setattr(optimizer, "direction", recording)
     return ps
 
 
@@ -419,10 +425,10 @@ class TestStepRule:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_v_raises_before_a_step(self, monkeypatch, bad):
         # the one-shot mm_step raises before its own plan projects
-        exact = MMPlan.v
+        exact = majorizer.v_fields
 
-        def broken(plan, values, c_hat):
-            v = exact(plan, values, c_hat)
+        def broken(r, coeffs, w):
+            v = exact(r, coeffs, w)
             v[1, 0, 2] = bad
             return v
 
@@ -433,7 +439,7 @@ class TestStepRule:
                 projected.append(z)
                 return super().__call__(z)
 
-        monkeypatch.setattr(MMPlan, "v", broken)
+        monkeypatch.setattr(majorizer, "v_fields", broken)
         monkeypatch.setattr(optimizer, "Projection", RecordingPlan)
         spec, mask, ref, w = setup_problem(seed=63)
         with pytest.raises(ValueError, match="finite"):
@@ -443,10 +449,10 @@ class TestStepRule:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_v_raises_before_the_plan_projects(self, monkeypatch, bad):
         # a step through the run's own plan raises before that plan projects
-        exact = MMPlan.v
+        exact = majorizer.v_fields
 
-        def broken(plan, values, c_hat):
-            v = exact(plan, values, c_hat)
+        def broken(r, coeffs, w):
+            v = exact(r, coeffs, w)
             v[1, 0, 2] = bad
             return v
 
@@ -457,11 +463,11 @@ class TestStepRule:
                 projected.append(z)
                 return super().__call__(z)
 
-        monkeypatch.setattr(MMPlan, "v", broken)
+        monkeypatch.setattr(majorizer, "v_fields", broken)
         spec, mask, ref, w = setup_problem(seed=63)
-        plan, mm = RecordingPlan(ref, spec, mask), MMPlan(ref.symbols.shape, w)
+        plan = RecordingPlan(ref, spec, mask)
         with pytest.raises(ValueError, match="finite"):
-            optimizer._step(ref.symbols, mm.correlate(ref.symbols), 50, mm, plan)
+            optimizer._step(ref.symbols, correlate(ref.symbols, w), 50, w, plan)
         assert projected == []
 
     def test_psl_db_before_and_after_read_the_trace(self):

@@ -79,6 +79,17 @@ class TestSymbolGrid:
         assert np.array_equal(g.stacked(), g.symbols.reshape(-1, order="F").copy())
         assert not np.shares_memory(g.stacked(), g.symbols)
 
+    def test_grids_compare_and_hash_by_identity(self):
+        # a field-wise __eq__ would compare the arrays and raise, and leave the
+        # class unhashable
+        grid, other = SymbolGrid(np.ones((4, 2))), SymbolGrid(np.ones((4, 2)))
+        assert (grid == other) is False
+        assert (grid == grid) is True
+        assert (grid != other) is True
+        assert hash(grid) == hash(grid)
+        assert grid in [other, grid]
+        assert len({grid, other, grid}) == 2
+
 
 class TestCyclicCorrelations:
     def test_frozen_values(self):
