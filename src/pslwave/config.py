@@ -77,9 +77,12 @@ class ExperimentConfig:
             self.optimizer()
             self.lag_weights()
             cfar = self.cfar()
-            cfar.check_profile_length(n)  # the range profile has N cells
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        try:
+            cfar.check_profile_length(n)  # the range profile has N cells
+        except ValueError as exc:
+            raise ConfigError(f"n_subcarriers: {exc}; lower cfar_n_ref or cfar_n_guard") from exc
         if not 1 <= self.n_targets <= cfar.max_targets(n):
             raise ConfigError(f"need 1 <= n_targets <= {cfar.max_targets(n)} at N = {n}: targets "
                               "are drawn cfar_n_guard + cfar_n_ref + 1 bins apart")

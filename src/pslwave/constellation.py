@@ -111,7 +111,7 @@ class ConstellationSpec:
         return table
 
 
-@dataclass
+@dataclass(eq=False)
 class SubcarrierMask:
     """Per-antenna used/unused sub-carrier partition; ``used`` is N x M boolean."""
 

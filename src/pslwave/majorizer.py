@@ -77,7 +77,7 @@ class ZeroSidelobeError(ValueError):
     """All correlations in the lag window vanish up to round-off (``spectrum.sidelobes_vanish``)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class MajorizerCoeffs:
     """r_bar-factored surrogate coefficients; multiply c_hat by r_bar**(p-2)
     to recover the raw values."""
@@ -87,7 +87,7 @@ class MajorizerCoeffs:
     c_hat: np.ndarray  # (M, M, n_cp - 1) on the lag window; index j holds lag j + 1
 
 
-@dataclass
+@dataclass(eq=False)
 class MajorizerOutput:
     """One pass's results in the common r_bar**(p-2) scale.
 
@@ -162,7 +162,7 @@ def v_fields(r: np.ndarray, coeffs: MajorizerCoeffs, w: LagWeights) -> np.ndarra
     # (M, M, N) result; for N a power of two the two orders round alike.
     weighted = np.zeros(r.shape, dtype=complex)
     np.multiply(w.n_lags * coeffs.c_hat, r[:, :, w.lags], out=weighted[:, :, w.lags])
-    return np.fft.fft(weighted, axis=2)
+    return np.fft.fft(weighted, axis=2, out=weighted)
 
 
 def hermitian_blocks(v: np.ndarray) -> np.ndarray:
@@ -189,16 +189,21 @@ def lambda_max_bound(blocks: np.ndarray) -> np.ndarray:
     blocks.  The variance is clipped at 0 against round-off.  A non-finite
     block gives a non-finite bound.
 
-    Both sums run over the (M, M, N) view of the stack, whose pair axes come
-    first: for a ``hermitian_blocks`` stack that view is contiguous, and f
-    adds M^2 contiguous rows of N.  |Q|^2 is ``np.square(np.abs(.))``; the
-    cheaper Re^2 + Im^2 rounds differently.
+    Both sums run over the M^2 rows of N of the stack's (M, M, N) view, which
+    is contiguous for a ``hermitian_blocks`` stack (another is copied): t over
+    the M diagonal rows, f as Re^2 + Im^2 on the real view, its rows of 2N
+    reals summed and then each n's pair, with no ``hypot`` as ``np.abs`` takes.
     """
     n, _, m = blocks.shape
-    pairs = blocks.transpose(1, 2, 0)
-    mean = pairs.real.trace() / m
-    frob2 = np.add.reduce(np.square(np.abs(pairs)).reshape(m * m, n), axis=0)
-    return mean + np.sqrt((m - 1) * np.maximum(frob2 / m - mean * mean, 0.0))
+    pairs = np.ascontiguousarray(blocks.transpose(1, 2, 0)).reshape(m * m, n)
+    mean = np.add.reduce(pairs[:: m + 1].real, axis=0) / m  # t/M over the M diagonal rows
+    sums = np.add.reduce(np.square(pairs.view(np.float64)), axis=0)
+    bound = sums[0::2] + sums[1::2]  # f; the bound is formed in place in it
+    bound /= m
+    bound -= mean * mean
+    bound *= m - 1
+    np.sqrt(np.maximum(bound, 0.0, out=bound), out=bound)
+    return np.add(mean, bound, out=bound)
 
 
 def mu_bar(v: np.ndarray) -> float:

@@ -97,9 +97,9 @@ class CfarConfig:
             raise ValueError("n_guard must be >= 0")
 
     def check_profile_length(self, n: int) -> None:
-        """Raise unless an n-cell profile holds both one-sided windows around a cell."""
-        if n <= 2 * (self.n_ref + self.n_guard):
-            raise ValueError("profile too short for the reference window")
+        """Raise unless an n-cell profile holds the window's 2 * (n_ref + n_guard) + 1 cells."""
+        if n < (least := 2 * (self.n_ref + self.n_guard) + 1):
+            raise ValueError(f"N = {n} cells are too short for the CFAR window of {least} cells")
 
     def max_targets(self, n: int) -> int:
         """The most targets that always fit in n cells, n_guard + n_ref + 1 bins apart.

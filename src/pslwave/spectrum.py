@@ -120,7 +120,7 @@ class SymbolGrid:
         return SymbolGrid(self.symbols.copy())
 
 
-@dataclass
+@dataclass(eq=False)
 class LagWeights:
     """The cyclic-prefix lag window: lags [1, n_cp - 1], never the zero lag.
 
@@ -152,17 +152,18 @@ def cyclic_correlations(grid: SymbolGrid | np.ndarray) -> np.ndarray:
     """All cyclic auto-/cross-correlations of the time-domain waveforms, as the
     (M, M, N) array r with r[m, k, i] the correlation of antennas (m, k) at lag i.
 
-    ``grid`` is a ``SymbolGrid`` or its (N, M) array.  One IFFT per antenna
-    pair; the N**2 scale keeps r equal to the stacked quadratic form.
+    ``grid`` is a ``SymbolGrid`` or its (N, M) array, taken as complex128.
+    One IFFT per antenna pair, written over the product; the N**2 scale keeps
+    r equal to the stacked quadratic form.  It scales the real view: half the
+    multiplies of a complex scale, and for finite r the same values.
     """
-    x = np.asarray(grid)
-    n = x.shape[0]
+    x = np.asarray(grid, dtype=complex)
     # prod[m, k, :] = x_m * conj(x_k) over subcarriers, from a contiguous (M, N)
     # copy: the product runs on unit strides, entrywise the same arithmetic
     xt = x.T.copy()
     prod = xt[:, None, :] * xt.conj()[None, :, :]
-    r = np.fft.ifft(prod, axis=2)
-    r *= n**2  # in place: rounds as n**2 * ifft(prod)
+    r = np.fft.ifft(prod, axis=2, out=prod)
+    r.view(np.float64)[...] *= x.shape[0] ** 2
     return r
 
 

@@ -426,6 +426,22 @@ class TestCliCommands:
         assert "config error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_short_profile_names_n_the_window_and_its_keys(self, tmp_path):
+        # the default CFAR window spans 2 * (7 + 1) + 1 = 17 cells: N = 16 is one short
+        path = tmp_path / "short.ini"
+        path.write_text("[waveform]\nn_subcarriers = 16\nn_cp = 8\n")
+        proc = run_cli("optimize", "--config", str(path), "--trials", "1",
+                       "--out", str(tmp_path / "res"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        message = proc.stderr.strip()
+        assert message.startswith("config error: n_subcarriers: N = 16 cells")
+        for part in ("CFAR window of 17 cells", "cfar_n_ref", "cfar_n_guard"):
+            assert part in message
+        # one cell more fits, as does N = 16 with a window one cell narrower
+        ExperimentConfig(n_subcarriers=17, n_cp=8)
+        ExperimentConfig(n_subcarriers=16, n_cp=8, cfar_n_guard=0)
+
     @pytest.mark.parametrize(
         "content",
         [

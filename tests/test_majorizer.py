@@ -259,6 +259,39 @@ class TestLambdaMaxBound:
         assert_bounds_top_eigenvalue(blocks, exact_rows=slice(None) if m <= 2 else None)
         assert majorizer.lambda_max_bound(blocks)[0] == 0.0
 
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_real_view_matches_the_hypot_form(self, m):
+        # ||Q_n||_F^2 as Re^2 + Im^2 on the real view, against np.abs(.)**2 (one
+        # hypot per entry), on random stacks and on the pass's own block stacks.
+        # Relative to the two terms' magnitudes |t/M| + sqrt(...): where they
+        # cancel (a bound near 0) both forms carry the same absolute round-off.
+        rng = np.random.default_rng(140 + m)
+        stacks = [hermitian_stack(rng, 64, m)]
+        for seed in range(8):
+            corr = cyclic_correlations(noisy_grid(64, m, 140 + seed))
+            w = LagWeights(64, 16)
+            v = majorizer.v_fields(corr, majorizer.coefficients(corr, w, 8), w)
+            stacks.append(majorizer.hermitian_blocks(v))
+        for blocks in stacks:
+            pairs = blocks.transpose(1, 2, 0)
+            mean = pairs.real.trace() / m
+            frob2 = np.add.reduce(np.square(np.abs(pairs)).reshape(m * m, -1), axis=0)
+            spread = np.sqrt((m - 1) * np.maximum(frob2 / m - mean * mean, 0.0))
+            bound = majorizer.lambda_max_bound(blocks)
+            assert np.all(np.abs(bound - (mean + spread)) <= 1e-14 * (np.abs(mean) + spread))
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                                       complex(np.inf, np.nan)])
+    def test_non_finite_block_gives_a_non_finite_bound(self, m, value):
+        for i, k in {(0, 0), (0, m - 1), (m - 1, 0)}:
+            blocks = hermitian_stack(np.random.default_rng(150 + m), 8, m)
+            blocks[3, i, k] = value
+            with np.errstate(invalid="ignore"):  # inf - inf on the way is expected
+                bound = majorizer.lambda_max_bound(blocks)
+            assert not np.isfinite(bound[3])
+            assert np.all(np.isfinite(np.delete(bound, 3)))
+
     def test_pass_steps_on_the_max_bound(self):
         grid = noisy_grid(32, 4, 130)
         w = LagWeights(32, 8)

@@ -544,6 +544,14 @@ class TestWindowedReceiver:
             detection_campaign([grid], 10.0, cfar, rng)
         assert rng.bit_generator.state == state  # checked before the draws
 
+    @pytest.mark.parametrize("n_ref,n_guard", [(7, 1), (3, 2), (1, 0)])
+    def test_short_profile_names_n_and_the_window(self, n_ref, n_guard):
+        cfar = CfarConfig(p_fa=1e-2, n_ref=n_ref, n_guard=n_guard)
+        least = 2 * (n_ref + n_guard) + 1
+        cfar.check_profile_length(least)
+        with pytest.raises(ValueError, match=rf"^N = {least - 1} cells .* window of {least} cells$"):
+            cfar.check_profile_length(least - 1)
+
     def test_nan_snr_raises(self):
         grid = self._grids(np.random.default_rng(91), 64, 2, 1)[0]
         with pytest.raises(ValueError, match="SNR point nan dB"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pslwave import majorizer
-from pslwave.constellation import ConstellationSpec
+from pslwave.constellation import ConstellationSpec, SubcarrierMask
 from pslwave.spectrum import (
     LagWeights,
     SymbolGrid,
@@ -120,6 +120,50 @@ class TestCyclicCorrelations:
                     assert r[m, k, i] == pytest.approx(
                         np.conj(r[k, m, (n - i) % n]), abs=1e-9
                     )
+
+    @pytest.mark.parametrize("n,m", [(128, 4), (2048, 2), (2048, 8), (96, 4), (96, 1),
+                                     (12, 4), (12, 2), (1, 1), (2, 1)])
+    def test_scale_matches_the_complex_scale(self, n, m):
+        # N**2 scales the IFFT's output on its real view: bit for bit the complex
+        # n**2 * ifft(prod), at N a power of two or not; (1, 1) is the one-entry grid
+        rng = np.random.default_rng(n + m)
+        for _ in range(3):
+            x = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            prod = x.T[:, None, :] * np.conj(x.T)[None, :, :]
+            assert np.array_equal(cyclic_correlations(x), n**2 * np.fft.ifft(prod, axis=2))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64, np.int64])
+    def test_scale_takes_other_dtypes_as_complex(self, dtype):
+        # a real, single-precision or integer grid is correlated as its complex128 copy
+        rng = np.random.default_rng(160)
+        x = (rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))) * 4
+        if not np.issubdtype(dtype, np.complexfloating):
+            x = x.real
+        x = x.astype(dtype)
+        r = cyclic_correlations(x)
+        assert r.dtype == np.complex128
+        assert np.array_equal(r, cyclic_correlations(x.astype(complex)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: LagWeights(8, 4), id="LagWeights"),
+        pytest.param(lambda: SubcarrierMask.all_used(4, 2), id="SubcarrierMask"),
+        pytest.param(lambda: majorizer.coefficients(cyclic_correlations(frozen_grid()),
+                                                    LagWeights(8, 4), 4), id="MajorizerCoeffs"),
+        pytest.param(lambda: majorizer.majorize_direction(frozen_grid(), LagWeights(8, 4), 4),
+                     id="MajorizerOutput"),
+    ],
+)
+def test_array_records_compare_and_hash_by_identity(make):
+    # a field-wise __eq__ would compare the arrays and raise, and leave the class unhashable
+    one, other = make(), make()
+    assert (one == other) is False
+    assert (one == one) is True
+    assert (one != other) is True
+    assert hash(one) == hash(one)
+    assert len({one, other, one}) == 2
 
 
 class TestLagWeights:
