@@ -29,18 +29,18 @@ class ExperimentConfig:
     # constellation / similarity region
     family: str = "psk"
     order: int = 4
-    rho: float = 0.15
-    eps_a: float = 0.2
+    rho: float = ConstellationSpec.rho
+    eps_a: float = ConstellationSpec.eps_a
     unused_fraction: float = 0.05
     # optimizer
-    p: int = 50
-    l_max: int = 10
+    p: int = OptimizerConfig.p
+    l_max: int = OptimizerConfig.l_max
     # a constant, not a setting: perfbench/workloads.py records it in its input record
     accelerated: ClassVar[bool] = True
     # sensing
-    cfar_p_fa: float = 1e-4
-    cfar_n_ref: int = 7
-    cfar_n_guard: int = 1
+    cfar_p_fa: float = CfarConfig.p_fa
+    cfar_n_ref: int = CfarConfig.n_ref
+    cfar_n_guard: int = CfarConfig.n_guard
     n_targets: int = 1
     sense_snr_db: tuple[float, ...] = (-6.0, -5.0, -4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0)
     # comms
@@ -156,7 +156,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
                     raise ConfigError(f"unknown key '{key}' in section [{section}]")
                 try:
                     values[key] = _parse(key, raw)
-                except ValueError as exc:
+                except (KeyError, ValueError) as exc:  # KeyError: not a boolean word
                     raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
@@ -166,25 +166,18 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         raise ConfigError(str(exc)) from exc
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _parse(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"bad boolean for {key}: {raw}")
-    if kind == "tuple[float, ...]":
+    """``raw`` (stripped by configparser) read as the type of the field's default:
+    bool, tuple of floats, int, float or str."""
+    default = _DEFAULTS[key]
+    if isinstance(default, bool):  # before int: a bool is an int
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    if isinstance(default, tuple):
         return tuple(float(t) for t in raw.replace(",", " ").split())
-    return raw
+    return type(default)(raw)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -1,30 +1,18 @@
-"""Reference symbol grids: Gray-mapped PSK/QAM, sub-carrier masks, baselines.
+"""Reference symbol grids: Gray-labelled PSK and square QAM, sub-carrier masks, baselines.
 
-Bit labeling is fixed here (the standards leave it open) so BER results are
-reproducible:
+The bit labelling is fixed here, so BER results are reproducible.  PSK
+position k (counterclockwise, k = 0..Q-1) sits at angle 2*pi*(k + 0.5)/Q
+and carries the Gray label k ^ (k >> 1), MSB first: QPSK maps bits 00 to
+exp(1j*pi/4).  QAM labels its real level with the first half of the bits
+and its imaginary level with the second, the levels -(sqrt(Q)-1) ..
+sqrt(Q)-1 (step 2) Gray-labelled alike: 16-QAM maps 0000 to -3-3j.  QAM
+points stay unnormalized, so the disc radius eps_r = 2*rho applies
+literally.
 
-* PSK: constellation position ``k`` (counterclockwise, ``k = 0..Q-1``) sits at
-  angle ``2*pi*(k + 0.5)/Q`` and carries the binary-reflected Gray label
-  ``k ^ (k >> 1)`` read MSB-first.  QPSK therefore maps bits ``00`` to
-  ``exp(1j*pi/4)``.
-* Square QAM: the first half of the bits selects the real level, the second
-  half the imaginary level; levels ``-(sqrt(Q)-1), ..., sqrt(Q)-1`` (step 2)
-  are Gray-labeled the same way.  16QAM maps bits ``0000`` to ``-3-3j``.
-
-QAM points are left unnormalized (odd-integer coordinates) so the disc
-projector's radius ``eps_r = 2*rho`` applies literally; average-power scaling
-happens only where a transmit SNR is defined.
-
-Hard decisions (``demodulate``) take one pass: a closed-form slicer gives
-each entry the index of its decision region, and one cached region-to-bits
-table per (family, order) maps that index straight to bits.  The Gray step
-and the wrap of the PSK sector are folded into the table: its rows are the
-PSK sectors k = -Q/2 .. Q/2, offset by Q/2 (the first and last, the angles
--pi and pi, carry the same bits), or the QAM level pairs, l_I * sqrt(Q) +
-l_Q.  The slicer (``_decision_regions``) and a table of bit errors per
-(region, sent label) built from the region-to-bits table (``_error_table``)
-also serve ``comms.ber_campaign``, which counts errors without expanding
-bits, so the slicer and the Gray labelling each exist once.
+``demodulate`` and ``comms.ber_campaign`` share one slicer
+(``_decision_regions``) and one cached region-to-bits table per (family,
+order), from which the table of bit errors (``_error_table``) is built, so
+the slicer and the labelling each exist once.
 """
 
 from __future__ import annotations
@@ -42,7 +30,6 @@ __all__ = [
     "SubcarrierMask",
     "modulate",
     "demodulate",
-    "random_bits",
     "random_reference_grid",
     "orthogonal_interleaved_grid",
     "sum_rate_loss",
@@ -66,10 +53,8 @@ class ConstellationSpec:
         q = self.order
         if q < 2 or q & (q - 1):
             raise ValueError("order must be a power of two >= 2")
-        if self.family == "qam":
-            root = int(round(np.sqrt(q)))
-            if root * root != q:
-                raise ValueError("QAM order must be a perfect square")
+        if self.family == "qam" and isqrt(q) ** 2 != q:
+            raise ValueError("QAM order must be a perfect square")
         if not 0.0 < self.rho < 0.5:
             raise ValueError("rho must lie in (0, 0.5)")
         # eps_a > 1 would put the inner radius 1 - eps_a below zero
@@ -94,19 +79,16 @@ class ConstellationSpec:
     def points(self) -> np.ndarray:
         """Constellation points indexed by their Gray bit label."""
         q = self.order
-        table = np.empty(q, dtype=complex)
         if self.family == "psk":
-            for k in range(q):
-                table[_gray(k)] = np.exp(2j * np.pi * (k + 0.5) / q)
+            k = np.arange(q)
+            table = np.empty(q, dtype=complex)
+            table[_gray(k)] = np.exp(2j * np.pi * (k + 0.5) / q)
         else:
-            root = int(round(np.sqrt(q)))
-            half = self.bits_per_symbol // 2
-            pam = np.empty(root)
-            for level in range(root):
-                pam[_gray(level)] = 2 * level - (root - 1)
-            for li in range(root):
-                for lq in range(root):
-                    table[(li << half) | lq] = pam[li] + 1j * pam[lq]
+            # level l_I labels the high half of the bits: label l_I * sqrt(Q) + l_Q
+            levels = np.arange(isqrt(q))
+            pam = np.empty(levels.size)
+            pam[_gray(levels)] = 2 * levels - (levels.size - 1)
+            table = (pam[:, None] + 1j * pam).ravel()
         table.setflags(write=False)
         return table
 
@@ -136,7 +118,7 @@ class SubcarrierMask:
         rng: np.random.Generator,
         n_subcarriers: int,
         n_antennas: int,
-        unused_fraction: float = 0.05,
+        unused_fraction: float,
     ) -> "SubcarrierMask":
         n_un = int(round(unused_fraction * n_subcarriers))
         used = np.ones((n_subcarriers, n_antennas), dtype=bool)
@@ -146,8 +128,15 @@ class SubcarrierMask:
         return cls(used)
 
 
-def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.integers(0, 2, size=n, dtype=np.int8)
+def _check_bits(bits: np.ndarray, n_bits: int, name: str = "bits") -> np.ndarray:
+    """``bits`` as an array; a ``ValueError`` naming ``name`` unless it holds
+    ``n_bits`` values, each 0 or 1."""
+    bits = np.asarray(bits)
+    if bits.size != n_bits:
+        raise ValueError(f"{name}: need {n_bits} bits for this mask, got {bits.size}")
+    if np.count_nonzero(bits.astype(bool) != bits):  # only 0 and 1 equal their truth values
+        raise ValueError(f"{name}: every bit must be 0 or 1")
+    return bits
 
 
 def _bits_to_labels(bits: np.ndarray, bps: int) -> np.ndarray:
@@ -232,14 +221,12 @@ def modulate(
     spec: ConstellationSpec,
     mask: SubcarrierMask,
 ) -> SymbolGrid:
-    """Map bits onto the used sub-carriers (stacked order); unused entries are 0."""
+    """Map bits onto the used sub-carriers (stacked order); unused entries are 0.
+
+    A ``ValueError`` unless there are bits_per_symbol * n_used bits, each 0 or 1.
+    """
     bps = spec.bits_per_symbol
-    bits = np.asarray(bits)
-    if bits.size != bps * mask.n_used:
-        raise ValueError(
-            f"need {bps * mask.n_used} bits for this mask, got {bits.size}"
-        )
-    labels = _bits_to_labels(bits, bps)
+    labels = _bits_to_labels(_check_bits(bits, bps * mask.n_used), bps)
     symbols = np.zeros(mask.used.shape, dtype=complex)
     # column-major (antenna-by-antenna) fill matches the stacked vector order
     flat_used = mask.used.reshape(-1, order="F")
@@ -292,7 +279,7 @@ def random_reference_grid(
     mask: SubcarrierMask,
 ) -> tuple[SymbolGrid, np.ndarray]:
     """Draw a random data grid; returns (grid, bits)."""
-    bits = random_bits(rng, spec.bits_per_symbol * mask.n_used)
+    bits = rng.integers(0, 2, size=spec.bits_per_symbol * mask.n_used, dtype=np.int8)
     return modulate(bits, spec, mask), bits
 
 

@@ -1,35 +1,19 @@
-"""DFT conventions and FFT-based cyclic correlations of multi-antenna OFDM symbol grids.
+"""DFT conventions, cyclic correlations of symbol grids, PSL metrics and SNR helpers.
 
 Conventions, fixed here once and relied on by every other module:
 
-* ``dft(v)[q] = sum_n v[n] exp(-2j pi n q / N)`` -- unnormalized forward
-  transform (``np.fft.fft``); ``idft`` carries the ``1/N`` factor
-  (``np.fft.ifft``).
+* ``dft(v)[q] = sum_n v[n] exp(-2j pi n q / N)`` (``np.fft.fft``);
+  ``idft`` carries the ``1/N`` (``np.fft.ifft``).
 * ``r[m, k, i] = N * sum_n exp(+2j pi n i / N) * x_m[n] * conj(x_k[n])
-  = N**2 * idft(x_m * conj(x_k))[i]``.
+  = N**2 * idft(x_m * conj(x_k))[i]``, the cyclic cross-correlation at lag
+  ``i`` of the time-domain waveforms of antennas ``m`` and ``k``.  The
+  factor ``N`` keeps r equal to the quadratic form in the stacked symbol
+  vector, which the majorizer's eigenvalue bounds assume.
 
-The second line is the cyclic cross-correlation, at lag ``i``, of the
-time-domain waveforms of antennas ``m`` and ``k``, written as a quadratic
-form in the stacked frequency-domain symbol vector.  The factor ``N``
-relative to the plain pointwise-product IDFT keeps the correlation equal to
-that quadratic form exactly, which is what the eigenvalue bounds in the
-majorizer assume.
-
-Correlations are the plain (M, M, N) complex array r of
-``cyclic_correlations``; every reader takes it as it is.  The lag window is
-written once, in ``LagWeights``: its slice ``lags`` and its lag-count check.
-Each read takes the window |r| afresh (``window_abs``), so nothing is kept
-from one read to the next.  ``mean_mainlobe`` reads the array and
-``psl_db_of_peak`` two floats, so the optimizer applies them to the record
-of ``majorizer.correlate``.
-
-``snr_ratio`` turns an SNR point in dB into the linear power ratio that the
-sensing and BER campaigns divide by, and rejects a point whose ratio or
-its reciprocal is not a finite positive number (a NaN, or a point outside
-about -3080 .. 3080 dB).  ``noise_level`` turns a signal energy and an SNR
-point into the noise standard deviation sqrt(energy / ratio), the one
-formula of the config check and of both campaigns, and rejects a point
-whose noise level overflows.
+Correlations are the plain (M, M, N) array of ``cyclic_correlations``, and
+the lag window is written once, in ``LagWeights``.  The correlation FFT
+writes into a given array (``out=``, numpy 2.0 or newer).  ``noise_level``
+is the one noise formula of the config check and both campaigns.
 """
 
 from __future__ import annotations
@@ -45,7 +29,6 @@ __all__ = [
     "cyclic_correlations",
     "window_abs",
     "peak_sidelobe",
-    "ZERO_SIDELOBE_EPS",
     "mean_mainlobe",
     "sidelobes_vanish",
     "psl_db",
@@ -54,12 +37,15 @@ __all__ = [
     "noise_level",
 ]
 
-# Window sidelobes count as zero when the peak is at most this many machine
+# Window sidelobes count as zero when the peak is at most 1024 machine
 # epsilons times the mean mainlobe.  Exactly vanishing correlations (a
 # constant grid, say) keep FFT round-off of up to ~2 eps of the mainlobe
 # when N is not a power of two; real sidelobes sit hundreds of dB higher.
-ZERO_SIDELOBE_EPS = 1024
-_ZERO_SIDELOBE_TOL = ZERO_SIDELOBE_EPS * np.finfo(float).eps
+_ZERO_SIDELOBE_TOL = 1024 * np.finfo(float).eps
+
+# complex white noise of level sigma: sigma * (g_re + 1j * g_im) / sqrt(2), g standard
+# normal, written with this factor by both campaigns
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(eq=False)
@@ -194,7 +180,7 @@ def mean_mainlobe(values: np.ndarray) -> float:
 
 
 def sidelobes_vanish(eta: float, mainlobe: float) -> bool:
-    """Whether a window peak eta is round-off of zero sidelobes (see ``ZERO_SIDELOBE_EPS``)."""
+    """Whether a window peak eta is round-off of zero sidelobes: at most 1024 eps of the mainlobe."""
     return eta <= _ZERO_SIDELOBE_TOL * mainlobe
 
 

@@ -5,15 +5,19 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pslwave
-from pslwave import cli, majorizer
+from pslwave import cli, config, majorizer
 from pslwave.cli import main
 from pslwave.config import ConfigError, ExperimentConfig, load_config, trial_rng
+from pslwave.constellation import ConstellationSpec
+from pslwave.optimizer import OptimizerConfig
+from pslwave.sensing import CfarConfig
 
 
 class TestConfig:
@@ -24,6 +28,10 @@ class TestConfig:
         assert cfg.n_cp == 32
         assert cfg.p == 50
         assert cfg.family == "psk" and cfg.order == 4
+        # the optimizer, CFAR and region defaults are those of the parts they build
+        assert cfg.optimizer() == OptimizerConfig()
+        assert cfg.cfar() == CfarConfig()
+        assert cfg.constellation() == ConstellationSpec("psk", 4)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -86,6 +94,35 @@ class TestConfig:
         assert cfg.n_cp == 16
         assert cfg.l_max == 3
         assert cfg.sense_snr_db == (-12.0, -10.0, -8.0)
+
+    def test_every_field_round_trips_through_ini(self, tmp_path):
+        values = {
+            "n_subcarriers": 64, "n_antennas": 2, "n_cp": 16,
+            "family": "qam", "order": 16, "rho": 0.2, "eps_a": 0.3, "unused_fraction": 0.1,
+            "p": 8, "l_max": 3,
+            "cfar_p_fa": 1e-3, "cfar_n_ref": 5, "cfar_n_guard": 2, "n_targets": 2,
+            "sense_snr_db": (-3.0, 0.5), "n_rx": 3, "ber_snr_db": (5.0, 10.0),
+            "trials": 7, "seed": 11, "out_dir": "elsewhere", "workers": 2, "timestamp": False,
+        }
+        default = ExperimentConfig()
+        assert set(values) == {f.name for f in fields(ExperimentConfig)}
+        assert all(value != getattr(default, name) for name, value in values.items())
+        text = ""
+        for section, keys in config._SECTIONS.items():
+            text += f"[{section}]\n"
+            for key in keys:
+                value = values[key]
+                if isinstance(value, bool):
+                    value = "no"
+                elif isinstance(value, tuple):
+                    value = ", ".join(str(v) for v in value)
+                text += f"{key} = {value}\n"
+        path = tmp_path / "every.ini"
+        path.write_text(text)
+        cfg = load_config(str(path))
+        for name, value in values.items():
+            got = getattr(cfg, name)
+            assert got == value and type(got) is type(value), name
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -415,6 +452,10 @@ class TestCliCommands:
             pytest.param("sense", "sensing", "cfar_n_guard = -1", id="sensing-cfar_n_guard--1"),
             pytest.param("optimize", "optimizer", "p = 2.5", id="optimizer-p-not-int"),
             pytest.param("optimize", "constellation", "rho = abc", id="constellation-rho-not-float"),
+            # with p = 2.5 and rho = abc above, a malformed value of every field type
+            pytest.param("optimize", "constellation", "family = bpsk", id="constellation-family-bpsk"),
+            pytest.param("optimize", "campaign", "timestamp = maybe", id="campaign-timestamp-maybe"),
+            pytest.param("ber", "comms", "ber_snr_db = 0 four 8", id="comms-ber_snr_db-not-floats"),
         ],
     )
     def test_bad_value_in_ini_exits_with_message(self, tmp_path, command, section, body):

@@ -249,6 +249,25 @@ class TestBerStatistics:
         with pytest.raises(ValueError, match="mask's shape"):
             ber_campaign([(grid, narrow, bits)], [10.0], spec, mask, rng, n_rx=2)
 
+    @pytest.mark.parametrize("edit,match", [
+        # short bits failed inside the pass with numpy's boolean-assignment error
+        (lambda b: b[:-1], "the bits of pair 1: need 128 bits for this mask, got 127"),
+        (lambda b: np.append(b, 0), "the bits of pair 1: need 128 bits for this mask, got 129"),
+        (lambda b: np.where(np.arange(b.size) == 5, 2, b), "the bits of pair 1: every bit must"),
+        (lambda b: np.where(np.arange(b.size) == 5, -1, b), "the bits of pair 1: every bit must"),
+        (lambda b: np.where(np.arange(b.size) == 5, 0.5, b), "the bits of pair 1: every bit must"),
+    ], ids=["short", "long", "two", "minus-one", "half"])
+    def test_campaign_rejects_bad_bits_before_any_draw(self, edit, match):
+        rng = np.random.default_rng(109)
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.all_used(32, 2)
+        grid, bits = random_reference_grid(rng, spec, mask)
+        pairs = [(grid, grid.copy(), bits), (grid, grid.copy(), edit(bits))]
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            ber_campaign(pairs, [10.0], spec, mask, rng, n_rx=2)
+        assert rng.bit_generator.state == state  # rejected before any draw
+
     def test_campaign_rejects_fewer_receive_than_transmit_antennas(self):
         rng = np.random.default_rng(102)
         spec = ConstellationSpec("psk", 4)

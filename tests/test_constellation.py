@@ -75,6 +75,31 @@ class TestConstellationSpec:
                 lb = by_point[complex(re_b, im)]
                 assert bin(la ^ lb).count("1") == 1
 
+    @pytest.mark.parametrize("family,order", [("psk", 2**b) for b in range(1, 11)]
+                             + [("qam", 4**b) for b in range(1, 6)])
+    def test_points_match_the_per_entry_loop(self, family, order):
+        # the table as first written, one entry at a time: the array formulas must
+        # give the same bytes
+        def gray(k):
+            return k ^ (k >> 1)
+
+        table = np.empty(order, dtype=complex)
+        if family == "psk":
+            for k in range(order):
+                table[gray(k)] = np.exp(2j * np.pi * (k + 0.5) / order)
+        else:
+            root = int(round(np.sqrt(order)))
+            half = (order.bit_length() - 1) // 2
+            pam = np.empty(root)
+            for level in range(root):
+                pam[gray(level)] = 2 * level - (root - 1)
+            for li in range(root):
+                for lq in range(root):
+                    table[(li << half) | lq] = pam[li] + 1j * pam[lq]
+        points = ConstellationSpec(family, order).points
+        assert points.dtype == table.dtype and points.tobytes() == table.tobytes()
+        assert not points.flags.writeable
+
     def test_tolerances(self):
         spec = ConstellationSpec("psk", 4, rho=0.15)
         assert spec.eps_p == pytest.approx(2 * np.pi * 0.15 / 4)
@@ -160,6 +185,20 @@ class TestModulation:
         mask = SubcarrierMask.all_used(8, 1)
         with pytest.raises(ValueError):
             modulate(np.zeros(7, dtype=np.int8), spec, mask)
+
+    @pytest.mark.parametrize("bits", [[0, 2], [2, 0], [-1, 0], [0.5, 1], [np.nan, 0]],
+                             ids=["0-2", "2-0", "minus-1", "half", "nan"])
+    def test_non_binary_bits_rejected(self, bits):
+        # [0, 2] read as the label of [1, 0] and [2, 0] raised an IndexError
+        spec = ConstellationSpec("psk", 4)
+        with pytest.raises(ValueError, match="bits: every bit must be 0 or 1"):
+            modulate(np.array(bits), spec, SubcarrierMask.all_used(1, 1))
+
+    def test_binary_bits_of_any_dtype_accepted(self):
+        spec = ConstellationSpec("psk", 4)
+        mask = SubcarrierMask.all_used(1, 1)
+        for bits in ([True, False], [1.0, 0.0], np.array([1, 0], dtype=np.uint8)):
+            assert modulate(np.array(bits), spec, mask).symbols[0, 0] == spec.points[0b10]
 
     def test_stacked_fill_order(self):
         # first bits fill antenna 0 top to bottom, then antenna 1

@@ -286,11 +286,16 @@ class TestDetectionCampaign:
             got = detection_campaign(grids, snr_db, CfarConfig(), np.random.default_rng(84), 2)
             assert got == dp
 
-    def test_no_targets_gives_zero(self):
+    @pytest.mark.parametrize("n_targets", [0, -1])
+    def test_fewer_than_one_target_is_rejected_before_any_draw(self, n_targets):
+        # a rate over no targets is no rate: 0 targets read 0.0, and -1 read -0.0
         assert sensing._draw_delays(np.random.default_rng(0), 64, 0, 9) == []
         grids = [self._grid(s) for s in range(3)]
         rng = np.random.default_rng(83)
-        assert detection_campaign(grids, 10.0, CfarConfig(), rng, n_targets=0) == 0.0
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"n_targets >= 1, got {n_targets}"):
+            detection_campaign(grids, 10.0, CfarConfig(), rng, n_targets=n_targets)
+        assert rng.bit_generator.state == state
 
 
 class TestGainDraws:
